@@ -177,11 +177,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    cfg = SolveConfig(
-        mode=args.mode,
-        node_budget=args.budget,
-        parallel=args.jobs > 1,
-    )
+    cfg = SolveConfig(mode=args.mode, node_budget=args.budget)
     outcome = solve(g, args.k, cfg)
     if args.format == "json":
         print(io.report_to_json(outcome))
@@ -418,9 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--mode", choices=("first-witness", "canonical-min", "count"),
                    default="first-witness")
-    p.add_argument("--budget", type=int, default=None,
-                   help="search-node cap (forces single-threaded search)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget", type=int, default=None, help="search-node cap")
     p.add_argument("-o", "--output", default=None, metavar="FILE")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_solve)

@@ -1,8 +1,8 @@
 """Text formats: edge lists, colorings, role sidecars, DOT, JSON reports.
 
-All formats are line-oriented.  Blank lines are ignored; lines starting with
-``c`` are comments.  Parsers raise :class:`ParseError` carrying line and
-column numbers (both 1-based) so the CLI can print usable diagnostics.
+All formats are line-oriented.  Blank lines are ignored; lines whose first
+field is ``c`` are comments.  Parsers raise :class:`ParseError` carrying line
+and column numbers (both 1-based) so the CLI can print usable diagnostics.
 
 Formats:
 
@@ -36,10 +36,10 @@ class ParseError(ValueError):
 def _records(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """Yield (lineno, raw line, fields) for every non-comment, non-blank line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0] == "c":
             continue
-        yield lineno, raw, stripped.split()
+        yield lineno, raw, fields
 
 
 def _column_of(raw: str, fields: list[str], index: int) -> int:
@@ -82,6 +82,7 @@ def graph_to_text(g: Graph, comments: tuple[str, ...] = ()) -> str:
 def graph_from_text(text: str) -> Graph:
     n: int | None = None
     declared_m: int | None = None
+    header_at = (1, 1)
     edges: list[tuple[int, int]] = []
     for lineno, raw, fields in _records(text):
         tag = fields[0]
@@ -94,6 +95,7 @@ def graph_from_text(text: str) -> Graph:
                 )
             n = _int_field(raw, fields, 1, lineno, "a vertex count")
             declared_m = _int_field(raw, fields, 2, lineno, "an edge count")
+            header_at = (lineno, _column_of(raw, fields, 2))
             if n < 0:
                 raise ParseError(
                     lineno, _column_of(raw, fields, 1), "vertex count is negative"
@@ -125,7 +127,7 @@ def graph_from_text(text: str) -> Graph:
         raise ParseError(1, 1, "missing 'p <n> <m>' header")
     if declared_m != len(edges):
         raise ParseError(
-            1, 1, f"header declares {declared_m} edges but {len(edges)} follow"
+            *header_at, f"header declares {declared_m} edges but {len(edges)} follow"
         )
     return Graph(n, edges)
 

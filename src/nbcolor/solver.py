@@ -19,10 +19,9 @@ each other.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Iterator
 
 from .balance import Coloring, check_necessary, is_nbkc
 from .graph import Graph
@@ -37,15 +36,13 @@ class SolveConfig:
     ``mode`` selects what to produce: any witness, the canonical
     (lexicographically smallest under the fixed vertex order) witness, or the
     number of balanced colorings.  ``node_budget`` caps assignments made
-    before giving up; setting it forces single-threaded search so the cap is
-    exact.  ``same_color`` adds pairwise equal-color side constraints (used
-    by gadget analysis); these are color-permutation invariant, so symmetry
-    breaking stays sound.
+    before giving up.  ``same_color`` adds pairwise equal-color side
+    constraints (used by gadget analysis); these are color-permutation
+    invariant, so symmetry breaking stays sound.
     """
 
     mode: str = "first-witness"
     node_budget: int | None = None
-    parallel: bool = False
     same_color: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
@@ -77,11 +74,7 @@ class _Budget(Exception):
 
 
 class _Search:
-    """One backtracking run over a fixed vertex order.
-
-    All state is per-instance, so independent instances may run in parallel
-    threads over the same (immutable) graph.
-    """
+    """One backtracking run over a fixed vertex order."""
 
     def __init__(
         self,
@@ -90,7 +83,6 @@ class _Search:
         cfg: SolveConfig,
         order: tuple[int, ...],
     ) -> None:
-        self.g = g
         self.k = k
         self.cfg = cfg
         self.order = order
@@ -100,10 +92,8 @@ class _Search:
         self.counts = [[0] * (k + 1) for _ in range(g.n)]  # counts[v][c]
         self.bans = [[0] * (k + 1) for _ in range(g.n)]  # bans[v][c]
         self.eligible = [k] * g.n
-        self.maxused = 0
         self.nodes = 0
         self.pruned: dict[str, int] = {}
-        self.solutions: list[tuple[int, ...]] = []
         self.count = 0
         # Union the same-color pairs into groups; each group forces one color.
         leader = list(range(g.n))
@@ -119,7 +109,6 @@ class _Search:
                 raise ValueError(f"same-color pair ({a}, {b}) out of range")
             leader[find(a)] = find(b)
         self.group = tuple(find(v) for v in range(g.n))
-        self.group_color: dict[int, int] = {}
 
     def _tally(self, rule: str, amount: int = 1) -> None:
         self.pruned[rule] = self.pruned.get(rule, 0) + amount
@@ -161,63 +150,81 @@ class _Search:
             cu[c] -= 1
         self.color[v] = 0
 
-    def run(self, depth: int) -> bool:
-        """Explore assignments for order[depth:]; returns True to stop early
-        (a witness was found and one is all the caller wants)."""
-        if depth == len(self.order):
-            self.solutions.append(tuple(self.color))
-            if self.cfg.mode == "count":
-                used = len(set(self.color))
-                orbit = 1
-                for i in range(used):
-                    orbit *= self.k - i
-                self.count += orbit
-                self.solutions.clear()  # keep memory flat; only tallying
-                return False
-            return True
-        v = self.order[depth]
-        gid = self.group[v]
-        forced = self.group_color.get(gid)
-        cap = min(self.k, self.maxused + 1)
-        if cap < self.k and forced is None:
-            self._tally("symmetry", self.k - cap)
-        if forced is not None:
-            candidates = (forced,) if forced <= cap else ()
-        else:
-            candidates = tuple(range(1, cap + 1))
-        bv = self.bans[v]
-        for c in candidates:
-            if bv[c] != 0:
-                self._tally("quota")
-                continue
-            prev_max = self.maxused
-            if c > self.maxused:
-                self.maxused = c
-            set_group = False
-            if forced is None:
-                self.group_color[gid] = c
-                set_group = True
-            viable = self._assign(v, c)
-            if viable:
-                if self.run(depth + 1):
+    def run(self) -> bool:
+        """Search depth-first, colors in increasing order, with one frame per
+        depth of the vertex order.  Returns True when stopped at a witness
+        (left in ``color``); in count mode, tallies every leaf into ``count``
+        and returns False once the tree is exhausted.
+        """
+        order, k, n = self.order, self.k, len(self.order)
+        group, bans = self.group, self.bans
+        assign, unassign, tally = self._assign, self._unassign, self._tally
+        counting = self.cfg.mode == "count"
+        # Symmetry breaking makes a leaf use exactly colors 1..maxused; a leaf
+        # using 1..m stands for the k(k-1)...(k-m+1) colorings that relabel it.
+        orbit = [1] * (k + 1)
+        for m in range(1, k + 1):
+            orbit[m] = orbit[m - 1] * (k - m + 1)
+        group_color: dict[int, int] = {}
+        # Frame d: next and last candidate color, the color held (0: none),
+        # whether it fixed its group's color, and maxused before it.
+        nxt = [0] * n
+        last = [0] * n
+        held = [0] * n
+        owns = [False] * n
+        below = [0] * n
+        maxused = 0
+        d = 0
+        while True:
+            if d == n:
+                if not counting:
                     return True
+                self.count += orbit[maxused]
+                d -= 1
             else:
-                self._tally("deficit")
-            self._unassign(v, c)
-            if set_group:
-                del self.group_color[gid]
-            self.maxused = prev_max
-        return False
+                forced = group_color.get(group[order[d]])
+                cap = min(k, maxused + 1)
+                if forced is None:
+                    if cap < k:
+                        tally("symmetry", k - cap)
+                    nxt[d], last[d] = 1, cap
+                else:
+                    nxt[d], last[d] = forced, forced if forced <= cap else 0
+                owns[d] = forced is None
+                below[d] = maxused
+            while d >= 0:
+                v = order[d]
+                c = held[d]
+                if c:
+                    unassign(v, c)
+                    if owns[d]:
+                        del group_color[group[v]]
+                    maxused = below[d]
+                    held[d] = 0
+                c, hi, bv = nxt[d], last[d], bans[v]
+                while c <= hi and bv[c]:
+                    tally("quota")
+                    c += 1
+                if c > hi:
+                    d -= 1
+                    continue
+                nxt[d] = c + 1
+                held[d] = c
+                if c > maxused:
+                    maxused = c
+                if owns[d]:
+                    group_color[group[v]] = c
+                if assign(v, c):
+                    d += 1
+                    break
+                tally("deficit")
+            else:
+                return False
 
 
 def _vertex_order(g: Graph) -> tuple[int, ...]:
     """Fixed search order: descending degree, index as tiebreak."""
     return tuple(sorted(range(g.n), key=lambda v: (-g.degree(v), v)))
-
-
-def _merge_tallies(into: dict[str, int], other: dict[str, int]) -> None:
-    for key, value in other.items():
-        into[key] = into.get(key, 0) + value
 
 
 def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:
@@ -242,137 +249,36 @@ def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:
             nodes_explored=0,
             pruned_by={gate.failed_rule: 1},
         )
-    order = _vertex_order(g)
-
-    if cfg.parallel and cfg.node_budget is None and g.n >= 2:
-        return _solve_parallel(g, k, cfg, order)
-
-    search = _Search(g, k, cfg, order)
+    search = _Search(g, k, cfg, _vertex_order(g))
     try:
-        found = search.run(0)
+        found = search.run()
     except _Budget:
         return SolveOutcome(
             status="BUDGET_EXCEEDED",
             nodes_explored=search.nodes,
             pruned_by=search.pruned,
         )
-    return _finish(g, k, cfg, search, found)
-
-
-def _finish(
-    g: Graph, k: int, cfg: SolveConfig, search: _Search, found: bool
-) -> SolveOutcome:
     if cfg.mode == "count":
-        status = "SAT" if search.count > 0 else "UNSAT"
-        witness = None
         return SolveOutcome(
-            status=status,
-            witness=witness,
+            status="SAT" if search.count > 0 else "UNSAT",
             count=search.count,
             nodes_explored=search.nodes,
             pruned_by=search.pruned,
         )
-    if found:
-        witness = Coloring(k, tuple(search.solutions[-1]))
-        assert is_nbkc(g, witness).balanced, "solver returned an unbalanced witness"
+    if not found:
         return SolveOutcome(
-            status="SAT",
-            witness=witness,
+            status="UNSAT",
             nodes_explored=search.nodes,
             pruned_by=search.pruned,
         )
+    witness = Coloring(k, tuple(search.color))
+    assert is_nbkc(g, witness).balanced, "solver returned an unbalanced witness"
     return SolveOutcome(
-        status="UNSAT",
+        status="SAT",
+        witness=witness,
         nodes_explored=search.nodes,
         pruned_by=search.pruned,
     )
-
-
-def _solve_parallel(
-    g: Graph, k: int, cfg: SolveConfig, order: tuple[int, ...]
-) -> SolveOutcome:
-    """Partition the search across depth-2 prefixes and reduce deterministically.
-
-    Workers race, but results are combined in prefix order: the earliest
-    SAT prefix supplies the witness, which in canonical-min mode is exactly
-    the global minimum (prefix order refines the lexicographic order).
-    """
-    probe = _Search(g, k, cfg, order)
-    prefixes: list[tuple[int, ...]] = []
-    depth = min(2, g.n)
-
-    def enumerate_prefixes(d: int) -> None:
-        if d == depth:
-            prefixes.append(tuple(probe.color[order[i]] for i in range(depth)))
-            return
-        v = order[d]
-        gid = probe.group[v]
-        forced = probe.group_color.get(gid)
-        cap = min(k, probe.maxused + 1)
-        candidates = (
-            ((forced,) if forced <= cap else ()) if forced is not None
-            else tuple(range(1, cap + 1))
-        )
-        for c in candidates:
-            if probe.bans[v][c] != 0:
-                continue
-            prev_max = probe.maxused
-            probe.maxused = max(probe.maxused, c)
-            set_group = forced is None
-            if set_group:
-                probe.group_color[gid] = c
-            viable = probe._assign(v, c)
-            if viable:
-                enumerate_prefixes(d + 1)
-            probe._unassign(v, c)
-            if set_group:
-                del probe.group_color[gid]
-            probe.maxused = prev_max
-
-    enumerate_prefixes(0)
-
-    def run_prefix(prefix: tuple[int, ...]) -> tuple[_Search, bool]:
-        search = _Search(g, k, cfg, order)
-        for d, c in enumerate(prefix):
-            v = order[d]
-            gid = search.group[v]
-            if gid not in search.group_color:
-                search.group_color[gid] = c
-            search.maxused = max(search.maxused, c)
-            viable = search._assign(v, c)
-            assert viable, "prefix was enumerated as viable"
-        found = search.run(depth)
-        return search, found
-
-    workers = min(len(prefixes), os.cpu_count() or 4) or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_prefix, prefixes))
-
-    nodes = probe.nodes + sum(s.nodes for s, _ in results)
-    pruned: dict[str, int] = dict(probe.pruned)
-    for s, _ in results:
-        _merge_tallies(pruned, s.pruned)
-    if cfg.mode == "count":
-        total = sum(s.count for s, _ in results)
-        return SolveOutcome(
-            status="SAT" if total > 0 else "UNSAT",
-            count=total,
-            nodes_explored=nodes,
-            pruned_by=pruned,
-        )
-    for s, found in results:
-        if found:
-            witness = Coloring(k, tuple(s.solutions[-1]))
-            assert is_nbkc(g, witness).balanced, (
-                "solver returned an unbalanced witness"
-            )
-            return SolveOutcome(
-                status="SAT",
-                witness=witness,
-                nodes_explored=nodes,
-                pruned_by=pruned,
-            )
-    return SolveOutcome(status="UNSAT", nodes_explored=nodes, pruned_by=pruned)
 
 
 _DEFAULT_CAP_BITS = 24
@@ -387,39 +293,37 @@ def _enumeration_cap(n: int, k: int, cap_bits: int) -> None:
         )
 
 
-def brute_force(g: Graph, k: int, cap_bits: int = _DEFAULT_CAP_BITS) -> SolveOutcome:
-    """Exhaustive ground-truth check, sharing no pruning theory with solve.
-
-    Enumerates all k^n assignments in lexicographic order (vertex 0 varies
-    slowest) and tests balance by direct counting.  No degree gate, no
-    symmetry breaking — deliberately, so this oracle cannot inherit a bug
-    from the clever path.
-    """
+def _balanced_assignments(
+    g: Graph, k: int, cap_bits: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (assignments tried so far, assignment) for every balanced one,
+    enumerating all k^n in lexicographic order (vertex 0 varies slowest)."""
     if k < 2:
         raise ValueError(f"palette size must be at least 2, got {k}")
     _enumeration_cap(g.n, k, cap_bits)
     adj = tuple(g.neighbors(v) for v in range(g.n))
-    nodes = 0
-    for assignment in product(range(1, k + 1), repeat=g.n):
-        nodes += 1
+    for tried, assignment in enumerate(product(range(1, k + 1), repeat=g.n), 1):
         if _balanced(adj, assignment, k):
-            witness = Coloring(k, assignment)
-            assert is_nbkc(g, witness).balanced
-            return SolveOutcome(status="SAT", witness=witness, nodes_explored=nodes)
-    return SolveOutcome(status="UNSAT", nodes_explored=nodes)
+            yield tried, assignment
+
+
+def brute_force(g: Graph, k: int, cap_bits: int = _DEFAULT_CAP_BITS) -> SolveOutcome:
+    """Exhaustive ground-truth check, sharing no pruning theory with solve.
+
+    Takes the first balanced assignment in lexicographic order, testing
+    balance by direct counting.  No degree gate, no symmetry breaking —
+    deliberately, so this oracle cannot inherit a bug from the clever path.
+    """
+    for tried, assignment in _balanced_assignments(g, k, cap_bits):
+        witness = Coloring(k, assignment)
+        assert is_nbkc(g, witness).balanced
+        return SolveOutcome(status="SAT", witness=witness, nodes_explored=tried)
+    return SolveOutcome(status="UNSAT", nodes_explored=k**g.n)
 
 
 def count_colorings(g: Graph, k: int, cap_bits: int = _DEFAULT_CAP_BITS) -> int:
     """Number of balanced k-colorings with labeled colors, by enumeration."""
-    if k < 2:
-        raise ValueError(f"palette size must be at least 2, got {k}")
-    _enumeration_cap(g.n, k, cap_bits)
-    adj = tuple(g.neighbors(v) for v in range(g.n))
-    return sum(
-        1
-        for assignment in product(range(1, k + 1), repeat=g.n)
-        if _balanced(adj, assignment, k)
-    )
+    return sum(1 for _ in _balanced_assignments(g, k, cap_bits))
 
 
 def _balanced(

@@ -9,7 +9,13 @@ import json
 
 import pytest
 
-from nbcolor import coloring_from_text, graph_from_text, graph_to_text, is_nbkc
+from nbcolor import (
+    coloring_from_text,
+    graph_from_text,
+    graph_to_text,
+    hypercube_nbc,
+    is_nbkc,
+)
 from nbcolor.cli import run
 from nbcolor.graph import complete_graph, cycle_graph
 
@@ -154,9 +160,10 @@ def test_solve_budget_exceeded(tmp_path, capsys):
     assert "BUDGET-EXCEEDED" in capsys.readouterr().out
 
 
-def test_solve_parallel_jobs(c8, capsys):
-    assert run(["solve", c8, "-k", "2", "--jobs", "2"]) == 0
-    assert "SAT" in capsys.readouterr().out
+def test_solve_deep_graph(tmp_path, capsys):
+    gf = write_graph(tmp_path / "q10.graph", hypercube_nbc(10)[0])
+    assert run(["solve", gf, "-k", "2"]) == 0
+    assert capsys.readouterr().out.startswith("SAT")
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,14 @@ def test_graph_text_ignores_comments_and_blanks():
     assert g.m == 2
 
 
+def test_graph_comment_needs_a_lone_c_field():
+    assert graph_from_text("  c a ring\np 2 1\ne 0 1\n").m == 1
+    with pytest.raises(ParseError) as err:
+        graph_from_text("cat food\np 2 1\ne 0 1\n")
+    assert (err.value.line, err.value.column) == (1, 1)
+    assert err.value.reason == "unknown record type 'cat'"
+
+
 @settings(max_examples=80)
 @given(st.integers(0, 10**6))
 def test_graph_round_trip_random(seed):
@@ -66,6 +74,10 @@ def test_graph_parse_errors_carry_location():
 
     with pytest.raises(ParseError):
         graph_from_text("p 3 2\ne 0 1\n")  # header promises 2 edges
+
+    with pytest.raises(ParseError) as err:
+        graph_from_text("c hi\np 2 2\ne 0 1\n")
+    assert (err.value.line, err.value.column) == (2, 5)  # the declared count
 
     with pytest.raises(ParseError):
         graph_from_text("p 3 1\nq 0 1\n")  # unknown record

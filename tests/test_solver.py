@@ -1,4 +1,4 @@
-"""Exact search: statuses, counting, canonical witnesses, budgets, parallelism."""
+"""Exact search: statuses, counting, canonical witnesses, budgets, deep graphs."""
 
 import random
 
@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bowtie, naive_balanced, petersen, random_graph
+from helpers import bowtie, naive_balanced, random_graph
 from nbcolor import (
     CirculantSpec,
+    EssInstance,
     Graph,
     SolveConfig,
     brute_force,
@@ -16,6 +17,8 @@ from nbcolor import (
     complete_graph,
     count_colorings,
     cycle_graph,
+    hypercube_nbc,
+    reduce_ess_to_nbc,
     solve,
 )
 
@@ -252,23 +255,26 @@ def test_pruned_by_keys_are_known():
 
 
 # ---------------------------------------------------------------------------
-# Parallel mode mirrors serial results
+# Deep graphs and the explored tree
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["first-witness", "canonical-min", "count"])
-def test_parallel_matches_serial(mode):
-    for g, k in [
-        (cycle_graph(8), 2),
-        (CirculantSpec(8, (1, 3)).graph(), 2),
-        (bowtie(), 2),
-        (petersen(), 2),
-    ]:
-        serial = solve(g, k, SolveConfig(mode=mode))
-        parallel = solve(g, k, SolveConfig(mode=mode, parallel=True))
-        assert parallel.status == serial.status
-        assert parallel.count == serial.count
-        if mode == "canonical-min" and serial.status == "SAT":
-            assert parallel.witness.colors == serial.witness.colors
-        if mode == "first-witness" and serial.status == "SAT":
-            assert naive_balanced(g, parallel.witness.colors, k)
+@pytest.mark.parametrize(
+    "g", [cycle_graph(1200), hypercube_nbc(10)[0]], ids=["C1200", "Q10"]
+)
+def test_search_depth_is_not_bounded_by_the_call_stack(g):
+    out = solve(g, 2)
+    assert out.status == "SAT"
+    assert naive_balanced(g, out.witness.colors, 2)
+
+
+def test_explored_tree_is_pinned_on_a_reduction_instance():
+    g = reduce_ess_to_nbc(EssInstance((1, 2, 3, 4), 2)).graph
+    out = solve(g, 2)
+    assert out.status == "SAT"
+    assert out.nodes_explored == 223
+    assert out.pruned_by == {"symmetry": 1, "quota": 159, "deficit": 23}
+    out = solve(g, 2, SolveConfig(mode="count"))
+    assert out.count == 4096
+    assert out.nodes_explored == 8453
+    assert out.pruned_by == {"symmetry": 1, "quota": 4298, "deficit": 30}
