@@ -3,8 +3,8 @@
 Exit codes follow one contract everywhere: 0 for success, 1 for a
 mathematical negative (a refusal, an unsatisfiable instance, an unbalanced
 coloring) with a machine-readable first line such as ``REFUSED <rule>`` or
-``UNSAT``, and 2 for usage or input-format errors.  Shell harnesses can
-therefore assert theorems directly on exit codes.
+``UNSAT``, 2 for usage, input-format and file errors, and 3 for an internal
+error.  Shell harnesses can therefore assert theorems directly on exit codes.
 """
 
 from __future__ import annotations
@@ -518,7 +518,7 @@ def run(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
@@ -527,6 +527,10 @@ def run(argv: list[str] | None = None) -> int:
             print(message, file=sys.stderr)
             return 2
         return int(exc.code or 0)
+    except Exception as exc:
+        # Exit 1 means a mathematical negative, so a crash must not reach it.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

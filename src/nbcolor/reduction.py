@@ -194,8 +194,11 @@ def reduce_ess_to_nbc(inst: EssInstance) -> ReductionInstance:
     placements: list[HousePlacement] = []
     edges: list[tuple[int, int]] = []
     offset = 0
+    houses: dict[int, HouseGadget] = {}  # repeated elements share one house
     for a in inst.values:
-        gadget = house(k, a)
+        gadget = houses.get(a)
+        if gadget is None:
+            gadget = houses[a] = house(k, a)
         placements.append(HousePlacement(element=a, gadget=gadget, offset=offset))
         for u, v in gadget.graph.edges:
             edges.append((offset + u, offset + v))

@@ -1,6 +1,6 @@
 """Exact decision procedure for balanced k-colorability.
 
-``solve`` runs pruned backtracking over a fixed vertex order with four
+``solve`` runs pruned backtracking over a fixed vertex order with five
 pruning devices:
 
 (a) the arithmetic necessity gate (any failure is immediate UNSAT),
@@ -9,7 +9,19 @@ pruning devices:
     the uncolored vertices adjacent to that neighborhood's center, and a
     vertex left with no feasible color kills the branch,
 (d) color-symmetry breaking — a vertex may use at most one color beyond the
-    largest color used so far.
+    largest color used so far,
+(e) twin-class symmetry breaking — a vertex takes no color below that of the
+    previous vertex in the order with the same open neighbourhood (a false
+    twin), since swapping the colors of false twins keeps every
+    neighbourhood's color counts.  Vertices named in a same-color pair stay
+    out of twin classes, as a swap could break the pin.
+
+(d) and (e) are lex-leader constraints over the same vertex order, so the
+lexicographically smallest balanced coloring satisfies both and the ordered
+search still finds it first.  Count mode skips (e): it weights each leaf by
+its color orbit, and a twin-orbit weighting would overcount, because (d) and
+(e) can both accept two colorings of one combined orbit (C4 with k=2 would
+count 8 instead of 4).
 
 ``brute_force`` is the deliberately theory-free oracle: it enumerates every
 assignment and checks balance by counting, sharing no code path with
@@ -59,7 +71,11 @@ class SolveOutcome:
     ``status`` is SAT, UNSAT, or BUDGET_EXCEEDED.  ``witness`` is present
     exactly when SAT (and has been verified balanced before being returned).
     ``count`` is present in count mode.  ``pruned_by`` tallies how often each
-    pruning rule fired, keyed by rule name.
+    pruning rule fired, keyed by rule name: ``symmetry`` and ``twin`` count
+    candidate colors skipped by (d) and (e), ``quota`` candidates banned by
+    forward checking, and ``deficit`` assignments that left some uncolored
+    vertex without a feasible color.  When the necessity gate refuses, the
+    only key is the failed screen's rule name (for example ``regular-size``).
     """
 
     status: str
@@ -109,6 +125,19 @@ class _Search:
                 raise ValueError(f"same-color pair ({a}, {b}) out of range")
             leader[find(a)] = find(b)
         self.group = tuple(find(v) for v in range(g.n))
+        # twin[d]: depth of the previous vertex in the order with the same
+        # open neighbourhood, -1 if none.  Count mode weights leaves by color
+        # orbits only, and a pinned vertex cannot swap with its twin.
+        twin = [-1] * len(order)
+        if cfg.mode != "count":
+            pinned = {v for pair in cfg.same_color for v in pair}
+            seen: dict[tuple[int, ...], int] = {}
+            for d, v in enumerate(order):
+                if v not in pinned:
+                    nb = self.adj[v]
+                    twin[d] = seen.get(nb, -1)
+                    seen[nb] = d
+        self.twin = twin
 
     def _tally(self, rule: str, amount: int = 1) -> None:
         self.pruned[rule] = self.pruned.get(rule, 0) + amount
@@ -157,7 +186,7 @@ class _Search:
         and returns False once the tree is exhausted.
         """
         order, k, n = self.order, self.k, len(self.order)
-        group, bans = self.group, self.bans
+        group, bans, twin = self.group, self.bans, self.twin
         assign, unassign, tally = self._assign, self._unassign, self._tally
         counting = self.cfg.mode == "count"
         # Symmetry breaking makes a leaf use exactly colors 1..maxused; a leaf
@@ -187,7 +216,11 @@ class _Search:
                 if forced is None:
                     if cap < k:
                         tally("symmetry", k - cap)
-                    nxt[d], last[d] = 1, cap
+                    t = twin[d]
+                    lo = held[t] if t >= 0 else 1
+                    if lo > 1:
+                        tally("twin", lo - 1)
+                    nxt[d], last[d] = lo, cap
                 else:
                     nxt[d], last[d] = forced, forced if forced <= cap else 0
                 owns[d] = forced is None

@@ -1,8 +1,8 @@
 """End-to-end command-line behavior, including the exit-code contract.
 
 Exit codes: 0 = success, 1 = mathematical negative (REFUSED/UNSAT/UNBALANCED),
-2 = usage or file errors.  Tests drive ``run`` directly so the suite stays in
-one process.
+2 = usage or file errors, 3 = internal error.  Tests drive ``run`` directly so
+the suite stays in one process.
 """
 
 import json
@@ -372,6 +372,24 @@ def test_export_cnf(tmp_path, c8, capsys):
 
 def test_missing_file_is_usage_error(capsys):
     assert run(["verify", "/nonexistent/g.graph", "/nonexistent/c.coloring"]) == 2
+
+
+def test_unreadable_file_is_usage_error(tmp_path, c8, capsys):
+    assert run(["verify", str(tmp_path), c8]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_three(monkeypatch, k4, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("nbcolor.cli._cmd_analyze", crash)
+    assert run(["analyze", k4, "-k", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
 
 
 def test_malformed_graph_reports_location(tmp_path, capsys):

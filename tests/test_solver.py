@@ -1,5 +1,7 @@
-"""Exact search: statuses, counting, canonical witnesses, budgets, deep graphs."""
+"""Exact search: statuses, counting, canonical witnesses, budgets, deep graphs,
+twin-class symmetry breaking."""
 
+import itertools
 import random
 
 import pytest
@@ -15,12 +17,14 @@ from nbcolor import (
     brute_force,
     check_necessary,
     complete_graph,
+    complete_multipartite_graph,
     count_colorings,
     cycle_graph,
     hypercube_nbc,
     reduce_ess_to_nbc,
     solve,
 )
+from nbcolor.solver import _vertex_order
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +136,8 @@ def test_solver_agrees_with_enumeration(seed, k):
         (CirculantSpec(8, (1, 3)).graph(), 2, 36),
         (Graph(3, []), 2, 8),
         (complete_graph(4), 2, 0),
+        # parts are twin classes, which count mode must not weight
+        (complete_multipartite_graph((3, 3, 3)), 3, 216),
     ],
 )
 def test_pinned_counts(graph, k, expected):
@@ -250,7 +256,7 @@ def test_budget_generous_enough_solves():
 
 def test_pruned_by_keys_are_known():
     out = solve(bowtie(), 2)
-    assert set(out.pruned_by) <= {"quota", "deficit", "symmetry"}
+    assert set(out.pruned_by) <= {"quota", "deficit", "symmetry", "twin"}
     assert out.nodes_explored > 0
 
 
@@ -278,3 +284,89 @@ def test_explored_tree_is_pinned_on_a_reduction_instance():
     assert out.count == 4096
     assert out.nodes_explored == 8453
     assert out.pruned_by == {"symmetry": 1, "quota": 4298, "deficit": 30}
+
+
+# ---------------------------------------------------------------------------
+# Twin-class symmetry breaking
+# ---------------------------------------------------------------------------
+
+
+def graph_with_cloned_twins(rng, n, clones):
+    """A random graph on n vertices plus `clones` vertices, each copying the
+    open neighbourhood of an earlier vertex (so the two are false twins)."""
+    adj = [set() for _ in range(n)]
+    for u, v in random_graph(rng, n, rng.uniform(0.3, 0.8)).edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    for _ in range(clones):
+        new = len(adj)
+        adj.append(set(adj[rng.randrange(new)]))
+        for u in adj[new]:
+            adj[u].add(new)
+    return Graph(len(adj), [(u, v) for u in range(len(adj)) for v in adj[u] if u < v])
+
+
+def lex_min_under_search_order(g, k, same_color=()):
+    """Smallest balanced assignment obeying the same-color pairs, comparing
+    colors in the solver's vertex order; None when there is none."""
+    order = _vertex_order(g)
+    balanced = (
+        a for a in itertools.product(range(1, k + 1), repeat=g.n)
+        if all(a[u] == a[v] for u, v in same_color) and naive_balanced(g, a, k)
+    )
+    return min(balanced, key=lambda a: [a[v] for v in order], default=None)
+
+
+def assert_canonical_witness(g, k, same_color=()):
+    want = lex_min_under_search_order(g, k, same_color)
+    for mode in ("first-witness", "canonical-min"):
+        out = solve(g, k, SolveConfig(mode=mode, same_color=same_color))
+        if want is None:
+            assert out.status == "UNSAT"
+        else:
+            assert out.status == "SAT"
+            assert out.witness.colors == want
+
+
+MULTIPARTITE_CASES = [
+    (parts, k)
+    for r in (2, 3)
+    for parts in itertools.combinations_with_replacement(range(1, 5), r)
+    for k in (2, 3, 4)
+    if k ** sum(parts) <= 2**12
+]
+
+
+@pytest.mark.parametrize("parts,k", MULTIPARTITE_CASES)
+def test_twin_rule_on_complete_multipartite_graphs(parts, k):
+    """Every part of a complete multipartite graph is one twin class."""
+    g = complete_multipartite_graph(parts)
+    assert_canonical_witness(g, k)
+    assert solve(g, k).status == brute_force(g, k).status
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 3))
+def test_twin_rule_on_graphs_with_cloned_neighbourhoods(seed, k):
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    g = graph_with_cloned_twins(rng, n, rng.randint(1, 8 - n if k == 3 else 11 - n))
+    assert_canonical_witness(g, k)
+    assert solve(g, k).status == brute_force(g, k).status
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_twin_rule_leaves_pinned_vertices_out(seed):
+    """A same-color pin on a twin must not be broken by sorting its class."""
+    rng = random.Random(seed)
+    g = graph_with_cloned_twins(rng, rng.randint(2, 5), rng.randint(2, 5))
+    assert_canonical_witness(g, 2, (tuple(rng.sample(range(g.n), 2)),))
+
+
+def test_twin_rule_prunes_a_hard_reduction_instance():
+    g = reduce_ess_to_nbc(EssInstance((4, 4, 4, 6, 6), 3)).graph
+    out = solve(g, 3)
+    assert out.status == "UNSAT"
+    assert out.nodes_explored == 12300
+    assert out.pruned_by == {"symmetry": 4, "quota": 21322, "deficit": 729, "twin": 1090}
