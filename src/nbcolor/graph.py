@@ -30,13 +30,13 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not representable")
             normalized.add((u, v) if u < v else (v, u))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(normalized):
-            adj[u].append(v)
-            adj[v].append(u)
         self._n = n
         self._edges: tuple[tuple[int, int], ...] = tuple(sorted(normalized))
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(nb)) for nb in adj)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self._edges:  # in edge order, every list grows ascending
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     @property
     def n(self) -> int:
@@ -89,16 +89,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"
-
-
-def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from an edge list, deduplicating; self-loops are an error."""
-    return Graph(n, pairs)
-
-
-def neighbors(g: Graph, v: int) -> frozenset[int]:
-    """The open neighborhood N(v) as a set."""
-    return frozenset(g.neighbors(v))
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

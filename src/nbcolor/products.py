@@ -96,15 +96,18 @@ _PRODUCT_BUILDERS = {
 }
 
 
-def product_graph(kind: str, g: Graph, h: Graph) -> Graph:
+def _builder(kind: str):
     try:
-        builder = _PRODUCT_BUILDERS[kind]
+        return _PRODUCT_BUILDERS[kind]
     except KeyError:
         raise ValueError(
             f"unknown product kind {kind!r}; expected one of "
             f"{sorted(_PRODUCT_BUILDERS)}"
         ) from None
-    return builder(g, h)
+
+
+def product_graph(kind: str, g: Graph, h: Graph) -> Graph:
+    return _builder(kind)(g, h)
 
 
 def product_nbc(
@@ -127,13 +130,10 @@ def product_nbc(
     - ``lexicographic``: either both balanced with the same k (colors add
       mod k), or the second factor alone balanced with all color classes the
       same size (copy it down each fiber).
+
+    Each rule picks k and the color of every pair (u, v); one tail builds it.
     """
-    if kind not in _PRODUCT_BUILDERS:
-        raise ValueError(
-            f"unknown product kind {kind!r}; expected one of "
-            f"{sorted(_PRODUCT_BUILDERS)}"
-        )
-    ix = VertexPairIndex(g.n, h.n)
+    build = _builder(kind)
 
     def checked(c: Coloring | None, graph: Graph, name: str) -> Coloring | None:
         if c is None:
@@ -150,7 +150,33 @@ def product_nbc(
     cg = checked(cg, g, "first-factor")
     ch = checked(ch, h, "second-factor")
 
-    if kind in ("cartesian", "strong"):
+    if kind == "direct":
+        if cg is not None:
+            k, color = cg.k, lambda u, v: cg.colors[u]
+        elif ch is not None:
+            k, color = ch.k, lambda u, v: ch.colors[v]
+        else:
+            return Refusal(
+                "missing-factor-coloring",
+                "direct product transfer needs a balanced coloring of at "
+                "least one factor",
+            )
+    elif kind == "lexicographic" and (cg is None or ch is None):
+        if ch is None:
+            return Refusal(
+                "missing-factor-coloring",
+                "lexicographic transfer needs either both factors colored or a "
+                "second-factor coloring with equal class sizes",
+            )
+        sizes = ch.class_sizes()
+        if len(set(sizes)) != 1:
+            return Refusal(
+                "unequal-classes",
+                f"second-factor color classes have sizes {sizes}; copying a "
+                f"fiber coloring requires them all equal",
+            )
+        k, color = ch.k, lambda u, v: ch.colors[v]
+    else:
         if cg is None or ch is None:
             return Refusal(
                 "missing-factor-coloring",
@@ -161,81 +187,16 @@ def product_nbc(
                 "palette-mismatch",
                 f"factor palettes differ: {cg.k} vs {ch.k}",
             )
-        k = cg.k
-        colors = [0] * (g.n * h.n)
-        anchor = ch.colors[0]
-        for u in range(g.n):
-            shift = (cg.colors[u] - anchor) % k
-            for v in range(h.n):
-                colors[ix.index(u, v)] = 1 + ((ch.colors[v] - 1 + shift) % k)
-        prod = product_graph(kind, g, h)
-        candidate = Coloring(k, tuple(colors))
-        report = is_nbkc(prod, candidate)
-        assert report.balanced, f"{kind} transfer produced an unbalanced coloring"
-        return prod, candidate, ix
+        anchor = 1 if kind == "lexicographic" else ch.colors[0]
+        k, color = cg.k, lambda u, v: 1 + (ch.colors[v] - 1 + cg.colors[u] - anchor) % k
 
-    if kind == "direct":
-        if cg is None and ch is None:
-            return Refusal(
-                "missing-factor-coloring",
-                "direct product transfer needs a balanced coloring of at "
-                "least one factor",
-            )
-        prod = product_graph(kind, g, h)
-        if cg is not None:
-            candidate = Coloring(
-                cg.k,
-                tuple(cg.colors[ix.pair(i)[0]] for i in range(prod.n)),
-            )
-        else:
-            assert ch is not None
-            candidate = Coloring(
-                ch.k,
-                tuple(ch.colors[ix.pair(i)[1]] for i in range(prod.n)),
-            )
-        report = is_nbkc(prod, candidate)
-        assert report.balanced, "direct transfer produced an unbalanced coloring"
-        return prod, candidate, ix
-
-    # lexicographic
-    if cg is not None and ch is not None:
-        if cg.k != ch.k:
-            return Refusal(
-                "palette-mismatch",
-                f"factor palettes differ: {cg.k} vs {ch.k}",
-            )
-        k = cg.k
-        prod = product_graph(kind, g, h)
-        colors = [0] * prod.n
-        for u in range(g.n):
-            for v in range(h.n):
-                colors[ix.index(u, v)] = 1 + (
-                    (ch.colors[v] - 1 + cg.colors[u] - 1) % k
-                )
-        candidate = Coloring(k, tuple(colors))
-        report = is_nbkc(prod, candidate)
-        assert report.balanced, "lexicographic transfer produced an unbalanced coloring"
-        return prod, candidate, ix
-    if ch is not None:
-        sizes = ch.class_sizes()
-        if len(set(sizes)) != 1:
-            return Refusal(
-                "unequal-classes",
-                f"second-factor color classes have sizes {sizes}; copying a "
-                f"fiber coloring requires them all equal",
-            )
-        prod = product_graph(kind, g, h)
-        candidate = Coloring(
-            ch.k, tuple(ch.colors[ix.pair(i)[1]] for i in range(prod.n))
-        )
-        report = is_nbkc(prod, candidate)
-        assert report.balanced, "fiber-copy transfer produced an unbalanced coloring"
-        return prod, candidate, ix
-    return Refusal(
-        "missing-factor-coloring",
-        "lexicographic transfer needs either both factors colored or a "
-        "second-factor coloring with equal class sizes",
+    prod = build(g, h)
+    candidate = Coloring(
+        k, tuple(color(u, v) for u in range(g.n) for v in range(h.n))
     )
+    report = is_nbkc(prod, candidate)
+    assert report.balanced, f"{kind} transfer produced an unbalanced coloring"
+    return prod, candidate, VertexPairIndex(g.n, h.n)
 
 
 def join_graph(g: Graph, h: Graph) -> Graph:

@@ -4,9 +4,9 @@ The compiler attaches one (k, a)-house per multiset element a plus k shared
 "distributive" vertices.  House structure forces, in any balanced coloring
 of the compiled graph, all of a house's index vertices to share one color —
 so each element effectively picks a subset — and balance at the distributive
-vertices forces the k subset sums equal.  ``decode`` reads the partition
-back out of a balanced coloring; ``ess_brute_force`` is the independent
-ground truth for the underlying partition problem.
+vertices forces the k subset sums equal.  ``decode_from_roles`` validates a
+balanced coloring and its role table and reads the partition back out;
+``ess_brute_force`` is the independent ground truth for the partition problem.
 
 ``flawed_gadget`` reproduces, as a regression artifact, an earlier
 construction from the literature whose correctness argument breaks: its
@@ -121,22 +121,6 @@ def house_scheme_coloring(gadget: HouseGadget) -> Coloring:
     return Coloring(k, tuple(colors))
 
 
-def index_monochromatic(gadget: HouseGadget, c: Coloring, offset: int = 0) -> int:
-    """The shared color of a house's index vertices under a balanced coloring.
-
-    ``offset`` relocates the house's local labels inside a larger host.
-    Disagreement between index vertices is an assertion failure: for hosts
-    that keep every support at degree exactly k it cannot happen unless the
-    coloring is unbalanced or the construction is wrong.
-    """
-    seen = {c.colors[offset + idx] for idx in gadget.indexes}
-    assert len(seen) == 1, (
-        f"index vertices of the ({gadget.k},{gadget.n})-house at offset "
-        f"{offset} carry colors {sorted(seen)}; balance forces agreement"
-    )
-    return seen.pop()
-
-
 @dataclass(frozen=True)
 class HousePlacement:
     """One house inside a compiled instance, at a fixed vertex offset."""
@@ -218,30 +202,13 @@ def reduce_ess_to_nbc(inst: EssInstance) -> ReductionInstance:
 
 
 def decode(rinst: ReductionInstance, c: Coloring) -> tuple[tuple[int, ...], ...]:
-    """Read the equal-sum partition out of a balanced coloring.
+    """Read the equal-sum partition out of a balanced coloring of ``rinst``.
 
-    Element a joins subset i when its house's index vertices carry color i.
-    The k subset sums are asserted equal — balance at the distributive
-    vertices guarantees it, so inequality would mean a broken verifier or
-    construction, not bad input.
+    :func:`decode_from_roles` on the instance's own role table: element a
+    joins subset i when its house's index vertices carry color i, and a
+    coloring that is unbalanced or does not fit raises ``ValueError``.
     """
-    report = is_nbkc(rinst.graph, c)
-    if not report.balanced:
-        raise ValueError(
-            f"coloring is not balanced on the compiled graph; violations at "
-            f"{[v for v, _ in report.violations[:5]]}"
-        )
-    k = rinst.instance.k
-    subsets: list[list[int]] = [[] for _ in range(k)]
-    for placement in rinst.houses:
-        color = index_monochromatic(placement.gadget, c, placement.offset)
-        subsets[color - 1].append(placement.element)
-    sums = [sum(part) for part in subsets]
-    assert len(set(sums)) == 1, (
-        f"decoded subset sums {sums} differ; distributive balance must "
-        f"force equality"
-    )
-    return tuple(tuple(part) for part in subsets)
+    return decode_from_roles(rinst.graph, rinst.roles(), c)
 
 
 def decode_from_roles(
@@ -251,12 +218,11 @@ def decode_from_roles(
 ) -> tuple[tuple[int, ...], ...]:
     """Decode a partition from a graph plus an untrusted role sidecar.
 
-    Unlike :func:`decode`, which trusts its own construction and asserts,
-    this boundary-facing variant validates everything it reads: the sidecar
-    must label every vertex, houses are recovered as connected components
-    after removing the distributive vertices, each house's element is its
-    index-vertex count (cross-checked against the sidecar's element labels),
-    and any inconsistency raises ``ValueError``.
+    Everything read is validated: the sidecar must label every vertex,
+    houses are recovered as connected components after removing the
+    distributive vertices, each house's element is its index-vertex count
+    (cross-checked against the sidecar's element labels), and any
+    inconsistency raises ``ValueError``.
     """
     if set(roles) != set(range(g.n)):
         missing = sorted(set(range(g.n)) - set(roles))
@@ -436,9 +402,9 @@ __all__ = [
     "FlawedGadget",
     "house",
     "house_scheme_coloring",
-    "index_monochromatic",
     "reduce_ess_to_nbc",
     "decode",
+    "decode_from_roles",
     "ess_brute_force",
     "flawed_gadget",
 ]

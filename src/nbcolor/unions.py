@@ -77,10 +77,6 @@ def union_over_set(spec: UnionSpec) -> tuple[Graph, tuple[tuple[int, ...], ...]]
     return union, tuple(maps)
 
 
-def _is_independent(g: Graph, s: frozenset[int]) -> bool:
-    return all(not (u in s and v in s) for u, v in g.edges)
-
-
 def union_nbc_independent(
     g: Graph, c: Coloring, s: frozenset[int] | set[int], n: int
 ) -> Coloring:
@@ -93,8 +89,8 @@ def union_nbc_independent(
     """
     s = frozenset(s)
     spec = UnionSpec(g, s, n)
-    if not _is_independent(g, s):
-        inside = [(u, v) for u, v in g.edges if u in s and v in s]
+    inside = [(u, v) for u, v in g.edges if u in s and v in s]
+    if inside:
         raise ValueError(
             f"glue set is not independent: edge {inside[0]} lies inside it"
         )
@@ -269,11 +265,10 @@ def cycle_union_nbc(
 
     base = cycle_nbc(m)
     assert not isinstance(base, Refusal)
-    _, c = base
+    cycle, c = base
     c_bar = cyclic_shift(c, 1)
 
-    spec = UnionSpec(Graph(m, [(i, (i + 1) % m) for i in range(m)]), s, n)
-    union, maps = union_over_set(spec)
+    union, maps = union_over_set(UnionSpec(cycle, s, n))
     colors = [0] * union.n
     for v in sorted(s):
         colors[maps[0][v]] = c.colors[v]

@@ -13,6 +13,7 @@ from nbcolor import (
     complete_multipartite_nbc,
     cycle_graph,
     cycle_nbc,
+    cyclic_shift,
     direct_product,
     embed_in_nbkc,
     induced_subgraph,
@@ -28,6 +29,7 @@ from nbcolor import (
 
 C4G, C4 = cycle_nbc(4)
 C8G, C8 = cycle_nbc(8)
+C8_SHIFTED = cyclic_shift(C8, 1)  # vertex 0 has color 2, so the cartesian anchor shows
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +62,17 @@ def test_product_edge_counts():
 
 def test_product_graph_dispatch():
     assert product_graph("cartesian", C4G, C8G) == cartesian_product(C4G, C8G)
-    with pytest.raises(ValueError):
-        product_graph("zigzag", C4G, C8G)
+    message = (
+        "unknown product kind 'zigzag'; expected one of "
+        "['cartesian', 'direct', 'lexicographic', 'strong']"
+    )
+    for call in (
+        lambda: product_graph("zigzag", C4G, C8G),
+        lambda: product_nbc("zigzag", C4G, C8G, C4, C8),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_direct_product_of_k2s_is_disconnected_perfect_matching():
@@ -85,6 +96,39 @@ def test_products_of_balanced_factors_balance(kind):
     assert g.n == 32
     assert is_nbkc(g, c).balanced
     assert naive_balanced(g, c.colors, c.k)
+
+
+@pytest.mark.parametrize(
+    "kind, g, h, cg, ch, colors",
+    [
+        ("cartesian", C4G, C8G, C4, C8_SHIFTED, "11221122112211222211221122112211"),
+        ("strong", C4G, C8G, C4, C8_SHIFTED, "11221122112211222211221122112211"),
+        ("direct", C4G, C8G, C4, C8_SHIFTED, "11111111111111112222222222222222"),
+        ("direct", C4G, C8G, None, C8_SHIFTED, "22112211221122112211221122112211"),
+        ("lexicographic", C4G, C8G, C4, C8_SHIFTED, "22112211221122111122112211221122"),
+        ("lexicographic", C8G, C4G, None, C4, "11221122112211221122112211221122"),
+    ],
+    ids=["cartesian", "strong", "direct-cg", "direct-ch", "lexicographic", "fiber-copy"],
+)
+def test_product_transfer_colors_are_pinned(kind, g, h, cg, ch, colors):
+    prod, c, idx = product_nbc(kind, g, h, cg, ch)
+    assert prod == product_graph(kind, g, h)
+    assert c.colors == tuple(int(x) for x in colors)
+    assert idx == VertexPairIndex(g.n, h.n)
+
+
+@pytest.mark.parametrize(
+    "kind, cg, ch, detail",
+    [
+        ("direct", None, None, "direct product transfer needs a balanced coloring"),
+        ("lexicographic", C4, None, "lexicographic transfer needs either both"),
+    ],
+)
+def test_missing_factor_coloring_refused(kind, cg, ch, detail):
+    out = product_nbc(kind, C4G, C8G, cg, ch)
+    assert isinstance(out, Refusal)
+    assert out.rule == "missing-factor-coloring"
+    assert detail in out.detail
 
 
 def test_direct_product_needs_only_one_factor():

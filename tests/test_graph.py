@@ -9,9 +9,7 @@ from nbcolor import (
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
-    graph_from_edges,
     induced_subgraph,
-    neighbors,
 )
 
 
@@ -68,18 +66,6 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != c
-
-
-def test_graph_from_edges():
-    g = graph_from_edges(6, [(0, 5), (2, 3)])
-    assert g.n == 6
-    assert g.m == 2
-
-
-def test_neighbors_helper_returns_frozenset():
-    g = Graph(4, [(0, 1), (0, 2)])
-    assert neighbors(g, 0) == frozenset({1, 2})
-    assert isinstance(neighbors(g, 0), frozenset)
 
 
 def test_is_regular():

@@ -17,7 +17,6 @@ from nbcolor import (
     flawed_gadget,
     house,
     house_scheme_coloring,
-    index_monochromatic,
     is_nbkc,
     reduce_ess_to_nbc,
     solve,
@@ -88,7 +87,7 @@ def test_house_scheme_coloring_balances():
         h = house(k, n)
         c = house_scheme_coloring(h)
         assert is_nbkc(h.graph, c).balanced, (k, n)
-        assert index_monochromatic(h, c) == k
+        assert {c.colors[i] for i in h.indexes} == {k}
 
 
 def test_house_forces_monochromatic_indexes():
