@@ -12,6 +12,7 @@ preserve balance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Mapping, Sequence
 
 from .graph import Graph
@@ -95,15 +96,6 @@ class BalanceReport:
     unused_colors: tuple[int, ...]
 
 
-def _neighbor_color_counts(g: Graph, c: Coloring, v: int, closed: bool) -> list[int]:
-    counts = [0] * c.k
-    for u in g.neighbors(v):
-        counts[c.colors[u] - 1] += 1
-    if closed:
-        counts[c.colors[v] - 1] += 1
-    return counts
-
-
 def signed_color_value(color: int, k: int) -> int:
     """Map a color in 1..k to its signed palette value.
 
@@ -134,10 +126,18 @@ def weight(g: Graph, c: Coloring, v: int) -> int:
 def _verify(g: Graph, c: Coloring, closed: bool) -> BalanceReport:
     if len(c.colors) != g.n:
         raise ValueError(f"coloring covers {len(c.colors)} vertices, graph has {g.n}")
-    k = c.k
+    k, colors = c.k, c.colors
+    values = [signed_color_value(color, k) for color in range(1, k + 1)]
     violations: list[tuple[int, tuple[int, ...]]] = []
+    weights: list[int] = []
     for v in range(g.n):
-        counts = _neighbor_color_counts(g, c, v, closed)
+        counts = [0] * k
+        for u in g.neighbors(v):
+            counts[colors[u] - 1] += 1
+        # The weight diagnostic stays over the open neighbourhood.
+        weights.append(sum(map(mul, counts, values)))
+        if closed:
+            counts[colors[v] - 1] += 1
         total = sum(counts)
         if total == 0:
             continue  # empty neighborhood: vacuously balanced
@@ -146,7 +146,7 @@ def _verify(g: Graph, c: Coloring, closed: bool) -> BalanceReport:
             violations.append((v, tuple(counts)))
     edge_counts = [[0] * k for _ in range(k)]
     for u, v in g.edges:
-        i, j = c.colors[u] - 1, c.colors[v] - 1
+        i, j = colors[u] - 1, colors[v] - 1
         if i > j:
             i, j = j, i
         edge_counts[i][j] += 1
@@ -154,8 +154,7 @@ def _verify(g: Graph, c: Coloring, closed: bool) -> BalanceReport:
     for i in range(k):
         for j in range(i):
             edge_counts[i][j] = edge_counts[j][i]
-    weights = tuple(weight(g, c, v) for v in range(g.n))
-    unused = tuple(sorted(set(range(1, k + 1)) - set(c.colors)))
+    unused = tuple(sorted(set(range(1, k + 1)) - set(colors)))
     return BalanceReport(
         balanced=not violations,
         k=k,
@@ -163,7 +162,7 @@ def _verify(g: Graph, c: Coloring, closed: bool) -> BalanceReport:
         violations=tuple(violations),
         class_sizes=c.class_sizes(),
         edge_class_counts=tuple(tuple(row) for row in edge_counts),
-        weights=weights,
+        weights=tuple(weights),
         unused_colors=unused,
     )
 

@@ -267,6 +267,8 @@ def to_dot(
     palette; larger palettes fall back to numeric labels so the output stays
     legible.  Role labels, when given, select node shapes.
     """
+    if c is not None and len(c.colors) != g.n:
+        raise ValueError(f"coloring covers {len(c.colors)} vertices, graph has {g.n}")
     lines = ["graph nbc {"]
     use_fills = c is not None and c.k <= len(_DOT_FILLS)
     if use_fills:

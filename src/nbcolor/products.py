@@ -187,7 +187,8 @@ def product_nbc(
                 "palette-mismatch",
                 f"factor palettes differ: {cg.k} vs {ch.k}",
             )
-        anchor = 1 if kind == "lexicographic" else ch.colors[0]
+        # An empty second factor makes an empty product; any anchor will do.
+        anchor = ch.colors[0] if kind != "lexicographic" and h.n else 1
         k, color = cg.k, lambda u, v: 1 + (ch.colors[v] - 1 + cg.colors[u] - anchor) % k
 
     prod = build(g, h)

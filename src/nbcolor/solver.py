@@ -1,7 +1,6 @@
 """Exact decision procedure for balanced k-colorability.
 
-``solve`` runs pruned backtracking over a fixed vertex order with five
-pruning devices:
+``solve`` runs pruned backtracking with six devices:
 
 (a) the arithmetic necessity gate (any failure is immediate UNSAT),
 (b) per-vertex color quotas deg(v)/k enforced incrementally,
@@ -11,17 +10,30 @@ pruning devices:
 (d) color-symmetry breaking — a vertex may use at most one color beyond the
     largest color used so far,
 (e) twin-class symmetry breaking — a vertex takes no color below that of the
-    previous vertex in the order with the same open neighbourhood (a false
-    twin), since swapping the colors of false twins keeps every
+    previous vertex in the fixed order with the same open neighbourhood (a
+    false twin), since swapping the colors of false twins keeps every
     neighbourhood's color counts.  Vertices named in a same-color pair stay
-    out of twin classes, as a swap could break the pin.
+    out of twin classes, as a swap could break the pin,
+(f) fail-first vertex choice — ``first-witness`` colors next the uncolored
+    vertex with the fewest eligible colors, the earliest in the fixed order
+    on ties; ``canonical-min`` and count mode follow the fixed order.
 
-(d) and (e) are lex-leader constraints over the same vertex order, so the
+(d) and (e) are lex-leader constraints over the fixed vertex order, so the
 lexicographically smallest balanced coloring satisfies both and the ordered
 search still finds it first.  Count mode skips (e): it weights each leaf by
 its color orbit, and a twin-orbit weighting would overcount, because (d) and
 (e) can both accept two colorings of one combined orbit (C4 with k=2 would
 count 8 instead of 4).
+
+(f) keeps (d) and (e) sound.  False twins have the same open neighbourhood,
+so while both are uncolored they carry identical bans and eligible counts;
+the (eligible, order) choice therefore colors each twin class in class
+order, and a vertex's previous twin is always colored before it.  For (d),
+take any solution that extends the current node and is sorted within each
+twin class.  If the vertex's color in it is unused so far, swap that color
+with maxused+1 and sort the classes again.  The result still extends the node,
+because every uncolored class member's color is at least the colors of the
+class's colored prefix, and the vertex now takes maxused+1.
 
 ``brute_force`` is the deliberately theory-free oracle: it enumerates every
 assignment and checks balance by counting, sharing no code path with
@@ -31,6 +43,7 @@ each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
@@ -47,7 +60,9 @@ class SolveConfig:
 
     ``mode`` selects what to produce: any witness, the canonical
     (lexicographically smallest under the fixed vertex order) witness, or the
-    number of balanced colorings.  ``node_budget`` caps assignments made
+    number of balanced colorings.  ``first-witness`` colors the most
+    constrained vertex next (fewest eligible colors); ``canonical-min`` and
+    ``count`` keep the fixed order.  ``node_budget`` caps assignments made
     before giving up.  ``same_color`` adds pairwise equal-color side
     constraints (used by gadget analysis); these are color-permutation
     invariant, so symmetry breaking stays sound.
@@ -90,7 +105,7 @@ class _Budget(Exception):
 
 
 class _Search:
-    """One backtracking run over a fixed vertex order."""
+    """One backtracking run; ``order`` is the fixed vertex order."""
 
     def __init__(
         self,
@@ -101,9 +116,10 @@ class _Search:
     ) -> None:
         self.k = k
         self.cfg = cfg
+        self.budget = math.inf if cfg.node_budget is None else cfg.node_budget
         self.order = order
-        self.adj = tuple(g.neighbors(v) for v in range(g.n))
-        self.quota = tuple(g.degree(v) // k for v in range(g.n))
+        self.adj = tuple(map(g.neighbors, range(g.n)))
+        self.quota = tuple(len(nb) // k for nb in self.adj)
         self.color = [0] * g.n
         self.counts = [[0] * (k + 1) for _ in range(g.n)]  # counts[v][c]
         self.bans = [[0] * (k + 1) for _ in range(g.n)]  # bans[v][c]
@@ -124,79 +140,103 @@ class _Search:
             if not (0 <= a < g.n and 0 <= b < g.n):
                 raise ValueError(f"same-color pair ({a}, {b}) out of range")
             leader[find(a)] = find(b)
-        self.group = tuple(find(v) for v in range(g.n))
-        # twin[d]: depth of the previous vertex in the order with the same
-        # open neighbourhood, -1 if none.  Count mode weights leaves by color
+        self.group = tuple(map(find, range(g.n)))
+        # twin[v]: the previous vertex in the order with the same open
+        # neighbourhood, -1 if none.  Count mode weights leaves by color
         # orbits only, and a pinned vertex cannot swap with its twin.
-        twin = [-1] * len(order)
+        twin = [-1] * g.n
         if cfg.mode != "count":
             pinned = {v for pair in cfg.same_color for v in pair}
             seen: dict[tuple[int, ...], int] = {}
-            for d, v in enumerate(order):
+            for v in order:
                 if v not in pinned:
                     nb = self.adj[v]
-                    twin[d] = seen.get(nb, -1)
-                    seen[nb] = d
+                    twin[v] = seen.get(nb, -1)
+                    seen[nb] = v
         self.twin = twin
-
-    def _tally(self, rule: str, amount: int = 1) -> None:
-        self.pruned[rule] = self.pruned.get(rule, 0) + amount
+        # masks[e] has bit rank(v) set for each uncolored vertex v with e
+        # eligible colors, rank being the position in the order.
+        bit = [0] * g.n
+        for r, v in enumerate(order):
+            bit[v] = 1 << r
+        self.masks = [0] * k + [(1 << g.n) - 1]
+        # What _assign and _unassign read and update, unpacked once per call.
+        self.state = (
+            self.adj, self.quota, self.counts, self.bans,
+            self.color, self.eligible, self.masks, bit,
+        )
 
     def _assign(self, v: int, c: int) -> bool:
         """Apply an assignment; returns False when forward checking wipes out
         some uncolored vertex (the assignment still stands and must be undone).
         """
         self.nodes += 1
-        budget = self.cfg.node_budget
-        if budget is not None and self.nodes > budget:
+        if self.nodes > self.budget:
             raise _Budget
-        self.color[v] = c
+        adj, quota, counts, bans, color, eligible, masks, bit = self.state
+        color[v] = c
+        masks[eligible[v]] ^= bit[v]
         ok = True
-        for u in self.adj[v]:
-            cu = self.counts[u]
+        for u in adj[v]:
+            cu = counts[u]
             cu[c] += 1
-            if cu[c] == self.quota[u]:
-                for w in self.adj[u]:
-                    if self.color[w] == 0:
-                        bw = self.bans[w]
+            if cu[c] == quota[u]:
+                for w in adj[u]:
+                    if color[w] == 0:
+                        bw = bans[w]
                         bw[c] += 1
                         if bw[c] == 1:
-                            self.eligible[w] -= 1
-                            if self.eligible[w] == 0:
+                            e = eligible[w]
+                            eligible[w] = e - 1
+                            masks[e] ^= bit[w]
+                            masks[e - 1] ^= bit[w]
+                            if e == 1:
                                 ok = False
         return ok
 
     def _unassign(self, v: int, c: int) -> None:
-        for u in self.adj[v]:
-            cu = self.counts[u]
-            if cu[c] == self.quota[u]:
-                for w in self.adj[u]:
-                    if self.color[w] == 0:
-                        bw = self.bans[w]
+        adj, quota, counts, bans, color, eligible, masks, bit = self.state
+        for u in adj[v]:
+            cu = counts[u]
+            if cu[c] == quota[u]:
+                for w in adj[u]:
+                    if color[w] == 0:
+                        bw = bans[w]
                         bw[c] -= 1
                         if bw[c] == 0:
-                            self.eligible[w] += 1
+                            e = eligible[w]
+                            eligible[w] = e + 1
+                            masks[e] ^= bit[w]
+                            masks[e + 1] ^= bit[w]
             cu[c] -= 1
-        self.color[v] = 0
+        color[v] = 0
+        masks[eligible[v]] ^= bit[v]
 
     def run(self) -> bool:
         """Search depth-first, colors in increasing order, with one frame per
-        depth of the vertex order.  Returns True when stopped at a witness
-        (left in ``color``); in count mode, tallies every leaf into ``count``
-        and returns False once the tree is exhausted.
+        depth.  Frame d colors ``vert[d]``: the next vertex of the order in
+        ``canonical-min`` and count mode, the uncolored vertex with the fewest
+        eligible colors (earliest in the order on ties) in ``first-witness``.
+        Returns True when stopped at a witness (left in ``color``); in count
+        mode, tallies every leaf into ``count`` and returns False once the
+        tree is exhausted.
         """
         order, k, n = self.order, self.k, len(self.order)
         group, bans, twin = self.group, self.bans, self.twin
-        assign, unassign, tally = self._assign, self._unassign, self._tally
+        color, masks = self.color, self.masks
+        assign, unassign, pruned = self._assign, self._unassign, self.pruned
         counting = self.cfg.mode == "count"
+        dynamic = self.cfg.mode == "first-witness"
         # Symmetry breaking makes a leaf use exactly colors 1..maxused; a leaf
         # using 1..m stands for the k(k-1)...(k-m+1) colorings that relabel it.
         orbit = [1] * (k + 1)
         for m in range(1, k + 1):
             orbit[m] = orbit[m - 1] * (k - m + 1)
         group_color: dict[int, int] = {}
-        # Frame d: next and last candidate color, the color held (0: none),
-        # whether it fixed its group's color, and maxused before it.
+        # Frame d: the vertex it colors, next and last candidate color, the
+        # color held (0: none), whether it fixed its group's color, and
+        # maxused before it.
+        vert = [0] * n
         nxt = [0] * n
         last = [0] * n
         held = [0] * n
@@ -211,22 +251,30 @@ class _Search:
                 self.count += orbit[maxused]
                 d -= 1
             else:
-                forced = group_color.get(group[order[d]])
+                if dynamic:
+                    for m in masks:
+                        if m:
+                            break
+                    v = order[(m & -m).bit_length() - 1]
+                else:
+                    v = order[d]
+                vert[d] = v
+                forced = group_color.get(group[v])
                 cap = min(k, maxused + 1)
                 if forced is None:
                     if cap < k:
-                        tally("symmetry", k - cap)
-                    t = twin[d]
-                    lo = held[t] if t >= 0 else 1
+                        pruned["symmetry"] = pruned.get("symmetry", 0) + k - cap
+                    t = twin[v]
+                    lo = color[t] if t >= 0 else 1
                     if lo > 1:
-                        tally("twin", lo - 1)
+                        pruned["twin"] = pruned.get("twin", 0) + lo - 1
                     nxt[d], last[d] = lo, cap
                 else:
                     nxt[d], last[d] = forced, forced if forced <= cap else 0
                 owns[d] = forced is None
                 below[d] = maxused
             while d >= 0:
-                v = order[d]
+                v = vert[d]
                 c = held[d]
                 if c:
                     unassign(v, c)
@@ -236,7 +284,7 @@ class _Search:
                     held[d] = 0
                 c, hi, bv = nxt[d], last[d], bans[v]
                 while c <= hi and bv[c]:
-                    tally("quota")
+                    pruned["quota"] = pruned.get("quota", 0) + 1
                     c += 1
                 if c > hi:
                     d -= 1
@@ -250,14 +298,15 @@ class _Search:
                 if assign(v, c):
                     d += 1
                     break
-                tally("deficit")
+                pruned["deficit"] = pruned.get("deficit", 0) + 1
             else:
                 return False
 
 
 def _vertex_order(g: Graph) -> tuple[int, ...]:
-    """Fixed search order: descending degree, index as tiebreak."""
-    return tuple(sorted(range(g.n), key=lambda v: (-g.degree(v), v)))
+    """Fixed search order: descending degree, index as tiebreak (the sort is
+    stable, also in reverse)."""
+    return tuple(sorted(range(g.n), key=g.degrees().__getitem__, reverse=True))
 
 
 def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:

@@ -168,6 +168,8 @@ def test_verifier_agrees_with_naive_recount(data):
     closed = data.draw(st.booleans())
     rep = is_closed_nbkc(g, Coloring(k, colors)) if closed else is_nbkc(g, Coloring(k, colors))
     assert rep.balanced == naive_balanced(g, colors, k, closed=closed)
+    # The weight diagnostic is over the open neighbourhood in both variants.
+    assert rep.weights == tuple(weight(g, Coloring(k, colors), v) for v in range(n))
 
 
 # ---------------------------------------------------------------------------

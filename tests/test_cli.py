@@ -5,9 +5,15 @@ Exit codes: 0 = success, 1 = mathematical negative (REFUSED/UNSAT/UNBALANCED),
 the suite stays in one process.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbcolor import (
     coloring_from_text,
@@ -359,6 +365,13 @@ def test_export_dot(tmp_path, c8, capsys):
     assert "fillcolor" in out
 
 
+def test_export_dot_rejects_a_short_coloring(tmp_path, c8, capsys):
+    short = tmp_path / "short.coloring"
+    short.write_text("k 2\nv 0 1\nv 1 2\n")
+    assert run(["export-dot", c8, "--coloring", str(short)]) == 2
+    assert capsys.readouterr().err == "error: coloring covers 2 vertices, graph has 8\n"
+
+
 def test_export_cnf(tmp_path, c8, capsys):
     assert run(["export-cnf", c8, "-k", "2", "-o", str(tmp_path / "f.cnf")]) == 0
     text = (tmp_path / "f.cnf").read_text()
@@ -406,3 +419,82 @@ def test_unknown_subcommand(capsys):
 
 def test_no_arguments(capsys):
     assert run([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed graph and coloring files
+# ---------------------------------------------------------------------------
+
+NEGATIVE_FIRST_WORDS = {"REFUSED", "UNSAT", "UNBALANCED", "BUDGET-EXCEEDED"}
+
+fuzz_tokens = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["p", "e", "k", "v", "c", "#", "x", "1.5", "-", "0x3", "٣", ""]),
+    st.text(alphabet="pekvc019 -#\t", max_size=4),
+)
+fuzz_line = st.lists(fuzz_tokens, max_size=4).map(" ".join)
+
+
+@st.composite
+def mutated(draw, lines):
+    """Insert, delete or replace a few lines of a well-formed file."""
+    lines = list(lines)
+    for op, where, line in draw(
+        st.lists(st.tuples(st.sampled_from("idr"), st.integers(0, 40), fuzz_line), max_size=3)
+    ):
+        at = where % (len(lines) + 1)
+        if op == "i":
+            lines.insert(at, line)
+        elif lines:
+            at %= len(lines)
+            if op == "d":
+                del lines[at]
+            else:
+                lines[at] = line
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+@st.composite
+def graph_and_coloring_texts(draw):
+    """A graph file and a coloring file, mostly of the same vertex count."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = [f"p {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges]
+    k = draw(st.integers(1, 4))
+    size = draw(st.one_of(st.just(n), st.integers(0, 9)))
+    colors = draw(st.lists(st.integers(1, k), min_size=size, max_size=size))
+    coloring = [f"k {k}"] + [f"v {v} {c}" for v, c in enumerate(colors)]
+    return draw(mutated(graph)), draw(mutated(coloring))
+
+
+FUZZ_COMMANDS = [
+    ["verify", "{g}", "{c}"],
+    ["verify", "{g}", "{c}", "--closed"],
+    ["analyze", "{g}", "-k", "2"],
+    ["solve", "{g}", "-k", "2", "--budget", "300"],
+    ["solve", "{g}", "-k", "3", "--mode", "canonical-min", "--budget", "300"],
+    ["solve", "{g}", "-k", "2", "--mode", "count", "--budget", "300"],
+    ["export-cnf", "{g}", "-k", "2", "-o", "{out}"],
+    ["export-dot", "{g}", "--coloring", "{c}", "-o", "{out}"],
+    ["product", "cartesian", "{g}", "{g}", "--cg", "{c}", "--ch", "{c}", "-o", "{out}"],
+    ["join", "{g}", "{c}", "{g}", "{c}", "-o", "{out}"],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_coloring_texts(), st.sampled_from(FUZZ_COMMANDS))
+def test_fuzzed_files_keep_the_exit_code_contract(texts, command):
+    graph, coloring = texts
+    with tempfile.TemporaryDirectory() as tmp:
+        g, c = Path(tmp, "in.graph"), Path(tmp, "in.coloring")
+        g.write_text(graph)
+        c.write_text(coloring)
+        argv = [arg.format(g=g, c=c, out=Path(tmp, "out")) for arg in command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        first = out.getvalue().split("\n", 1)[0].split()
+        assert first and first[0] in NEGATIVE_FIRST_WORDS, out.getvalue()

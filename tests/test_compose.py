@@ -131,6 +131,15 @@ def test_missing_factor_coloring_refused(kind, cg, ch, detail):
     assert detail in out.detail
 
 
+@pytest.mark.parametrize("kind", ["cartesian", "strong", "direct", "lexicographic"])
+def test_product_with_an_empty_factor_is_empty(kind):
+    empty = Coloring(2, ())
+    for g, h, cg, ch in ((C4G, Graph(0), C4, empty), (Graph(0), C4G, empty, C4)):
+        prod, c, _ = product_nbc(kind, g, h, cg, ch)
+        assert prod.n == 0
+        assert c.colors == ()
+
+
 def test_direct_product_needs_only_one_factor():
     for cg, ch in ((C4, None), (None, C8)):
         g, c, _ = product_nbc("direct", C4G, C8G, cg, ch)
