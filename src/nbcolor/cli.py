@@ -512,9 +512,6 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except io.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2

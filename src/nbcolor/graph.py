@@ -73,9 +73,6 @@ class Graph:
         degs = self.degrees()
         return self._n == 0 or all(d == degs[0] for d in degs)
 
-    def vertices(self) -> range:
-        return range(self._n)
-
     def __iter__(self) -> Iterator[int]:
         return iter(range(self._n))
 

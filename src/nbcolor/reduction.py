@@ -4,9 +4,11 @@ The compiler attaches one (k, a)-house per multiset element a plus k shared
 "distributive" vertices.  House structure forces, in any balanced coloring
 of the compiled graph, all of a house's index vertices to share one color —
 so each element effectively picks a subset — and balance at the distributive
-vertices forces the k subset sums equal.  ``decode_from_roles`` validates a
-balanced coloring and its role table and reads the partition back out;
-``ess_brute_force`` is the independent ground truth for the partition problem.
+vertices forces the k subset sums equal.  ``_house_layout`` alone states the
+house layout; ``house`` and ``reduce_ess_to_nbc`` take their edges from it.
+``decode_from_roles`` validates a balanced coloring and its role table and
+reads the partition back out; ``ess_brute_force`` is the independent ground
+truth for the partition problem.
 
 ``flawed_gadget`` reproduces, as a regression artifact, an earlier
 construction from the literature whose correctness argument breaks: its
@@ -17,7 +19,7 @@ numeric-vertex split the argument relied on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .balance import Coloring, is_nbkc
 from .graph import Graph
@@ -60,17 +62,29 @@ class EssInstance:
         return self.total % self.k == 0
 
 
+def _house_layout(k: int, n: int, offset: int = 0) -> tuple[range, range, range, chain]:
+    """The (k, n)-house at ``offset``: (bases, supports, indexes, edges).
+
+    Local labels: bases 0..k-2, then kn supports, then n indexes.  Every
+    base is adjacent to every support; support number j is adjacent to index
+    number j // k (consecutive blocks of k supports per index).  So a support
+    has degree exactly k, which is what forces rainbow neighborhoods around
+    supports and, from there, a single shared color on all indexes.  The
+    labels come as ranges, the k^2 n edges as a lazy (low, high) iterator.
+    """
+    bases = range(offset, offset + k - 1)
+    supports = range(bases.stop, bases.stop + k * n)
+    indexes = range(supports.stop, supports.stop + n)
+    edges = chain(
+        ((b, s) for b in bases for s in supports),
+        ((s, indexes[j // k]) for j, s in enumerate(supports)),
+    )
+    return bases, supports, indexes, edges
+
+
 @dataclass(frozen=True)
 class HouseGadget:
-    """The (k, n)-house: k-1 bases, kn supports, n index vertices.
-
-    Every base is adjacent to every support; support number j is adjacent to
-    index number j // k (consecutive blocks of k supports per index).  So a
-    support has degree exactly k, which is what forces rainbow neighborhoods
-    around supports and, from there, a single shared color on all indexes.
-
-    Local labels: bases 0..k-2, supports k-1..k-1+kn-1, indexes after that.
-    """
+    """An isolated (k, n)-house as ``_house_layout`` lays it out at offset 0."""
 
     k: int
     n: int
@@ -86,19 +100,11 @@ def house(k: int, n: int) -> HouseGadget:
         raise ValueError(f"need k >= 2, got {k}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    bases = tuple(range(k - 1))
-    supports = tuple(range(k - 1, k - 1 + k * n))
-    indexes = tuple(range(k - 1 + k * n, k - 1 + k * n + n))
-    edges = []
-    for b in bases:
-        for s in supports:
-            edges.append((b, s))
-    for pos, s in enumerate(supports):
-        edges.append((s, indexes[pos // k]))
-    g = Graph((k + 1) * n + (k - 1), edges)
+    bases, supports, indexes, edges = _house_layout(k, n)
+    g = Graph(indexes.stop, edges)
     assert g.m == k * k * n, f"(k,n)-house edge count {g.m} != k^2 n = {k * k * n}"
-    gadget = HouseGadget(k=k, n=n, graph=g, bases=bases, supports=supports,
-                         indexes=indexes)
+    gadget = HouseGadget(k=k, n=n, graph=g, bases=tuple(bases),
+                         supports=tuple(supports), indexes=tuple(indexes))
     scheme = house_scheme_coloring(gadget)
     assert is_nbkc(g, scheme).balanced, "house scheme coloring must balance"
     return gadget
@@ -123,20 +129,20 @@ def house_scheme_coloring(gadget: HouseGadget) -> Coloring:
 
 @dataclass(frozen=True)
 class HousePlacement:
-    """One house inside a compiled instance, at a fixed vertex offset."""
+    """One compiled house; its vertices are read off ``_house_layout``."""
 
     element: int
-    gadget: HouseGadget
+    k: int
     offset: int
 
     def bases(self) -> tuple[int, ...]:
-        return tuple(self.offset + b for b in self.gadget.bases)
+        return tuple(_house_layout(self.k, self.element, self.offset)[0])
 
     def supports(self) -> tuple[int, ...]:
-        return tuple(self.offset + s for s in self.gadget.supports)
+        return tuple(_house_layout(self.k, self.element, self.offset)[1])
 
     def indexes(self) -> tuple[int, ...]:
-        return tuple(self.offset + i for i in self.gadget.indexes)
+        return tuple(_house_layout(self.k, self.element, self.offset)[2])
 
 
 @dataclass(frozen=True)
@@ -155,13 +161,11 @@ class ReductionInstance:
     def roles(self) -> dict[int, tuple[str, int | None]]:
         """Vertex -> (role, element) table; distributive vertices carry None."""
         table: dict[int, tuple[str, int | None]] = {}
-        for placement in self.houses:
-            for b in placement.bases():
-                table[b] = ("base", placement.element)
-            for s in placement.supports():
-                table[s] = ("support", placement.element)
-            for i in placement.indexes():
-                table[i] = ("index", placement.element)
+        for p in self.houses:
+            layout = _house_layout(p.k, p.element, p.offset)
+            for role, labels in zip(("base", "support", "index"), layout):
+                for v in labels:
+                    table[v] = (role, p.element)
         for d in self.distributive:
             table[d] = ("distributive", None)
         return table
@@ -175,27 +179,20 @@ def reduce_ess_to_nbc(inst: EssInstance) -> ReductionInstance:
     Total vertex count: sum over elements of ((k+1)a + k-1), plus k.
     """
     k = inst.k
+    n = sum((k + 1) * a + k - 1 for a in inst.values)
+    distributive = tuple(range(n, n + k))
     placements: list[HousePlacement] = []
     edges: list[tuple[int, int]] = []
     offset = 0
-    houses: dict[int, HouseGadget] = {}  # repeated elements share one house
     for a in inst.values:
-        gadget = houses.get(a)
-        if gadget is None:
-            gadget = houses[a] = house(k, a)
-        placements.append(HousePlacement(element=a, gadget=gadget, offset=offset))
-        for u, v in gadget.graph.edges:
-            edges.append((offset + u, offset + v))
-        offset += gadget.graph.n
-    distributive = tuple(range(offset, offset + k))
-    for placement in placements:
-        for idx in placement.indexes():
-            for d in distributive:
-                edges.append((idx, d))
-    graph = Graph(offset + k, edges)
+        placements.append(HousePlacement(element=a, k=k, offset=offset))
+        _, _, indexes, house_edges = _house_layout(k, a, offset)
+        edges.extend(house_edges)
+        edges.extend((i, d) for i in indexes for d in distributive)
+        offset = indexes.stop
     return ReductionInstance(
         instance=inst,
-        graph=graph,
+        graph=Graph(n + k, edges),
         houses=tuple(placements),
         distributive=distributive,
     )

@@ -6,6 +6,7 @@ the suite stays in one process.
 """
 
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -16,11 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbcolor import (
+    EssInstance,
     coloring_from_text,
+    coloring_to_text,
     graph_from_text,
     graph_to_text,
     hypercube_nbc,
     is_nbkc,
+    reduce_ess_to_nbc,
+    roles_to_text,
+    solve,
 )
 from nbcolor.cli import run
 from nbcolor.graph import complete_graph, cycle_graph
@@ -433,14 +439,19 @@ fuzz_tokens = st.one_of(
     st.text(alphabet="pekvc019 -#\t", max_size=4),
 )
 fuzz_line = st.lists(fuzz_tokens, max_size=4).map(" ".join)
+ROLE_NAMES = ["base", "support", "index", "distributive", "numeric"]
+role_label = st.tuples(
+    st.sampled_from(ROLE_NAMES), st.one_of(st.none(), st.integers(-1, 6))
+).map(lambda t: " ".join(str(x) for x in t if x is not None))
+role_line = st.tuples(st.integers(-1, 40), role_label).map(lambda t: f"r {t[0]} {t[1]}")
 
 
 @st.composite
-def mutated(draw, lines):
+def mutated(draw, lines, new_lines=fuzz_line):
     """Insert, delete or replace a few lines of a well-formed file."""
     lines = list(lines)
     for op, where, line in draw(
-        st.lists(st.tuples(st.sampled_from("idr"), st.integers(0, 40), fuzz_line), max_size=3)
+        st.lists(st.tuples(st.sampled_from("idr"), st.integers(0, 40), new_lines), max_size=3)
     ):
         at = where % (len(lines) + 1)
         if op == "i":
@@ -468,6 +479,39 @@ def graph_and_coloring_texts(draw):
     return draw(mutated(graph)), draw(mutated(coloring))
 
 
+@functools.cache
+def compiled_files(values, k):
+    """Graph, balanced coloring and role lines of a satisfiable reduction."""
+    rinst = reduce_ess_to_nbc(EssInstance(values, k))
+    witness = solve(rinst.graph, k).witness
+    return (
+        graph_to_text(rinst.graph),
+        coloring_to_text(witness),
+        tuple(roles_to_text(rinst.roles()).splitlines()),
+    )
+
+
+@st.composite
+def compiled_texts_with_mutated_roles(draw):
+    """A compiled instance, a balanced coloring of it and a mutated sidecar.
+
+    The graph and coloring stay intact so that ``decode`` gets past its
+    balance check to the role checks.  The sidecar either has lines
+    inserted, deleted or replaced, or one to three lines relabeled in place.
+    """
+    graph, coloring, roles = compiled_files(
+        *draw(st.sampled_from([((1, 1), 2), ((1, 2, 3), 2), ((1, 1, 1), 3)]))
+    )
+    if draw(st.booleans()):
+        return graph, coloring, draw(mutated(roles, role_line))
+    roles = list(roles)
+    relabels = st.lists(st.tuples(st.integers(0, 40), role_label), min_size=1, max_size=3)
+    for at, label in draw(relabels):
+        at %= len(roles)
+        roles[at] = f"r {roles[at].split()[1]} {label}"
+    return graph, coloring, "\n".join(roles) + "\n"
+
+
 FUZZ_COMMANDS = [
     ["verify", "{g}", "{c}"],
     ["verify", "{g}", "{c}", "--closed"],
@@ -479,22 +523,28 @@ FUZZ_COMMANDS = [
     ["export-dot", "{g}", "--coloring", "{c}", "-o", "{out}"],
     ["product", "cartesian", "{g}", "{g}", "--cg", "{c}", "--ch", "{c}", "-o", "{out}"],
     ["join", "{g}", "{c}", "{g}", "{c}", "-o", "{out}"],
+    ["decode", "{g}", "{c}", "--roles", "{r}"],
+    ["export-dot", "{g}", "--roles", "{r}", "--coloring", "{c}", "-o", "{out}"],
 ]
 
 
-@settings(max_examples=200, deadline=None)
-@given(graph_and_coloring_texts(), st.sampled_from(FUZZ_COMMANDS))
-def test_fuzzed_files_keep_the_exit_code_contract(texts, command):
-    graph, coloring = texts
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_COMMANDS), st.data())
+def test_fuzzed_files_keep_the_exit_code_contract(command, data):
+    if "{r}" in command:
+        graph, coloring, roles = data.draw(compiled_texts_with_mutated_roles())
+    else:
+        (graph, coloring), roles = data.draw(graph_and_coloring_texts()), ""
     with tempfile.TemporaryDirectory() as tmp:
-        g, c = Path(tmp, "in.graph"), Path(tmp, "in.coloring")
+        g, c, r = Path(tmp, "in.graph"), Path(tmp, "in.coloring"), Path(tmp, "in.roles")
         g.write_text(graph)
         c.write_text(coloring)
-        argv = [arg.format(g=g, c=c, out=Path(tmp, "out")) for arg in command]
+        r.write_text(roles)
+        argv = [arg.format(g=g, c=c, r=r, out=Path(tmp, "out")) for arg in command]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
-    assert code in (0, 1, 2, 3)
+    assert code in (0, 1, 2), err.getvalue()
     if code == 1:
         first = out.getvalue().split("\n", 1)[0].split()
         assert first and first[0] in NEGATIVE_FIRST_WORDS, out.getvalue()

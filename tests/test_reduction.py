@@ -17,6 +17,7 @@ from nbcolor import (
     flawed_gadget,
     house,
     house_scheme_coloring,
+    induced_subgraph,
     is_nbkc,
     reduce_ess_to_nbc,
     solve,
@@ -132,6 +133,32 @@ def test_reduction_roles_cover_graph():
     assert set(roles) == set(range(rinst.graph.n))
     names = {r for r, _ in roles.values()}
     assert names == {"base", "support", "index", "distributive"}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("values", [(1,), (2, 2), (3, 1, 3), (1, 2, 2, 4), (4, 4, 4, 1, 1)])
+def test_placements_are_shifted_isolated_houses(k, values):
+    """Each compiled house is the isolated house(k, a), moved to its offset."""
+    rinst = reduce_ess_to_nbc(EssInstance(values, k))
+    roles = rinst.roles()
+    assert [p.element for p in rinst.houses] == list(values)
+    offset = 0
+    for p in rinst.houses:
+        h = house(k, p.element)
+        assert p.offset == offset
+        sub, _ = induced_subgraph(rinst.graph, range(offset, offset + h.graph.n))
+        assert sub == h.graph
+        assert p.bases() == tuple(offset + b for b in h.bases)
+        assert p.supports() == tuple(offset + s for s in h.supports)
+        assert p.indexes() == tuple(offset + i for i in h.indexes)
+        for role, labels in (("base", h.bases), ("support", h.supports), ("index", h.indexes)):
+            assert all(roles[offset + v] == (role, p.element) for v in labels)
+        offset += h.graph.n
+    assert rinst.distributive == tuple(range(offset, offset + k))
+    assert all(roles[d] == ("distributive", None) for d in rinst.distributive)
+    assert len(roles) == rinst.graph.n == offset + k
+    # no edge leaves a house except index-distributive ones
+    assert rinst.graph.m == sum(p.element * (k * k + k) for p in rinst.houses)
 
 
 def test_reduction_graph_size_formula():
