@@ -13,11 +13,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import families, io, products, reduction, unions
+# Only what every command uses is imported here.  Each handler imports the
+# rest itself, so a command runs only the modules it needs.
+from . import io
 from .balance import Coloring, Refusal, check_necessary, is_closed_nbkc, is_nbkc
-from .cnf import to_cnf
 from .graph import Graph
-from .solver import SolveConfig, solve
 
 
 def _read_graph(path: str) -> Graph:
@@ -64,6 +64,8 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from . import families
+
     family = args.family
     params = args.params
     k = args.k
@@ -176,6 +178,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .solver import SolveConfig, solve
+
     g = _read_graph(args.graph)
     cfg = SolveConfig(mode=args.mode, node_budget=args.budget)
     outcome = solve(g, args.k, cfg)
@@ -204,6 +208,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
+    from . import products
+
     g = _read_graph(args.graph)
     h = _read_graph(args.other)
     if args.cg is None and args.ch is None:
@@ -221,6 +227,8 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_join(args: argparse.Namespace) -> int:
+    from . import products
+
     g = _read_graph(args.graph)
     cg = _read_coloring(args.g_coloring)
     h = _read_graph(args.other)
@@ -234,6 +242,8 @@ def _cmd_join(args: argparse.Namespace) -> int:
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
+    from . import products
+
     g = _read_graph(args.graph)
     host, coloring, embedding = products.embed_in_nbkc(g, args.k)
     _emit_pair(args.output, host, coloring)
@@ -242,6 +252,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_vertex_add(args: argparse.Namespace) -> int:
+    from . import products
+
     g = _read_graph(args.graph)
     c = _read_coloring(args.coloring)
     u_list, v_list = [], []
@@ -263,6 +275,8 @@ def _cmd_vertex_add(args: argparse.Namespace) -> int:
 
 
 def _cmd_union(args: argparse.Namespace) -> int:
+    from . import unions
+
     glue = frozenset(_parse_int_list(args.set, "--set"))
     if args.cycle is not None:
         if args.copies is None:
@@ -311,6 +325,8 @@ def _cmd_union(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    from . import reduction
+
     values = _parse_int_list(args.ess, "--ess")
     inst = reduction.EssInstance(values=values, k=args.k)
     rinst = reduction.reduce_ess_to_nbc(inst)
@@ -329,16 +345,18 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
+    from . import reduction
+
     g = _read_graph(args.graph)
     c = _read_coloring(args.coloring)
     roles_path = args.roles or str(Path(args.graph).with_suffix(".roles"))
     roles = io.roles_from_text(Path(roles_path).read_text())
-    report = is_nbkc(g, c)
-    if not report.balanced:
+    try:
+        partition = reduction.decode_from_roles(g, roles, c)
+    except reduction.UnbalancedColoring as exc:
         print("UNBALANCED")
-        print(f"{len(report.violations)} vertices violate balance")
+        print(f"{len(exc.report.violations)} vertices violate balance")
         return 1
-    partition = reduction.decode_from_roles(g, roles, c)
     share = sum(partition[0])
     print(f"equal subset sums: {share}")
     for i, part in enumerate(partition, start=1):
@@ -362,6 +380,8 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_cnf(args: argparse.Namespace) -> int:
+    from .cnf import to_cnf
+
     g = _read_graph(args.graph)
     doc = to_cnf(g, args.k)
     text = doc.to_dimacs()

@@ -14,6 +14,7 @@ at-most side forbids incrementing past the quota.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .balance import Coloring
@@ -58,8 +59,13 @@ class CnfDocument:
     def to_dimacs(self) -> str:
         lines = [f"c {text}" for text in self.comments]
         lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
+        if self.clauses:
+            # One "%d ... %d 0" format per clause length (" 0" for the empty
+            # clause), filled with all of the document's literals at once.
+            longest = max(map(len, self.clauses))
+            formats = [" ".join(["%d"] * size) + " 0" for size in range(longest + 1)]
+            body = "\n".join([formats[len(clause)] for clause in self.clauses])
+            lines.append(body % tuple(chain.from_iterable(self.clauses)))
         return "\n".join(lines) + "\n"
 
 
@@ -81,38 +87,38 @@ def _exact_count(
         clauses.extend((lit,) for lit in literals)
         return next_var
 
-    reg: dict[tuple[int, int], int] = {}
+    # rows[i][j - 1] is R[i][j] and neg[i][j - 1] is its negation, so every
+    # register's number and literal is one int object shared by its clauses.
+    rows: list[list[int]] = [[]]
     for i in range(1, m + 1):
-        for j in range(1, min(i, q) + 1):
-            reg[(i, j)] = next_var
-            next_var += 1
+        width = min(i, q)
+        rows.append(list(range(next_var, next_var + width)))
+        next_var += width
+    neg = [[-r for r in row] for row in rows]
 
     for i in range(1, m + 1):
         x = literals[i - 1]
-        for j in range(1, min(i, q) + 1):
-            r = reg[(i, j)]
-            below = reg.get((i - 1, j))  # may not exist when j = i
-            diag = reg.get((i - 1, j - 1))  # exists for j >= 2
-            # Forward: why the count reaches j.
-            if j == 1:
-                clauses.append((-x, r))
-            elif diag is not None:
-                clauses.append((-x, -diag, r))
-            if below is not None:
-                clauses.append((-below, r))
-            # Backward: the count cannot reach j without a reason.
-            if below is not None:
-                clauses.append((-r, below, x))
-                if j >= 2:  # j == 1 would pair with the always-true R[i-1][0]
-                    clauses.append((-r, below, diag))
+        nx = -x
+        row, nrow, prev, nprev = rows[i], neg[i], rows[i - 1], neg[i - 1]
+        for j in range(len(row)):  # row[j] is R[i][j + 1]
+            r, nr = row[j], nrow[j]
+            # Forward: why the count reaches j + 1.
+            clauses.append((nx, r) if j == 0 else (nx, nprev[j - 1], r))
+            if j < len(prev):  # R[i-1][j + 1] exists
+                below = prev[j]
+                clauses.append((nprev[j], r))
+                # Backward: the count cannot reach j + 1 without a reason.
+                clauses.append((nr, below, x))
+                if j:  # j == 0 would pair with the always-true R[i-1][0]
+                    clauses.append((nr, below, prev[j - 1]))
             else:
-                clauses.append((-r, x))
-                if j >= 2:
-                    clauses.append((-r, diag))
+                clauses.append((nr, x))
+                if j:
+                    clauses.append((nr, prev[j - 1]))
         # Overflow: once q are already true among the first i-1, forbid more.
         if i - 1 >= q:
-            clauses.append((-x, -reg[(i - 1, q)]))
-    clauses.append((reg[(m, q)],))
+            clauses.append((nx, nprev[q - 1]))
+    clauses.append((rows[m][q - 1],))
     return next_var
 
 
@@ -149,12 +155,13 @@ def to_cnf(g: Graph, k: int) -> CnfDocument:
         )
 
     clauses: list[tuple[int, ...]] = []
-    for v in range(n):
-        selectors = [v * k + c for c in range(1, k + 1)]
-        clauses.append(tuple(selectors))
-        for a in range(len(selectors)):
-            for b in range(a + 1, len(selectors)):
-                clauses.append((-selectors[a], -selectors[b]))
+    selectors = [list(range(v * k + 1, v * k + k + 1)) for v in range(n)]
+    for sel in selectors:
+        clauses.append(tuple(sel))
+        negated = [-lit for lit in sel]
+        for a in range(k):
+            for b in range(a + 1, k):
+                clauses.append((negated[a], negated[b]))
 
     next_var = n * k + 1
     for v in range(n):
@@ -162,8 +169,8 @@ def to_cnf(g: Graph, k: int) -> CnfDocument:
         if not nb:
             continue
         q = len(nb) // k
-        for c in range(1, k + 1):
-            literals = [u * k + c for u in nb]
+        for c in range(k):
+            literals = [selectors[u][c] for u in nb]
             next_var = _exact_count(literals, q, next_var, clauses)
 
     return CnfDocument(

@@ -32,7 +32,15 @@ class Graph:
             normalized.add((u, v) if u < v else (v, u))
         self._n = n
         self._edges: tuple[tuple[int, int], ...] = tuple(sorted(normalized))
-        adj: list[list[int]] = [[] for _ in range(n)]
+        # A list per vertex costs O(n) whatever the edges, so when most
+        # vertices are isolated (n > 2m) only the endpoints of edges get a
+        # list, and the rest share the empty tuple.
+        if n <= 2 * len(self._edges):
+            adj: list = [[] for _ in range(n)]
+        else:
+            adj = [()] * n
+            for w in {w for edge in self._edges for w in edge}:
+                adj[w] = []
         for u, v in self._edges:  # in edge order, every list grows ascending
             adj[u].append(v)
             adj[v].append(u)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product
 
-from .balance import Coloring, is_nbkc
+from .balance import BalanceReport, Coloring, is_nbkc
 from .graph import Graph
 
 
@@ -208,6 +208,17 @@ def decode(rinst: ReductionInstance, c: Coloring) -> tuple[tuple[int, ...], ...]
     return decode_from_roles(rinst.graph, rinst.roles(), c)
 
 
+class UnbalancedColoring(ValueError):
+    """The coloring handed to a decoder is not balanced; ``report`` says where."""
+
+    def __init__(self, report: BalanceReport) -> None:
+        super().__init__(
+            f"coloring is not balanced on the compiled graph: "
+            f"{len(report.violations)} vertices violate balance"
+        )
+        self.report = report
+
+
 def decode_from_roles(
     g: Graph,
     roles: dict[int, tuple[str, int | None]],
@@ -215,12 +226,16 @@ def decode_from_roles(
 ) -> tuple[tuple[int, ...], ...]:
     """Decode a partition from a graph plus an untrusted role sidecar.
 
-    Everything read is validated: the sidecar must label every vertex,
-    houses are recovered as connected components after removing the
-    distributive vertices, each house's element is its index-vertex count
-    (cross-checked against the sidecar's element labels), and any
-    inconsistency raises ``ValueError``.
+    Everything read is validated.  The coloring is checked first, and an
+    unbalanced one raises :class:`UnbalancedColoring`.  The sidecar must
+    label every vertex, houses are recovered as connected components after
+    removing the distributive vertices, each house's element is its
+    index-vertex count (cross-checked against the sidecar's element labels),
+    and any inconsistency raises ``ValueError``.
     """
+    report = is_nbkc(g, c)
+    if not report.balanced:
+        raise UnbalancedColoring(report)
     if set(roles) != set(range(g.n)):
         missing = sorted(set(range(g.n)) - set(roles))
         extra = sorted(set(roles) - set(range(g.n)))
@@ -242,9 +257,6 @@ def decode_from_roles(
         raise ValueError(
             f"coloring palette {c.k} does not match the {k} distributive vertices"
         )
-    report = is_nbkc(g, c)
-    if not report.balanced:
-        raise ValueError("coloring is not balanced on the compiled graph")
 
     skip = set(distributive)
     seen: set[int] = set()
@@ -402,6 +414,7 @@ __all__ = [
     "reduce_ess_to_nbc",
     "decode",
     "decode_from_roles",
+    "UnbalancedColoring",
     "ess_brute_force",
     "flawed_gadget",
 ]

@@ -9,6 +9,7 @@ import contextlib
 import functools
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -350,6 +351,58 @@ def test_decode_unbalanced_exits_one(tmp_path, capsys):
     cf.write_text("k 2\n" + "".join(f"v {v} 1\n" for v in range(g.n)))
     assert run(["decode", str(gf), str(cf)]) == 1
     assert "UNBALANCED" in capsys.readouterr().out
+
+
+def _count_calls(monkeypatch, fn):
+    """Route every nbcolor module's binding of ``fn`` through a call log."""
+    calls = []
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "nbcolor" or name.startswith("nbcolor."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_decode_verifies_the_coloring_once(tmp_path, monkeypatch, capsys):
+    gf = tmp_path / "red.graph"
+    assert run(["reduce", "--ess", "1,2,3", "-k", "2", "-o", str(gf)]) == 0
+    wf = tmp_path / "red.coloring"
+    assert run(["solve", str(gf), "-k", "2", "-o", str(wf)]) == 0
+    n = graph_from_text(gf.read_text()).n
+    cf = tmp_path / "flat.coloring"
+    cf.write_text("k 2\n" + "".join(f"v {v} 1\n" for v in range(n)))
+    capsys.readouterr()
+
+    calls = _count_calls(monkeypatch, is_nbkc)
+    assert run(["decode", str(gf), str(wf)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith("equal subset sums: 3\n")
+
+    calls.clear()
+    assert run(["decode", str(gf), str(cf)]) == 1
+    assert len(calls) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "UNBALANCED"
+    assert out[1].endswith(" vertices violate balance")
+
+
+def test_decode_reports_imbalance_before_a_bad_sidecar(tmp_path, capsys):
+    gf = tmp_path / "red.graph"
+    assert run(["reduce", "--ess", "1,1", "-k", "2", "-o", str(gf)]) == 0
+    n = graph_from_text(gf.read_text()).n
+    cf = tmp_path / "flat.coloring"
+    cf.write_text("k 2\n" + "".join(f"v {v} 1\n" for v in range(n)))
+    (tmp_path / "red.roles").write_text("r 0 base\n")  # labels one vertex only
+    capsys.readouterr()
+    assert run(["decode", str(gf), str(cf)]) == 1
+    assert capsys.readouterr().out.startswith("UNBALANCED\n")
 
 
 def test_reduce_rejects_bad_multiset(capsys):

@@ -1,5 +1,6 @@
 """CNF export checked against an independent DPLL solver."""
 
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,8 @@ from nbcolor import (
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
+    hamming_nbc,
+    hypercube_nbc,
     to_cnf,
 )
 
@@ -100,3 +103,34 @@ def test_isolated_vertices_encode_fine():
     status, coloring, _ = _cnf_status(g, 2)
     assert status == "SAT"
     assert naive_balanced(g, coloring.colors, 2)
+
+
+@pytest.mark.parametrize(
+    "build,k,digest",
+    [
+        pytest.param(lambda: hamming_nbc(3, 3)[0], 3,
+                     "7b8226ccedf6da8858443ef14930058bff1b4dc8e9282895bf2fa7780c9f3c66",
+                     id="H(3,3)"),
+        pytest.param(lambda: hypercube_nbc(4)[0], 2,
+                     "8a4f4a58c701f859083cabdf11ffe9c963ab009dbccc54a910e34eda203aedd0",
+                     id="Q4"),
+        pytest.param(lambda: cycle_graph(8), 2,
+                     "bb6627e89db9c046231b855439e560ca7792491fab1d282554b979eb3a537081",
+                     id="C8"),
+    ],
+)
+def test_dimacs_bytes_are_pinned(build, k, digest):
+    text = to_cnf(build(), k).to_dimacs()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_refused_instance_document_is_pinned():
+    assert to_cnf(complete_graph(4), 2).to_dimacs() == (
+        "c balanced 2-coloring of a graph with 4 vertices, 6 edges\n"
+        "c selector variable for vertex v (0-based) and color c (1..2): v*2 + c\n"
+        "c selectors occupy 1..8; counter registers follow\n"
+        "c vertex 0 has degree 3, not a multiple of 2: the instance is trivially "
+        "unsatisfiable\n"
+        "p cnf 8 1\n"
+        " 0\n"
+    )

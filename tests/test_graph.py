@@ -1,5 +1,7 @@
 """Graph container and small named constructions."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from nbcolor import (
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
+    graph_from_text,
     induced_subgraph,
 )
 
@@ -29,6 +32,33 @@ def test_basic_adjacency():
     assert g.has_edge(1, 2)
     assert not g.has_edge(0, 3)
     assert g.degrees() == (1, 2, 2, 1)
+
+
+@settings(max_examples=80)
+@given(st.integers(2, 30), st.data())
+def test_adjacency_matches_edges_sparse_or_dense(n, data):
+    """Both ways of allocating adjacency (n <= 2m and n > 2m) agree with the edges."""
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = data.draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=40))
+    g = Graph(n, edges)
+    for v in range(n):
+        expected = sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v})
+        assert g.neighbors(v) == tuple(expected)
+
+
+def test_isolated_vertices_cost_no_list_each():
+    """The header must not set the memory a parse takes: 500,000 vertices
+    and one edge stay below three machine words per vertex."""
+    n = 500_000
+    tracemalloc.start()
+    try:
+        g = graph_from_text(f"p {n} 1\ne 3 {n - 1}\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n
+    assert g.neighbors(3) == (n - 1,) and g.neighbors(n - 1) == (3,)
+    assert g.neighbors(0) == () and g.degree(n - 2) == 0
 
 
 def test_duplicate_and_reversed_edges_collapse():

@@ -1,0 +1,89 @@
+"""The package surface: public names, and submodules that load on first use."""
+
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nbcolor
+
+ROOT = Path(__file__).resolve().parent.parent
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(nbcolor.__path__))
+
+
+def run_fresh(code: str, *args: str) -> dict:
+    """Run ``code`` in a new interpreter on ``src/``; it prints one JSON value."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", nbcolor.__all__)
+def test_public_name_is_its_home_modules_object(name):
+    obj = getattr(nbcolor, name)
+    home = sys.modules[obj.__module__]
+    assert home.__name__.startswith("nbcolor.")
+    assert getattr(home, name) is obj
+
+
+def test_dir_lists_every_public_name():
+    listed = dir(nbcolor)
+    assert set(nbcolor.__all__) <= set(listed)
+    assert listed == sorted(listed)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nbcolor.no_such_name  # noqa: B018
+    assert not hasattr(nbcolor, "no_such_name")
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from nbcolor import *", namespace)
+    assert set(nbcolor.__all__) <= set(namespace)
+    assert namespace["solve"] is nbcolor.solver.solve
+
+
+def test_every_submodule_is_registered_after_importing_the_cli():
+    """Tools that patch functions in place (the benchmark's tracer) look each
+    ``nbcolor.<module>`` up in ``sys.modules`` right after ``import nbcolor.cli``."""
+    present = run_fresh(
+        "import json, sys; import nbcolor.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('nbcolor.'))))"
+    )
+    assert present == [f"nbcolor.{m}" for m in SUBMODULES]
+
+
+@pytest.fixture
+def c4_files(tmp_path):
+    g, c = nbcolor.cycle_nbc(4)
+    graph, coloring = tmp_path / "c4.graph", tmp_path / "c4.coloring"
+    graph.write_text(nbcolor.graph_to_text(g))
+    coloring.write_text(nbcolor.coloring_to_text(c))
+    return str(graph), str(coloring)
+
+
+def test_verify_runs_only_the_modules_it_needs(c4_files):
+    graph, coloring = c4_files
+    ran = run_fresh(
+        "import json, sys, types\n"
+        "import nbcolor.cli\n"
+        "code = nbcolor.cli.run(['verify', sys.argv[1], sys.argv[2]])\n"
+        "print(json.dumps({'code': code, 'ran': sorted(\n"
+        "    m for m, mod in sys.modules.items()\n"
+        "    if m.startswith('nbcolor.') and type(mod) is types.ModuleType)}))",
+        graph, coloring,
+    )
+    assert ran["code"] == 0
+    assert {"nbcolor.balance", "nbcolor.graph", "nbcolor.io"} <= set(ran["ran"])
+    for idle in ("cnf", "families", "products", "unions", "reduction", "solver"):
+        assert f"nbcolor.{idle}" not in ran["ran"]

@@ -10,6 +10,7 @@ from nbcolor import (
     EssInstance,
     Refusal,
     SolveConfig,
+    UnbalancedColoring,
     brute_force,
     decode,
     decode_from_roles,
@@ -231,8 +232,9 @@ def test_decode_from_roles_validates_sidecar():
         decode_from_roles(rinst.graph, lying, out.witness)
 
     flat = Coloring(2, (1,) * rinst.graph.n)
-    with pytest.raises(ValueError):
-        decode_from_roles(rinst.graph, roles, flat)
+    with pytest.raises(UnbalancedColoring) as caught:
+        decode_from_roles(rinst.graph, incomplete, flat)  # balance is checked first
+    assert caught.value.report.violations
 
 
 def test_decode_rejects_unbalanced_coloring():
