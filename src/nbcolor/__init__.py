@@ -12,6 +12,12 @@ Submodules load on first use.  Importing the package registers each of them
 in ``sys.modules`` without running it, and a public name such as
 ``nbcolor.solve`` runs its home module the first time it is read, so a CLI
 command executes only the modules it needs.
+
+Before Python 3.12.3, ``importlib.util.LazyLoader`` takes no lock, so the
+first use of each submodule is not thread-safe there: two threads that read
+names of one not-yet-run submodule at the same moment can run it twice, with
+two distinct copies of its classes.  On those versions, read the names a
+threaded program needs before it starts its threads.
 """
 
 import importlib.util

@@ -13,9 +13,9 @@ import argparse
 import sys
 from pathlib import Path
 
-# Only what every command uses is imported here.  Each handler imports the
-# rest itself, so a command runs only the modules it needs.
-from . import io
+# The package registers its submodules lazily, so binding them here runs
+# none of them: a command runs only the modules its handler reads.
+from . import cnf, families, io, products, reduction, solver, unions
 from .balance import Coloring, Refusal, check_necessary, is_closed_nbkc, is_nbkc
 from .graph import Graph
 
@@ -64,8 +64,6 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    from . import families
-
     family = args.family
     params = args.params
     k = args.k
@@ -178,11 +176,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from .solver import SolveConfig, solve
-
     g = _read_graph(args.graph)
-    cfg = SolveConfig(mode=args.mode, node_budget=args.budget)
-    outcome = solve(g, args.k, cfg)
+    cfg = solver.SolveConfig(mode=args.mode, node_budget=args.budget)
+    outcome = solver.solve(g, args.k, cfg)
     if args.format == "json":
         print(io.report_to_json(outcome))
         return 0 if outcome.status == "SAT" else 1
@@ -208,8 +204,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    from . import products
-
     g = _read_graph(args.graph)
     h = _read_graph(args.other)
     if args.cg is None and args.ch is None:
@@ -227,8 +221,6 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_join(args: argparse.Namespace) -> int:
-    from . import products
-
     g = _read_graph(args.graph)
     cg = _read_coloring(args.g_coloring)
     h = _read_graph(args.other)
@@ -242,8 +234,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
-    from . import products
-
     g = _read_graph(args.graph)
     host, coloring, embedding = products.embed_in_nbkc(g, args.k)
     _emit_pair(args.output, host, coloring)
@@ -252,8 +242,6 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_vertex_add(args: argparse.Namespace) -> int:
-    from . import products
-
     g = _read_graph(args.graph)
     c = _read_coloring(args.coloring)
     u_list, v_list = [], []
@@ -275,8 +263,6 @@ def _cmd_vertex_add(args: argparse.Namespace) -> int:
 
 
 def _cmd_union(args: argparse.Namespace) -> int:
-    from . import unions
-
     glue = frozenset(_parse_int_list(args.set, "--set"))
     if args.cycle is not None:
         if args.copies is None:
@@ -325,8 +311,6 @@ def _cmd_union(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    from . import reduction
-
     values = _parse_int_list(args.ess, "--ess")
     inst = reduction.EssInstance(values=values, k=args.k)
     rinst = reduction.reduce_ess_to_nbc(inst)
@@ -345,8 +329,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    from . import reduction
-
     g = _read_graph(args.graph)
     c = _read_coloring(args.coloring)
     roles_path = args.roles or str(Path(args.graph).with_suffix(".roles"))
@@ -380,10 +362,8 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_cnf(args: argparse.Namespace) -> int:
-    from .cnf import to_cnf
-
     g = _read_graph(args.graph)
-    doc = to_cnf(g, args.k)
+    doc = cnf.to_cnf(g, args.k)
     text = doc.to_dimacs()
     if args.output:
         _write(args.output, text)

@@ -32,18 +32,20 @@ class Graph:
             normalized.add((u, v) if u < v else (v, u))
         self._n = n
         self._edges: tuple[tuple[int, int], ...] = tuple(sorted(normalized))
-        # A list per vertex costs O(n) whatever the edges, so when most
-        # vertices are isolated (n > 2m) only the endpoints of edges get a
-        # list, and the rest share the empty tuple.
-        if n <= 2 * len(self._edges):
-            adj: list = [[] for _ in range(n)]
-        else:
-            adj = [()] * n
-            for w in {w for edge in self._edges for w in edge}:
-                adj[w] = []
+        # A vertex gets a list at its first edge; isolated vertices share the
+        # empty tuple, so a graph of n vertices and no edges costs one slot each.
+        adj: list = [()] * n
         for u, v in self._edges:  # in edge order, every list grows ascending
-            adj[u].append(v)
-            adj[v].append(u)
+            nb = adj[u]
+            if nb:
+                nb.append(v)
+            else:
+                adj[u] = [v]
+            nb = adj[v]
+            if nb:
+                nb.append(u)
+            else:
+                adj[v] = [u]
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     @property

@@ -37,7 +37,8 @@ def test_basic_adjacency():
 @settings(max_examples=80)
 @given(st.integers(2, 30), st.data())
 def test_adjacency_matches_edges_sparse_or_dense(n, data):
-    """Both ways of allocating adjacency (n <= 2m and n > 2m) agree with the edges."""
+    """Adjacency agrees with the edges on sparse graphs (isolated vertices
+    sharing the empty tuple) and dense ones alike."""
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = data.draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=40))
     g = Graph(n, edges)
