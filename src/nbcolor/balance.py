@@ -45,9 +45,6 @@ class Coloring:
     def __len__(self) -> int:
         return len(self.colors)
 
-    def color_of(self, v: int) -> int:
-        return self.colors[v]
-
     def used_colors(self) -> frozenset[int]:
         return frozenset(self.colors)
 
@@ -175,6 +172,28 @@ def is_nbkc(g: Graph, c: Coloring) -> BalanceReport:
 def is_closed_nbkc(g: Graph, c: Coloring) -> BalanceReport:
     """Closed-neighborhood variant: each vertex counts itself as well."""
     return _verify(g, c, closed=True)
+
+
+def _balanced_input(g: Graph, c: Coloring, name: str) -> Coloring:
+    """Return a caller's coloring of g if it is balanced; else raise ValueError."""
+    if len(c.colors) != g.n:
+        raise ValueError(
+            f"{name} coloring covers {len(c.colors)} vertices, graph has {g.n}"
+        )
+    if not is_nbkc(g, c).balanced:
+        raise ValueError(f"{name} coloring is not balanced")
+    return c
+
+
+def _balanced_output(g: Graph, c: Coloring, what: str) -> Coloring:
+    """Return a coloring of g the package built if it is balanced.
+
+    An unbalanced one contradicts the proof behind ``what``, so this raises
+    ``AssertionError`` explicitly: the check also holds under ``python -O``.
+    """
+    if len(c.colors) != g.n or not is_nbkc(g, c).balanced:
+        raise AssertionError(f"{what} is unbalanced, contradicting its proof")
+    return c
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,14 @@ def _emit_pair(prefix: str | None, g: Graph, c: Coloring | None) -> None:
             sys.stdout.write(io.coloring_to_text(c))
 
 
-def _refuse(refusal: Refusal) -> int:
-    print(f"REFUSED {refusal.rule}")
-    print(refusal.detail)
-    return 1
+def _finish(args: argparse.Namespace, result: tuple | Refusal) -> int:
+    """Print a refusal (exit 1) or emit ``result[0]`` and ``result[1]`` (exit 0)."""
+    if isinstance(result, Refusal):
+        print(f"REFUSED {result.rule}")
+        print(result.detail)
+        return 1
+    _emit_pair(args.output, result[0], result[1])
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +95,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         need(1, "one parameter: the word length d (the alphabet size is -k)")
         if k is None:
             raise SystemExit("error: construct hamming requires -k")
-        res = families.hamming_nbc(int(params[0]), k)
-        result = res if isinstance(res, Refusal) else res[:2]
+        result = families.hamming_nbc(int(params[0]), k)
     elif family == "hypercube":
         need(1, "one parameter: the dimension d")
         if k not in (None, 2):
             raise SystemExit("error: hypercube colorings use k=2")
-        res = families.hypercube_nbc(int(params[0]))
-        result = res if isinstance(res, Refusal) else res[:2]
+        result = families.hypercube_nbc(int(params[0]))
     elif family == "multipartite":
         need(1, "one parameter: comma-separated part sizes")
         if k is None:
@@ -116,12 +118,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             f"error: unknown family {family!r}; choose from cycle, circulant, "
             f"hamming, hypercube, multipartite, complete"
         )
-
-    if isinstance(result, Refusal):
-        return _refuse(result)
-    g, c = result
-    _emit_pair(args.output, g, c)
-    return 0
+    return _finish(args, result)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -212,12 +209,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
         return 0
     cg = _read_coloring(args.cg) if args.cg else None
     ch = _read_coloring(args.ch) if args.ch else None
-    result = products.product_nbc(args.kind, g, h, cg, ch)
-    if isinstance(result, Refusal):
-        return _refuse(result)
-    prod, coloring, _ = result
-    _emit_pair(args.output, prod, coloring)
-    return 0
+    return _finish(args, products.product_nbc(args.kind, g, h, cg, ch))
 
 
 def _cmd_join(args: argparse.Namespace) -> int:
@@ -225,12 +217,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
     cg = _read_coloring(args.g_coloring)
     h = _read_graph(args.other)
     ch = _read_coloring(args.h_coloring)
-    result = products.join_nbc(g, cg, h, ch)
-    if isinstance(result, Refusal):
-        return _refuse(result)
-    joined, coloring = result
-    _emit_pair(args.output, joined, coloring)
-    return 0
+    return _finish(args, products.join_nbc(g, cg, h, ch))
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
@@ -254,12 +241,7 @@ def _cmd_vertex_add(args: argparse.Namespace) -> int:
             )
         u_list.append(int(parts[0]))
         v_list.append(int(parts[1]))
-    result = products.vertex_addition(g, c, tuple(u_list), tuple(v_list))
-    if isinstance(result, Refusal):
-        return _refuse(result)
-    grown, coloring = result
-    _emit_pair(args.output, grown, coloring)
-    return 0
+    return _finish(args, products.vertex_addition(g, c, tuple(u_list), tuple(v_list)))
 
 
 def _cmd_union(args: argparse.Namespace) -> int:
@@ -267,12 +249,7 @@ def _cmd_union(args: argparse.Namespace) -> int:
     if args.cycle is not None:
         if args.copies is None:
             raise SystemExit("error: union --cycle requires --copies")
-        result = unions.cycle_union_nbc(args.cycle, glue, args.copies)
-        if isinstance(result, Refusal):
-            return _refuse(result)
-        g, c = result
-        _emit_pair(args.output, g, c)
-        return 0
+        return _finish(args, unions.cycle_union_nbc(args.cycle, glue, args.copies))
     if args.graph is None:
         raise SystemExit("error: union needs a graph file unless --cycle is given")
     g = _read_graph(args.graph)
@@ -298,13 +275,12 @@ def _cmd_union(args: argparse.Namespace) -> int:
         base_coloring = _read_coloring(args.coloring_file)
         inside = [(u, v) for u, v in g.edges if u in glue and v in glue]
         if inside:
-            print("REFUSED dependent-set")
-            print(
+            return _finish(args, Refusal(
+                "dependent-set",
                 f"edge {inside[0]} lies inside the glue set; the copied "
                 f"coloring theorem needs an independent set (try --congruence "
-                f"or solve)"
-            )
-            return 1
+                f"or solve)",
+            ))
         coloring = unions.union_nbc_independent(g, base_coloring, glue, args.copies)
     _emit_pair(args.output, union, coloring)
     return 0

@@ -1,9 +1,10 @@
 """Balanced-coloring constructions for standard graph families.
 
-Each generator either returns a graph/coloring pair that it has verified
-itself, or a :class:`~nbcolor.balance.Refusal` naming the hypothesis that
-fails.  Generators never return an unverified candidate: every coloring
-handed back has been through the exact balance check.
+Each generator either returns a graph/coloring pair or a
+:class:`~nbcolor.balance.Refusal` naming the hypothesis that fails.  Every
+coloring handed back has passed :func:`~nbcolor.balance.is_nbkc`, also under
+``python -O``; one that fails contradicts its construction's proof and raises
+``AssertionError`` (exit 3 in the CLI) instead of being returned.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .balance import Coloring, Refusal, is_nbkc
+from .balance import Coloring, Refusal, _balanced_output, signed_color_value
 from .graph import Graph, complete_multipartite_graph, cycle_graph
 
 
@@ -60,25 +61,16 @@ class CirculantSpec:
         return Graph(self.n, edges)
 
 
-def _signed_to_color(value: int, k: int) -> int:
-    """Inverse of the signed palette map (see balance.signed_color_value)."""
-    if k % 2 == 1:
-        t = (k - 1) // 2
-        return value + t + 1
-    t = k // 2
-    return value + t + 1 if value < 0 else value + t
-
-
 def circulant_progression_nbc(spec: CirculantSpec) -> tuple[Graph, Coloring] | Refusal:
     """Balanced coloring of a circulant whose connections form a progression.
 
     With s connections, the palette size is k = s.  Hypotheses: consecutive
     connection differences are congruent to a common p (mod s) with p not a
-    multiple of s, and n ≡ 0 (mod s).  Writing each residue class r (mod s)
-    of vertex labels in one color yields balance because the connections
-    a_1..a_s hit each residue-class offset pattern uniformly; the assignment
-    of colors to residues goes through a signed relabeling that pairs +j with
-    -j so that each vertex's neighborhood nets out even.
+    multiple of s, n ≡ 0 (mod s), and gcd(p, s) = 1.  Writing each residue
+    class r (mod s) of vertex labels in one color yields balance because the
+    connections a_1..a_s hit each residue-class offset pattern uniformly; the
+    assignment of colors to residues goes through a signed relabeling that
+    pairs +j with -j so that each vertex's neighborhood nets out even.
     """
     s = spec.arity
     conns = spec.connections
@@ -102,60 +94,36 @@ def circulant_progression_nbc(spec: CirculantSpec) -> tuple[Graph, Coloring] | R
 
     if n % s != 0:
         return Refusal("order", f"n={n} is not a multiple of the arity s={s}")
+    if math.gcd(p, s) != 1:
+        return Refusal(
+            "progression-step",
+            f"step p={p} shares a factor with the arity s={s} "
+            f"(gcd={math.gcd(p, s)}), so the residue walk cannot cover "
+            f"all classes",
+        )
 
-    k = s
+    signed_of_residue: dict[int, int] = {}
     if s % 2 == 1:
         # Odd arity: the fixed bijection 0→0, 2j→+j, 2j-1→-j on residues
         # mod s sends each vertex-label residue to a signed value; the
-        # resulting candidate is balanced exactly when gcd(p, s) = 1.
-        t = (s - 1) // 2
-        signed_of_residue = {0: 0}
-        for j in range(1, t + 1):
+        # resulting coloring is balanced exactly when gcd(p, s) = 1.
+        signed_of_residue[0] = 0
+        for j in range(1, (s - 1) // 2 + 1):
             signed_of_residue[(2 * j) % s] = j
             signed_of_residue[(2 * j - 1) % s] = -j
-        colors = tuple(
-            _signed_to_color(signed_of_residue[v % s], k) for v in range(n)
-        )
-        g = spec.graph()
-        candidate = Coloring(k, colors)
-        report = is_nbkc(g, candidate)
-        if not report.balanced:
-            return Refusal(
-                "progression-step",
-                f"residue pattern with step p={p} does not balance "
-                f"(gcd(p, s) = {math.gcd(p, s)} > 1 breaks the pairing)",
-            )
-        return g, candidate
     else:
         # Even arity s = 2t: walk the residues in steps of p, assigning the
         # signed colors +1, -1, +2, -2, ... in claimed order.  Block j claims
         # the residue of (j*p + 1) mod 2t and gets signed value +(j//2 + 1)
         # when j is even, -(j//2 + 1) when j is odd.  The walk visits every
         # residue exactly once iff gcd(p, 2t) = 1.
-        t = s // 2
-        if math.gcd(p, s) != 1:
-            return Refusal(
-                "progression-step",
-                f"step p={p} shares a factor with the arity s={s} "
-                f"(gcd={math.gcd(p, s)}), so the residue walk cannot cover "
-                f"all classes",
-            )
-        signed_of_residue: dict[int, int] = {}
         for j in range(s):
-            residue = (j * p + 1) % s
             magnitude = j // 2 + 1
-            signed_of_residue[residue] = magnitude if j % 2 == 0 else -magnitude
-        colors = tuple(
-            _signed_to_color(signed_of_residue[v % s], k) for v in range(n)
-        )
-        g = spec.graph()
-        candidate = Coloring(k, colors)
-        report = is_nbkc(g, candidate)
-        assert report.balanced, (
-            f"residue walk produced an unbalanced coloring for {spec} — "
-            f"this contradicts the construction proof"
-        )
-        return g, candidate
+            signed_of_residue[(j * p + 1) % s] = -magnitude if j % 2 else magnitude
+    color_of_signed = {signed_color_value(c, s): c for c in range(1, s + 1)}
+    colors = tuple(color_of_signed[signed_of_residue[v % s]] for v in range(n))
+    g = spec.graph()
+    return g, _balanced_output(g, Coloring(s, colors), f"coloring of {spec}")
 
 
 def circulant_residue_nbc(
@@ -187,11 +155,7 @@ def circulant_residue_nbc(
         )
     g = spec.graph()
     candidate = Coloring(k, tuple(1 + (v % k) for v in range(n)))
-    report = is_nbkc(g, candidate)
-    assert report.balanced, (
-        f"residue coloring unbalanced for {spec}, k={k} — contradicts proof"
-    )
-    return g, candidate
+    return g, _balanced_output(g, candidate, f"residue {k}-coloring of {spec}")
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +238,7 @@ def hamming_nbc(d: int, k: int) -> tuple[Graph, Coloring, HammingSpec] | Refusal
         return 1 + total % k
 
     colors = tuple(color_of_word(spec.word_of(i)) for i in range(spec.n))
-    candidate = Coloring(k, colors)
-    report = is_nbkc(g, candidate)
-    assert report.balanced, f"Hamming coloring unbalanced for d={d}, k={k}"
-    return g, candidate, spec
+    return g, _balanced_output(g, Coloring(k, colors), f"coloring of {spec}"), spec
 
 
 def hypercube_nbc(d: int) -> tuple[Graph, Coloring, HammingSpec] | Refusal:
@@ -319,9 +280,7 @@ def complete_multipartite_nbc(
         for c in range(1, k + 1):
             colors.extend([c] * per)
     candidate = Coloring(k, tuple(colors))
-    report = is_nbkc(g, candidate)
-    assert report.balanced, f"multipartite coloring unbalanced for {sizes}, k={k}"
-    return g, candidate
+    return g, _balanced_output(g, candidate, f"{k}-coloring of parts {sizes}")
 
 
 def complete_graph_nbc(n: int, k: int) -> Refusal:
@@ -362,9 +321,7 @@ def cycle_nbc(m: int) -> tuple[Graph, Coloring] | Refusal:
         )
     pattern = (1, 1, 2, 2)
     candidate = Coloring(2, tuple(pattern[v % 4] for v in range(m)))
-    report = is_nbkc(g, candidate)
-    assert report.balanced, f"cycle coloring unbalanced for m={m}"
-    return g, candidate
+    return g, _balanced_output(g, candidate, f"coloring of C_{m}")
 
 
 __all__ = [

@@ -7,15 +7,18 @@ callers can relate product vertices back to factor coordinates.
 
 Color-transfer rules turn balanced colorings of factors into balanced
 colorings of products, and small surgery operations (join, host embedding,
-balanced vertex addition) extend colorings in controlled ways.  As in
-:mod:`nbcolor.families`, nothing unverified is ever returned.
+balanced vertex addition) extend colorings in controlled ways.  A coloring
+handed in must be balanced (else ``ValueError``).  As in
+:mod:`nbcolor.families`, every coloring handed back has passed
+:func:`~nbcolor.balance.is_nbkc`, also under ``python -O``; one that fails
+raises ``AssertionError`` (exit 3 in the CLI) instead of being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balance import Coloring, Refusal, is_nbkc
+from .balance import Coloring, Refusal, _balanced_input, _balanced_output
 from .graph import Graph
 
 
@@ -134,21 +137,10 @@ def product_nbc(
     Each rule picks k and the color of every pair (u, v); one tail builds it.
     """
     build = _builder(kind)
-
-    def checked(c: Coloring | None, graph: Graph, name: str) -> Coloring | None:
-        if c is None:
-            return None
-        if len(c.colors) != graph.n:
-            raise ValueError(
-                f"{name} coloring covers {len(c.colors)} vertices, "
-                f"graph has {graph.n}"
-            )
-        if not is_nbkc(graph, c).balanced:
-            raise ValueError(f"{name} coloring is not balanced")
-        return c
-
-    cg = checked(cg, g, "first-factor")
-    ch = checked(ch, h, "second-factor")
+    if cg is not None:
+        _balanced_input(g, cg, "first-factor")
+    if ch is not None:
+        _balanced_input(h, ch, "second-factor")
 
     if kind == "direct":
         if cg is not None:
@@ -195,8 +187,7 @@ def product_nbc(
     candidate = Coloring(
         k, tuple(color(u, v) for u in range(g.n) for v in range(h.n))
     )
-    report = is_nbkc(prod, candidate)
-    assert report.balanced, f"{kind} transfer produced an unbalanced coloring"
+    _balanced_output(prod, candidate, f"{kind} product transfer")
     return prod, candidate, VertexPairIndex(g.n, h.n)
 
 
@@ -227,10 +218,8 @@ def join_nbc(
         raise ValueError("coloring lengths do not match the graphs")
     if cg.k != ch.k:
         return Refusal("palette-mismatch", f"palettes differ: {cg.k} vs {ch.k}")
-    if not is_nbkc(g, cg).balanced:
-        raise ValueError("first coloring is not balanced")
-    if not is_nbkc(h, ch).balanced:
-        raise ValueError("second coloring is not balanced")
+    _balanced_input(g, cg, "first")
+    _balanced_input(h, ch, "second")
     for name, coloring in (("first", cg), ("second", ch)):
         sizes = coloring.class_sizes()
         if len(set(sizes)) != 1:
@@ -241,9 +230,7 @@ def join_nbc(
             )
     joined = join_graph(g, h)
     candidate = Coloring(cg.k, cg.colors + ch.colors)
-    report = is_nbkc(joined, candidate)
-    assert report.balanced, "join of balanced equal-class colorings must balance"
-    return joined, candidate
+    return joined, _balanced_output(joined, candidate, "join coloring")
 
 
 def embed_in_nbkc(
@@ -267,12 +254,9 @@ def embed_in_nbkc(
             for q in range(k):
                 edges.append((p * n + u, q * n + v))
     host = Graph(k * n, edges)
-    colors = tuple(1 + (idx // n) for idx in range(k * n))
-    candidate = Coloring(k, colors)
-    report = is_nbkc(host, candidate)
-    assert report.balanced, "host construction must balance by design"
-    embedding = tuple(range(n))
-    return host, candidate, embedding
+    candidate = Coloring(k, tuple(1 + (idx // n) for idx in range(k * n)))
+    _balanced_output(host, candidate, "host coloring")
+    return host, candidate, tuple(range(n))
 
 
 def vertex_addition(
@@ -301,10 +285,7 @@ def vertex_addition(
     k = c.k
     if k < 2:
         raise ValueError(f"palette size must be at least 2, got {k}")
-    if len(c.colors) != g.n:
-        raise ValueError("coloring length does not match the graph")
-    if not is_nbkc(g, c).balanced:
-        raise ValueError("base coloring is not balanced")
+    _balanced_input(g, c, "base")
     if any(d == 0 for d in g.degrees()):
         raise ValueError("base graph must have no isolated vertices")
     u_list = tuple(u_list)
@@ -349,12 +330,7 @@ def vertex_addition(
 
     grown = Graph(n + 2 * k - 1, edges)
     candidate = Coloring(k, tuple(new_colors))
-    report = is_nbkc(grown, candidate)
-    assert report.balanced, (
-        "vertex addition with rainbow pairs must balance; violations at "
-        f"{[v for v, _ in report.violations]}"
-    )
-    return grown, candidate
+    return grown, _balanced_output(grown, candidate, "vertex addition")
 
 
 __all__ = [

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product
 
-from .balance import BalanceReport, Coloring, is_nbkc
+from .balance import BalanceReport, Coloring, _balanced_output, is_nbkc
 from .graph import Graph
 
 
@@ -106,7 +106,7 @@ def house(k: int, n: int) -> HouseGadget:
     gadget = HouseGadget(k=k, n=n, graph=g, bases=tuple(bases),
                          supports=tuple(supports), indexes=tuple(indexes))
     scheme = house_scheme_coloring(gadget)
-    assert is_nbkc(g, scheme).balanced, "house scheme coloring must balance"
+    _balanced_output(g, scheme, f"scheme coloring of the ({k},{n})-house")
     return gadget
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from .balance import Coloring, check_necessary, is_nbkc
+from .balance import Coloring, _balanced_output, check_necessary
 from .graph import Graph
 
 _MODES = ("first-witness", "canonical-min", "count")
@@ -354,10 +354,9 @@ def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:
             pruned_by=search.pruned,
         )
     witness = Coloring(k, tuple(search.color))
-    assert is_nbkc(g, witness).balanced, "solver returned an unbalanced witness"
     return SolveOutcome(
         status="SAT",
-        witness=witness,
+        witness=_balanced_output(g, witness, "solver witness"),
         nodes_explored=search.nodes,
         pruned_by=search.pruned,
     )
@@ -397,8 +396,7 @@ def brute_force(g: Graph, k: int, cap_bits: int = _DEFAULT_CAP_BITS) -> SolveOut
     deliberately, so this oracle cannot inherit a bug from the clever path.
     """
     for tried, assignment in _balanced_assignments(g, k, cap_bits):
-        witness = Coloring(k, assignment)
-        assert is_nbkc(g, witness).balanced
+        witness = _balanced_output(g, Coloring(k, assignment), "brute-force witness")
         return SolveOutcome(status="SAT", witness=witness, nodes_explored=tried)
     return SolveOutcome(status="UNSAT", nodes_explored=k**g.n)
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .balance import Coloring, Refusal, cyclic_shift, is_nbkc
+from .balance import Coloring, Refusal, _balanced_input, _balanced_output, cyclic_shift
 from .families import cycle_nbc
 from .graph import Graph
 
@@ -94,19 +94,14 @@ def union_nbc_independent(
         raise ValueError(
             f"glue set is not independent: edge {inside[0]} lies inside it"
         )
-    if len(c.colors) != g.n:
-        raise ValueError("coloring length does not match the graph")
-    if not is_nbkc(g, c).balanced:
-        raise ValueError("base coloring is not balanced")
+    _balanced_input(g, c, "base")
     union, maps = union_over_set(spec)
     colors = [0] * union.n
     for table in maps:
         for v in range(g.n):
             colors[table[v]] = c.colors[v]
     out = Coloring(c.k, tuple(colors))
-    report = is_nbkc(union, out)
-    assert report.balanced, "independent-set union must preserve balance"
-    return out
+    return _balanced_output(union, out, "independent-set union")
 
 
 @dataclass(frozen=True)
@@ -289,12 +284,8 @@ def cycle_union_nbc(
                     chosen = c
                 colors[maps[j - 1][x]] = chosen.colors[x]
     candidate = Coloring(2, tuple(colors))
-    report = is_nbkc(union, candidate)
-    assert report.balanced, (
-        f"ideal-set union coloring must balance (m={m}, S={sorted(s)}, n={n}); "
-        f"violations at {[v for v, _ in report.violations]}"
-    )
-    return union, candidate
+    what = f"union of {n} copies of C_{m} glued on {sorted(s)}"
+    return union, _balanced_output(union, candidate, what)
 
 
 __all__ = [

@@ -1,6 +1,10 @@
 """Verifier, signed weights, arithmetic screens, recoloring maps."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -305,3 +309,51 @@ def test_shift_of_balanced_stays_balanced(seed, shift):
     before = is_nbkc(g, c).balanced
     after = is_nbkc(g, cyclic_shift(c, shift)).balanced
     assert before == after
+
+
+# ---------------------------------------------------------------------------
+# Built colorings are checked also with asserts stripped
+# ---------------------------------------------------------------------------
+
+BROKEN_BUILDERS = """
+import nbcolor.families as families
+import nbcolor.solver as solver
+from nbcolor import Graph, brute_force, cycle_graph, cycle_nbc, solve
+
+assert not __debug__, "asserts must be stripped"
+
+
+def stop_at_all_ones(search):
+    search.color = [1] * len(search.color)
+    return True
+
+
+solver._Search.run = stop_at_all_ones
+solver._balanced = lambda adj, assignment, k: True
+families.cycle_graph = lambda m: Graph(m, [(v, v + 1) for v in range(m - 1)])
+for call in (
+    lambda: solve(cycle_graph(8), 2),
+    lambda: brute_force(cycle_graph(8), 2),
+    lambda: cycle_nbc(8),
+):
+    try:
+        print("returned", call())
+    except AssertionError as exc:
+        print("raised", exc)
+"""
+
+
+def test_unbalanced_built_colorings_raise_under_python_O():
+    """A solver that stops at an unbalanced coloring, an enumerator that
+    takes any assignment for balanced, and a cycle builder handed a path each
+    raise ``AssertionError`` instead of returning the coloring, even though
+    ``python -O`` strips every ``assert`` statement."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_BUILDERS], cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3 and all(line.startswith("raised") for line in lines), lines

@@ -89,6 +89,11 @@ def test_progression_refusals():
     out = circulant_progression_nbc(CirculantSpec(20, (1, 3, 5, 7)))
     assert isinstance(out, Refusal) and out.rule == "progression-step"
 
+    # odd arity needs it too: step 3, s = 9
+    spec = CirculantSpec(54, (1, 4, 7, 10, 13, 16, 19, 22, 25))
+    out = circulant_progression_nbc(spec)
+    assert isinstance(out, Refusal) and out.rule == "progression-step"
+
 
 @pytest.mark.parametrize(
     "n,connections",
