@@ -255,8 +255,7 @@ def check_necessary(g: Graph, k: int) -> NecessityReport:
             break
     degree_ok = degree_offender is None
 
-    has_isolated = any(d == 0 for d in degrees)
-    if g.n >= 1 and not has_isolated:
+    if g.n >= 1 and 0 not in degrees:
         order_ok = g.n >= 2 * k
         order_detail = (
             f"n={g.n} >= 2k={2 * k}"
@@ -270,7 +269,7 @@ def check_necessary(g: Graph, k: int) -> NecessityReport:
         )
 
     regularity: RegularityChecks | None = None
-    if g.n > 0 and g.is_regular() and degrees[0] >= 1:
+    if g.n > 0 and degrees[0] >= 1 and degrees.count(degrees[0]) == g.n:
         r = degrees[0]
         regularity = RegularityChecks(
             degree=r,

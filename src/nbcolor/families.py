@@ -205,14 +205,18 @@ class HammingSpec:
         return tuple(reversed(letters))
 
     def graph(self) -> Graph:
-        edges = []
-        for idx in range(self.n):
-            word = self.word_of(idx)
-            for pos in range(self.d):
-                for letter in range(word[pos] + 1, self.k + 1):
-                    other = list(word)
-                    other[pos] = letter
-                    edges.append((idx, self.index_of(tuple(other))))
+        # Raising the coordinate with place value w from digit a to b adds
+        # (b - a) * w to the index.  Place values taken in ascending order
+        # give every vertex its higher neighbours in ascending order, so the
+        # edges come out sorted.
+        k = self.k
+        places = [k**p for p in range(self.d)]
+        edges = [
+            (idx, other)
+            for idx in range(self.n)
+            for w in places
+            for other in range(idx + w, idx + (k - idx // w % k) * w, w)
+        ]
         return Graph(self.n, edges)
 
 
@@ -232,12 +236,14 @@ def hamming_nbc(d: int, k: int) -> tuple[Graph, Coloring, HammingSpec] | Refusal
             f"word length d={d} is not a multiple of the alphabet size k={k}",
         )
     g = spec.graph()
-
-    def color_of_word(word: tuple[int, ...]) -> int:
-        total = sum(a - 1 for j, a in enumerate(word, start=1) if (j - 1) % k != 0)
-        return 1 + total % k
-
-    colors = tuple(color_of_word(spec.word_of(i)) for i in range(spec.n))
+    # Letter sums of the contributing coordinates, one coordinate at a time
+    # from the most significant: a prefix at index p extended by digit a
+    # sits at index p * k + a.
+    totals = [0]
+    for j in range(d):
+        digits = range(k) if j % k else (0,) * k  # silent iff j ≡ 0 (mod k)
+        totals = [t + a for t in totals for a in digits]
+    colors = tuple(1 + t % k for t in totals)
     return g, _balanced_output(g, Coloring(k, colors), f"coloring of {spec}"), spec
 
 

@@ -23,13 +23,15 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        normalized: set[tuple[int, int]] = set()
+        # A dict dedupes in input order, and sorting input that is already in
+        # order (the builders' and most files') is one linear pass.
+        normalized: dict[tuple[int, int], None] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not representable")
-            normalized.add((u, v) if u < v else (v, u))
+            normalized[(u, v) if u < v else (v, u)] = None
         self._n = n
         self._edges: tuple[tuple[int, int], ...] = tuple(sorted(normalized))
         # A vertex gets a list at its first edge; isolated vertices share the
@@ -70,7 +72,7 @@ class Graph:
         return len(self.neighbors(v))
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nb) for nb in self._adj)
+        return tuple(map(len, self._adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         # Membership in the sorted neighbor tuple is fine at these sizes and

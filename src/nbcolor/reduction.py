@@ -243,14 +243,15 @@ def decode_from_roles(
             f"role sidecar does not label the graph exactly: missing "
             f"{missing[:5]}, extraneous {extra[:5]}"
         )
+    entries = [roles[v] for v in range(g.n)]
+    kinds = [role for role, _ in entries]
     known = {"base", "support", "index", "distributive"}
-    alien = sorted(v for v, (role, _) in roles.items() if role not in known)
+    alien = [v for v, role in enumerate(kinds) if role not in known]
     if alien:
         raise ValueError(
             f"sidecar assigns roles outside {sorted(known)} to vertices {alien[:5]}"
         )
-    distributive = sorted(v for v, (role, _) in roles.items() if role == "distributive")
-    k = len(distributive)
+    k = kinds.count("distributive")
     if k < 2:
         raise ValueError(f"sidecar lists {k} distributive vertices; need at least 2")
     if c.k != k:
@@ -258,28 +259,25 @@ def decode_from_roles(
             f"coloring palette {c.k} does not match the {k} distributive vertices"
         )
 
-    skip = set(distributive)
-    seen: set[int] = set()
+    # Distributive vertices start out seen, so no house reaches across them.
+    seen = [role == "distributive" for role in kinds]
     subsets: list[list[int]] = [[] for _ in range(k)]
     for start in range(g.n):
-        if start in skip or start in seen:
+        if seen[start]:
             continue
+        seen[start] = True
         component = [start]
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
+        for v in component:  # grows while it is walked
             for u in g.neighbors(v):
-                if u not in skip and u not in seen:
-                    seen.add(u)
+                if not seen[u]:
+                    seen[u] = True
                     component.append(u)
-                    frontier.append(u)
-        indexes = [v for v in component if roles[v][0] == "index"]
+        indexes = [v for v in component if kinds[v] == "index"]
         if not indexes:
             raise ValueError(
                 f"component containing vertex {start} has no index vertices"
             )
-        elements = {roles[v][1] for v in component if roles[v][1] is not None}
+        elements = {entries[v][1] for v in component} - {None}
         if elements != {len(indexes)}:
             raise ValueError(
                 f"component containing vertex {start} has {len(indexes)} index "

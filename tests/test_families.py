@@ -187,6 +187,47 @@ def test_word_index_round_trip(d, k, data):
     assert spec.word_of(spec.index_of(word)) == word
 
 
+def word_by_word_hamming(spec):
+    """Oracle: H(d, k) and its coloring built one word at a time through
+    ``word_of``/``index_of``, as the construction reads on paper."""
+    d, k = spec.d, spec.k
+    edges = []
+    for idx in range(spec.n):
+        word = spec.word_of(idx)
+        for pos in range(d):
+            for letter in range(word[pos] + 1, k + 1):
+                other = list(word)
+                other[pos] = letter
+                edges.append((idx, spec.index_of(tuple(other))))
+    colors = tuple(
+        1 + sum(a - 1 for j, a in enumerate(spec.word_of(i)) if j % k != 0) % k
+        for i in range(spec.n)
+    )
+    return edges, colors
+
+
+HAMMING_SHAPES = [(d, k) for d in range(1, 7) for k in range(2, 5) if k**d <= 4096]
+
+
+@pytest.mark.parametrize("d,k", HAMMING_SHAPES)
+def test_hamming_builder_matches_word_by_word_oracle(d, k):
+    """Graph edges (in order) and, where d ≡ 0 (mod k), the coloring equal the
+    oracle's; word and index convert back and forth on every vertex."""
+    spec = HammingSpec(d, k)
+    edges, colors = word_by_word_hamming(spec)
+    g = spec.graph()
+    assert g.edges == tuple(sorted(edges))
+    for i in range(spec.n):
+        assert spec.index_of(spec.word_of(i)) == i
+    built = hamming_nbc(d, k)
+    if d % k:
+        assert isinstance(built, Refusal)
+        return
+    g2, c, _ = built
+    assert g2 == g
+    assert c.k == k and c.colors == colors
+
+
 def test_hamming_graph_structure():
     # H(2,3): 9 vertices, each adjacent to 2(3-1) = 4 others
     g = HammingSpec(2, 3).graph()

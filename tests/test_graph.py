@@ -47,6 +47,90 @@ def test_adjacency_matches_edges_sparse_or_dense(n, data):
         assert g.neighbors(v) == tuple(expected)
 
 
+def naive_graph(n, edges):
+    """Reference construction: edges, adjacency and degrees from sets."""
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    around = [set() for _ in range(n)]
+    for a, b in pairs:
+        around[a].add(b)
+        around[b].add(a)
+    adj = tuple(tuple(sorted(nb)) for nb in around)
+    return tuple(pairs), adj, tuple(len(nb) for nb in adj)
+
+
+def naive_error(n, edges):
+    """The message for the first offending edge in input order, or None.
+
+    An endpoint outside 0..n-1 is reported before a self-loop, so (n, n)
+    is out of range, not a loop."""
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}"
+        if u == v:
+            return f"self-loop at vertex {u} is not representable"
+    return None
+
+
+@st.composite
+def edge_lists(draw):
+    """An order, a density and an edge list in one of several presentations:
+    as drawn, sorted, reversed, shuffled or with every edge twice in both
+    orientations.  Isolated vertices come free with sparse draws."""
+    n = draw(st.integers(1, 24))
+    p = draw(st.sampled_from((0.0, 0.05, 0.3, 0.9, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    chosen = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    shape = draw(st.sampled_from(("sorted", "reversed", "shuffled", "doubled", "flipped")))
+    if shape == "reversed":
+        chosen.reverse()
+    elif shape == "shuffled":
+        rng.shuffle(chosen)
+    elif shape == "doubled":
+        chosen += [(v, u) for u, v in chosen]
+        rng.shuffle(chosen)
+    elif shape == "flipped":
+        chosen = [(v, u) for u, v in chosen]
+    return n, chosen
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists(), st.booleans())
+def test_construction_matches_naive_reference(case, as_generator):
+    """Edges, every neighbour tuple and the degrees equal the reference's,
+    whatever order or multiplicity the edges come in, from a list or a
+    one-shot generator."""
+    n, edges = case
+    source = (e for e in edges) if as_generator else edges
+    g = Graph(n, source)
+    expected_edges, expected_adj, expected_degrees = naive_graph(n, edges)
+    assert g.edges == expected_edges
+    assert tuple(g.neighbors(v) for v in range(n)) == expected_adj
+    assert g.degrees() == expected_degrees
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), st.data())
+def test_first_offending_edge_is_reported(n, data):
+    """Bad edges anywhere in the list: the first one in input order names the
+    error, out-of-range before self-loop, exactly as the reference says."""
+    endpoint = st.integers(-2, n + 1)
+    edges = data.draw(st.lists(st.tuples(endpoint, endpoint), max_size=12))
+    expected = naive_error(n, edges)
+    if expected is None:
+        assert Graph(n, edges).edges == naive_graph(n, edges)[0]
+        return
+    with pytest.raises(ValueError) as err:
+        Graph(n, iter(edges))
+    assert str(err.value) == expected
+
+
+def test_out_of_range_is_checked_before_self_loop():
+    with pytest.raises(ValueError, match=r"edge \(3, 3\) has an endpoint outside 0..2"):
+        Graph(3, [(3, 3)])
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph(3, [(0, 1), (1, 1), (0, 5)])
+
+
 def test_isolated_vertices_cost_no_list_each():
     """The header must not set the memory a parse takes: 500,000 vertices
     and one edge stay below three machine words per vertex."""
