@@ -25,7 +25,17 @@ def _read_graph(path: str) -> Graph:
 
 
 def _read_coloring(path: str) -> Coloring:
-    return io.coloring_from_text(Path(path).read_text())
+    """Read a coloring file whose palette is no larger than its vertex count.
+
+    On a graph with an edge, a balanced coloring uses every color, so k <= n;
+    the bound keeps a ``k`` header from sizing the verifier's k-by-k report.
+    """
+    c = io.coloring_from_text(Path(path).read_text())
+    if c.k > len(c.colors):
+        raise ValueError(
+            f"{path}: palette size {c.k} exceeds the {len(c.colors)} colored vertices"
+        )
+    return c
 
 
 def _write(path: str, text: str) -> None:

@@ -2,7 +2,7 @@
 
 Each generator either returns a graph/coloring pair or a
 :class:`~nbcolor.balance.Refusal` naming the hypothesis that fails.  Every
-coloring handed back has passed :func:`~nbcolor.balance.is_nbkc`, also under
+coloring handed back has passed the package's balance check, also under
 ``python -O``; one that fails contradicts its construction's proof and raises
 ``AssertionError`` (exit 3 in the CLI) instead of being returned.
 """

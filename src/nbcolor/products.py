@@ -9,9 +9,9 @@ Color-transfer rules turn balanced colorings of factors into balanced
 colorings of products, and small surgery operations (join, host embedding,
 balanced vertex addition) extend colorings in controlled ways.  A coloring
 handed in must be balanced (else ``ValueError``).  As in
-:mod:`nbcolor.families`, every coloring handed back has passed
-:func:`~nbcolor.balance.is_nbkc`, also under ``python -O``; one that fails
-raises ``AssertionError`` (exit 3 in the CLI) instead of being returned.
+:mod:`nbcolor.families`, every coloring handed back has passed the balance
+check, also under ``python -O``; one that fails raises ``AssertionError``
+(exit 3 in the CLI) instead of being returned.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product
 
-from .balance import BalanceReport, Coloring, _balanced_output, is_nbkc
+from .balance import BalanceReport, Coloring, _balanced, _balanced_output, is_nbkc
 from .graph import Graph
 
 
@@ -233,9 +233,10 @@ def decode_from_roles(
     index-vertex count (cross-checked against the sidecar's element labels),
     and any inconsistency raises ``ValueError``.
     """
-    report = is_nbkc(g, c)
-    if not report.balanced:
-        raise UnbalancedColoring(report)
+    if len(c.colors) != g.n:
+        raise ValueError(f"coloring covers {len(c.colors)} vertices, graph has {g.n}")
+    if not _balanced(map(g.neighbors, range(g.n)), c.colors, c.k):
+        raise UnbalancedColoring(is_nbkc(g, c))
     if set(roles) != set(range(g.n)):
         missing = sorted(set(range(g.n)) - set(roles))
         extra = sorted(set(roles) - set(range(g.n)))

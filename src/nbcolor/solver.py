@@ -36,9 +36,11 @@ because every uncolored class member's color is at least the colors of the
 class's colored prefix, and the vertex now takes maxused+1.
 
 ``brute_force`` is the deliberately theory-free oracle: it enumerates every
-assignment and checks balance by counting, sharing no code path with
-``solve`` beyond the graph type, so the two can legitimately cross-check
-each other.
+assignment and checks balance by counting.  It shares no search or pruning
+code with ``solve``, only the graph type and ``balance._balanced``, the one
+balance check that also gates every witness either of them returns, so the
+two can legitimately cross-check each other's search.  The tests' recount
+(``naive_balanced``) stays independent of that check.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from .balance import Coloring, _balanced_output, check_necessary
+from .balance import Coloring, _balanced, _balanced_output, check_necessary
 from .graph import Graph
 
 _MODES = ("first-witness", "canonical-min", "count")
@@ -404,24 +406,6 @@ def brute_force(g: Graph, k: int, cap_bits: int = _DEFAULT_CAP_BITS) -> SolveOut
 def count_colorings(g: Graph, k: int, cap_bits: int = _DEFAULT_CAP_BITS) -> int:
     """Number of balanced k-colorings with labeled colors, by enumeration."""
     return sum(1 for _ in _balanced_assignments(g, k, cap_bits))
-
-
-def _balanced(
-    adj: tuple[tuple[int, ...], ...], assignment: tuple[int, ...], k: int
-) -> bool:
-    for nb in adj:
-        if not nb:
-            continue
-        share, rem = divmod(len(nb), k)
-        if rem:
-            return False
-        counts = [0] * (k + 1)
-        for u in nb:
-            counts[assignment[u]] += 1
-        for c in range(1, k + 1):
-            if counts[c] != share:
-                return False
-    return True
 
 
 __all__ = [

@@ -26,6 +26,7 @@ from nbcolor import (
     signed_color_value,
     weight,
 )
+from nbcolor.balance import _balanced
 
 C8 = cycle_graph(8)
 C8_COLORING = Coloring(2, (1, 1, 2, 2, 1, 1, 2, 2))
@@ -172,6 +173,8 @@ def test_verifier_agrees_with_naive_recount(data):
     closed = data.draw(st.booleans())
     rep = is_closed_nbkc(g, Coloring(k, colors)) if closed else is_nbkc(g, Coloring(k, colors))
     assert rep.balanced == naive_balanced(g, colors, k, closed=closed)
+    # The gates' yes/no check agrees on open neighbourhoods.
+    assert _balanced(map(g.neighbors, range(n)), colors, k) == naive_balanced(g, colors, k)
     # The weight diagnostic is over the open neighbourhood in both variants.
     assert rep.weights == tuple(weight(g, Coloring(k, colors), v) for v in range(n))
 

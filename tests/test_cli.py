@@ -11,6 +11,7 @@ import io
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,16 +20,20 @@ from hypothesis import strategies as st
 
 from nbcolor import (
     EssInstance,
+    Refusal,
     coloring_from_text,
     coloring_to_text,
+    cycle_nbc,
     graph_from_text,
     graph_to_text,
     hypercube_nbc,
     is_nbkc,
+    product_nbc,
     reduce_ess_to_nbc,
     roles_to_text,
     solve,
 )
+from nbcolor.balance import _balanced
 from nbcolor.cli import run
 from nbcolor.graph import complete_graph, cycle_graph
 
@@ -380,17 +385,50 @@ def test_decode_verifies_the_coloring_once(tmp_path, monkeypatch, capsys):
     cf.write_text("k 2\n" + "".join(f"v {v} 1\n" for v in range(n)))
     capsys.readouterr()
 
-    calls = _count_calls(monkeypatch, is_nbkc)
+    # The balance check runs once; the full report only for an imbalance.
+    checks = _count_calls(monkeypatch, _balanced)
+    reports = _count_calls(monkeypatch, is_nbkc)
     assert run(["decode", str(gf), str(wf)]) == 0
-    assert len(calls) == 1
+    assert (len(checks), len(reports)) == (1, 0)
     assert capsys.readouterr().out.startswith("equal subset sums: 3\n")
 
-    calls.clear()
+    checks.clear()
     assert run(["decode", str(gf), str(cf)]) == 1
-    assert len(calls) == 1
+    assert (len(checks), len(reports)) == (1, 1)
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "UNBALANCED"
     assert out[1].endswith(" vertices violate balance")
+
+
+def test_gates_build_no_balance_report(monkeypatch):
+    """Builders and the solver gate what they return with the balance check
+    alone; the full report is built only where it is printed or returned."""
+    checks = _count_calls(monkeypatch, _balanced)
+    reports = _count_calls(monkeypatch, is_nbkc)
+    g, c = cycle_nbc(8)
+    assert solve(g, 2).status == "SAT"
+    assert not isinstance(product_nbc("cartesian", g, g, c, c), Refusal)
+    assert checks and not reports
+
+
+@pytest.mark.parametrize("command", ["verify", "decode"])
+def test_palette_header_cannot_size_the_verifier(tmp_path, capsys, command):
+    """A ``k`` header above the coloring's vertex count exits 2 before any
+    k-by-k report is allocated (k = 2000 would take ~60 MiB)."""
+    gf = tmp_path / "one.graph"
+    gf.write_text("p 1 0\n")
+    (tmp_path / "one.roles").write_text("r 0 base 1\n")
+    cf = tmp_path / "wide.coloring"
+    cf.write_text("k 2000\nv 0 1\n")
+    tracemalloc.start()
+    try:
+        code = run([command, str(gf), str(cf)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 4 * 2**20
+    assert "palette size 2000 exceeds the 1 colored vertices" in capsys.readouterr().err
 
 
 def test_decode_reports_imbalance_before_a_bad_sidecar(tmp_path, capsys):
