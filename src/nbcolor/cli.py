@@ -184,6 +184,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
+    if args.k > g.n:
+        # _read_coloring's bound: a witness must be a coloring verify reads back.
+        raise ValueError(
+            f"{args.graph}: palette size {args.k} exceeds the {g.n} vertices"
+        )
     cfg = solver.SolveConfig(mode=args.mode, node_budget=args.budget)
     outcome = solver.solve(g, args.k, cfg)
     if args.format == "json":
@@ -349,13 +354,14 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 def _cmd_export_cnf(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
+    # Built before the file is opened, so a refused input writes no file.
     doc = cnf.to_cnf(g, args.k)
-    text = doc.to_dimacs()
     if args.output:
-        _write(args.output, text)
-        print(f"wrote {args.output} ({doc.num_vars} vars, {len(doc.clauses)} clauses)")
+        with open(args.output, "w") as f:
+            doc.to_dimacs(f)
+        print(f"wrote {args.output} ({doc.num_vars} vars, {doc.num_clauses} clauses)")
     else:
-        sys.stdout.write(text)
+        doc.to_dimacs(sys.stdout)
     return 0
 
 
@@ -521,3 +527,7 @@ def main() -> None:
 
 
 __all__ = ["run", "main"]
+
+
+if __name__ == "__main__":
+    main()

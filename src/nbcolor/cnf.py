@@ -9,16 +9,53 @@ The counter registers are fully defined (both implication directions), so a
 model's register values are forced by the selector values; decoding needs
 only the selectors.  The at-least side reads off the final register, the
 at-most side forbids incrementing past the quota.
+
+A counter's clauses depend only on the degree and the quota, so ``to_cnf``
+encodes one template per distinct degree, over numbered slots, and every
+(vertex, color) constraint fills a template's slots with its neighbors'
+selectors and its own registers.  The document keeps the templates and the
+graph rather than the clauses: ``clauses`` is built on first access, and
+``to_dimacs`` streams the text one constraint at a time, so exporting needs
+memory for neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable
+from dataclasses import dataclass, field
+from functools import cached_property
+from io import StringIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .balance import Coloring
 from .graph import Graph
+
+
+@dataclass(frozen=True)
+class _Template:
+    """Clauses over slots 1, 2, ...; a negative number is a negated slot.
+
+    ``text`` is their DIMACS lines with a format field per slot (``{i}`` or
+    ``-{i}`` for slot i + 1), so ``text.format(*values)`` renders the clauses
+    with slot i + 1 standing for ``values[i]``.  ``registers`` counts the
+    trailing slots that are the constraint's own fresh variables.
+    """
+
+    clauses: tuple[tuple[int, ...], ...]
+    text: str
+    registers: int
+
+
+def _template(clauses: list[tuple[int, ...]], registers: int = 0) -> _Template:
+    fields = [
+        " ".join([f"{{{s - 1}}}" if s > 0 else f"-{{{-s - 1}}}" for s in clause])
+        for clause in clauses
+    ]
+    text = "".join(line + " 0\n" for line in fields)
+    return _Template(tuple(clauses), text, registers)
+
+
+# A refused instance's one clause: empty, so every solver answers UNSAT at once.
+_EMPTY = _template([()])
 
 
 @dataclass(frozen=True)
@@ -27,14 +64,21 @@ class CnfDocument:
 
     ``clauses`` hold signed DIMACS-style literals.  ``var(v, c)`` maps a
     vertex/color pair to its selector variable; auxiliary counter variables
-    live above ``n * k``.
+    live above ``n * k``.  The clauses expand from ``graph``, the
+    exactly-one template and one counter template per degree (``counters``);
+    a refused instance has no graph and the single empty clause.
     """
 
     n: int
     k: int
     num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
+    num_clauses: int
     comments: tuple[str, ...]
+    graph: Graph | None = field(default=None, repr=False)
+    exactly_one: _Template | None = field(default=None, repr=False, compare=False)
+    counters: Mapping[int, _Template] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def var(self, v: int, c: int) -> int:
         if not 0 <= v < self.n:
@@ -56,17 +100,51 @@ class CnfDocument:
             colors.append(chosen[0])
         return Coloring(self.k, tuple(colors))
 
-    def to_dimacs(self) -> str:
-        lines = [f"c {text}" for text in self.comments]
-        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        if self.clauses:
-            # One "%d ... %d 0" format per clause length (" 0" for the empty
-            # clause), filled with all of the document's literals at once.
-            longest = max(map(len, self.clauses))
-            formats = [" ".join(["%d"] * size) + " 0" for size in range(longest + 1)]
-            body = "\n".join([formats[len(clause)] for clause in self.clauses])
-            lines.append(body % tuple(chain.from_iterable(self.clauses)))
-        return "\n".join(lines) + "\n"
+    def _blocks(self) -> Iterator[tuple[_Template, Sequence[int]]]:
+        """Each constraint's template and its slot values, in clause order."""
+        g, k, one = self.graph, self.k, self.exactly_one
+        if g is None or one is None:
+            yield _EMPTY, ()
+            return
+        for v in range(self.n):
+            yield one, range(v * k + 1, v * k + k + 1)
+        next_var = self.n * k + 1
+        for v in range(self.n):
+            nb = g.neighbors(v)
+            if not nb:
+                continue
+            counter = self.counters[len(nb)]
+            width = counter.registers
+            for c in range(1, k + 1):
+                values = [u * k + c for u in nb]
+                values.extend(range(next_var, next_var + width))
+                next_var += width
+                yield counter, values
+
+    @cached_property
+    def clauses(self) -> tuple[tuple[int, ...], ...]:
+        """Every clause, built from the templates on first access."""
+        out: list[tuple[int, ...]] = []
+        for template, values in self._blocks():
+            # lookup[s] is slot s's number and lookup[-s] its negation.
+            lookup = [0, *values, *(-x for x in reversed(values))]
+            out.extend(tuple(map(lookup.__getitem__, c)) for c in template.clauses)
+        return tuple(out)
+
+    def to_dimacs(self, out: TextIO | None = None) -> str | None:
+        """The DIMACS text, returned when ``out`` is None.
+
+        Given a text stream, writes the same text to it one constraint at a
+        time and returns None, so neither the text nor the clauses are held.
+        """
+        sink = StringIO() if out is None else out
+        write = sink.write
+        for text in self.comments:
+            write(f"c {text}\n")
+        write(f"p cnf {self.num_vars} {self.num_clauses}\n")
+        for template, values in self._blocks():
+            write(template.text.format(*values))
+        return sink.getvalue() if out is None else None
 
 
 def _exact_count(
@@ -138,47 +216,53 @@ def to_cnf(g: Graph, k: int) -> CnfDocument:
         f"selector variable for vertex v (0-based) and color c (1..{k}): v*{k} + c",
         f"selectors occupy 1..{n * k}; counter registers follow",
     ]
-    offender = next((v for v in range(n) if g.degree(v) % k != 0), None)
+    degrees = g.degrees()
+    offender = next((v for v, d in enumerate(degrees) if d % k != 0), None)
     if offender is not None:
         return CnfDocument(
             n=n,
             k=k,
             num_vars=n * k,
-            clauses=((),),
+            num_clauses=1,
             comments=tuple(
                 base_comments
                 + [
-                    f"vertex {offender} has degree {g.degree(offender)}, not a "
+                    f"vertex {offender} has degree {degrees[offender]}, not a "
                     f"multiple of {k}: the instance is trivially unsatisfiable",
                 ]
             ),
         )
 
-    clauses: list[tuple[int, ...]] = []
-    selectors = [list(range(v * k + 1, v * k + k + 1)) for v in range(n)]
-    for sel in selectors:
-        clauses.append(tuple(sel))
-        negated = [-lit for lit in sel]
-        for a in range(k):
-            for b in range(a + 1, k):
-                clauses.append((negated[a], negated[b]))
-
-    next_var = n * k + 1
-    for v in range(n):
-        nb = g.neighbors(v)
-        if not nb:
+    # Slots 1..k are one vertex's selectors.
+    exactly_one = _template(
+        [tuple(range(1, k + 1))]
+        + [(-a, -b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+    )
+    num_vars = n * k
+    num_clauses = n * len(exactly_one.clauses)
+    # Slots 1..d are a degree-d vertex's neighbors' selectors of one color,
+    # and the registers follow them.
+    counters: dict[int, _Template] = {}
+    for d in degrees:
+        if not d:
             continue
-        q = len(nb) // k
-        for c in range(k):
-            literals = [selectors[u][c] for u in nb]
-            next_var = _exact_count(literals, q, next_var, clauses)
+        counter = counters.get(d)
+        if counter is None:
+            clauses: list[tuple[int, ...]] = []
+            top = _exact_count(list(range(1, d + 1)), d // k, d + 1, clauses)
+            counter = counters[d] = _template(clauses, top - d - 1)
+        num_vars += k * counter.registers
+        num_clauses += k * len(counter.clauses)
 
     return CnfDocument(
         n=n,
         k=k,
-        num_vars=next_var - 1,
-        clauses=tuple(clauses),
+        num_vars=num_vars,
+        num_clauses=num_clauses,
         comments=tuple(base_comments),
+        graph=g,
+        exactly_one=exactly_one,
+        counters=counters,
     )
 
 

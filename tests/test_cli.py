@@ -7,8 +7,11 @@ the suite stays in one process.
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nbcolor
 from nbcolor import (
     EssInstance,
     Refusal,
@@ -26,6 +30,7 @@ from nbcolor import (
     cycle_nbc,
     graph_from_text,
     graph_to_text,
+    hamming_nbc,
     hypercube_nbc,
     is_nbkc,
     product_nbc,
@@ -182,6 +187,37 @@ def test_solve_deep_graph(tmp_path, capsys):
     gf = write_graph(tmp_path / "q10.graph", hypercube_nbc(10)[0])
     assert run(["solve", gf, "-k", "2"]) == 0
     assert capsys.readouterr().out.startswith("SAT")
+
+
+def test_solve_refuses_a_palette_above_the_vertex_count(tmp_path, capsys):
+    """The witness would be a coloring that ``verify`` refuses to read."""
+    gf = tmp_path / "one.graph"
+    gf.write_text("p 1 0\n")
+    wf = tmp_path / "e1.coloring"
+    assert run(["solve", str(gf), "-k", "2", "-o", str(wf)]) == 2
+    assert not wf.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {gf}: palette size 2 exceeds the 1 vertices\n"
+
+
+@pytest.mark.parametrize(
+    "text,k",
+    [
+        ("p 2 0\n", 2),
+        ("p 3 0\n", 3),
+        ("p 5 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n", 2),
+        (graph_to_text(cycle_graph(8)), 2),
+    ],
+)
+def test_solve_witness_reads_back_in_verify(tmp_path, capsys, text, k):
+    gf = tmp_path / "in.graph"
+    gf.write_text(text)
+    wf = tmp_path / "w.coloring"
+    assert run(["solve", str(gf), "-k", str(k), "-o", str(wf)]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(gf), str(wf)]) == 0
+    assert capsys.readouterr().out.startswith("BALANCED\n")
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +511,43 @@ def test_export_cnf(tmp_path, c8, capsys):
     assert "p cnf " in text
 
 
+def test_export_cnf_streams_in_bounded_memory(tmp_path, capsys):
+    """H(6,3), k=3 is 355,023 clauses and 6.3 MB of text; neither is held
+    in memory (a document that kept them peaked at ~52 MiB)."""
+    gf = write_graph(tmp_path / "h63.graph", hamming_nbc(6, 3)[0])
+    out = tmp_path / "h63.cnf"
+    tracemalloc.start()
+    try:
+        code = run(["export-cnf", gf, "-k", "3", "-o", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20
+    assert capsys.readouterr().out.endswith(" clauses)\n")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4d605bc079ca9c1b1ee460629eef57fd94f0c15b04f24f33eed6923db20398e5"
+    )
+
+
+def test_export_cnf_stdout_matches_the_file(tmp_path, c8, capsys):
+    out = tmp_path / "f.cnf"
+    assert run(["export-cnf", c8, "-k", "2", "-o", str(out)]) == 0
+    summary = capsys.readouterr().out
+    text = out.read_text()
+    header = text.splitlines()[3].split()
+    assert summary == f"wrote {out} ({header[2]} vars, {header[3]} clauses)\n"
+    assert run(["export-cnf", c8, "-k", "2"]) == 0
+    assert capsys.readouterr().out == text
+
+
+def test_export_cnf_refusal_writes_no_file(tmp_path, c8, capsys):
+    out = tmp_path / "f.cnf"
+    assert run(["export-cnf", c8, "-k", "1", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "palette size must be at least 2" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------
@@ -508,6 +581,23 @@ def test_malformed_graph_reports_location(tmp_path, capsys):
     assert run(["analyze", str(bad), "-k", "2"]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def test_module_entry_point_runs_the_cli(tmp_path, c8, capsys):
+    """``python -m nbcolor.cli`` behaves like ``run``."""
+    run(["construct", "cycle", "8", "-k", "2", "-o", str(tmp_path / "ring")])
+    argv = ["verify", str(tmp_path / "ring.graph"), str(tmp_path / "ring.coloring")]
+    capsys.readouterr()
+    code = run(argv)
+    expected = capsys.readouterr().out
+    src = str(Path(nbcolor.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run([sys.executable, "-m", "nbcolor.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (code, expected)
+    assert code == 0 and expected.startswith("BALANCED\n")
 
 
 def test_unknown_subcommand(capsys):

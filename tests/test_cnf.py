@@ -1,6 +1,7 @@
 """CNF export checked against an independent DPLL solver."""
 
 import hashlib
+import io
 import random
 
 import pytest
@@ -105,6 +106,11 @@ def test_isolated_vertices_encode_fine():
     assert naive_balanced(g, coloring.colors, 2)
 
 
+def _mixed_degrees():
+    """K(3,6) plus two isolated vertices: degrees 6, 3 and 0, so three templates."""
+    return Graph(11, complete_multipartite_graph((3, 6)).edges)
+
+
 @pytest.mark.parametrize(
     "build,k,digest",
     [
@@ -117,6 +123,12 @@ def test_isolated_vertices_encode_fine():
         pytest.param(lambda: cycle_graph(8), 2,
                      "bb6627e89db9c046231b855439e560ca7792491fab1d282554b979eb3a537081",
                      id="C8"),
+        pytest.param(lambda: hamming_nbc(6, 3)[0], 3,
+                     "4d605bc079ca9c1b1ee460629eef57fd94f0c15b04f24f33eed6923db20398e5",
+                     id="H(6,3)"),
+        pytest.param(_mixed_degrees, 3,
+                     "12205081f7c040384c640033fb85aad69286ca788fa2e2f949e8d83ab865774a",
+                     id="K(3,6)+2"),
     ],
 )
 def test_dimacs_bytes_are_pinned(build, k, digest):
@@ -134,3 +146,45 @@ def test_refused_instance_document_is_pinned():
         "p cnf 8 1\n"
         " 0\n"
     )
+
+
+def test_empty_and_edgeless_documents_are_pinned():
+    assert to_cnf(Graph(0), 2).to_dimacs() == (
+        "c balanced 2-coloring of a graph with 0 vertices, 0 edges\n"
+        "c selector variable for vertex v (0-based) and color c (1..2): v*2 + c\n"
+        "c selectors occupy 1..0; counter registers follow\n"
+        "p cnf 0 0\n"
+    )
+    assert to_cnf(Graph(3), 3).to_dimacs() == (
+        "c balanced 3-coloring of a graph with 3 vertices, 0 edges\n"
+        "c selector variable for vertex v (0-based) and color c (1..3): v*3 + c\n"
+        "c selectors occupy 1..9; counter registers follow\n"
+        "p cnf 9 12\n"
+        "1 2 3 0\n-1 -2 0\n-1 -3 0\n-2 -3 0\n"
+        "4 5 6 0\n-4 -5 0\n-4 -6 0\n-5 -6 0\n"
+        "7 8 9 0\n-7 -8 0\n-7 -9 0\n-8 -9 0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "g,k",
+    [
+        (Graph(0), 2),
+        (Graph(4), 2),
+        (complete_graph(4), 2),
+        (cycle_graph(8), 2),
+        (_mixed_degrees(), 3),
+        (complete_multipartite_graph((2, 4, 6)), 2),
+        (hamming_nbc(3, 3)[0], 3),
+    ],
+)
+def test_clauses_agree_with_the_text(g, k):
+    """``clauses``, built on first access, the returned text and the
+    streamed text are one document: same count, same literals, same order."""
+    doc = to_cnf(g, k)
+    assert len(doc.clauses) == doc.num_clauses
+    sink = io.StringIO()
+    assert doc.to_dimacs(sink) is None
+    assert sink.getvalue() == doc.to_dimacs()
+    lines = sink.getvalue().splitlines()[len(doc.comments) + 1:]
+    assert [tuple(map(int, line.split()[:-1])) for line in lines] == list(doc.clauses)
