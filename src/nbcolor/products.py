@@ -214,12 +214,10 @@ def join_nbc(
     within each factor must have the same size: each g-vertex sees all of h,
     so h's classes must be uniform, and vice versa.
     """
-    if len(cg.colors) != g.n or len(ch.colors) != h.n:
-        raise ValueError("coloring lengths do not match the graphs")
-    if cg.k != ch.k:
-        return Refusal("palette-mismatch", f"palettes differ: {cg.k} vs {ch.k}")
     _balanced_input(g, cg, "first")
     _balanced_input(h, ch, "second")
+    if cg.k != ch.k:
+        return Refusal("palette-mismatch", f"palettes differ: {cg.k} vs {ch.k}")
     for name, coloring in (("first", cg), ("second", ch)):
         sizes = coloring.class_sizes()
         if len(set(sizes)) != 1:

@@ -12,8 +12,7 @@
 (e) twin-class symmetry breaking — a vertex takes no color below that of the
     previous vertex in the fixed order with the same open neighbourhood (a
     false twin), since swapping the colors of false twins keeps every
-    neighbourhood's color counts.  Vertices named in a same-color pair stay
-    out of twin classes, as a swap could break the pin,
+    neighbourhood's color counts,
 (f) fail-first vertex choice — ``first-witness`` colors next the uncolored
     vertex with the fewest eligible colors, the earliest in the fixed order
     on ties; ``canonical-min`` and count mode follow the fixed order.
@@ -65,14 +64,11 @@ class SolveConfig:
     number of balanced colorings.  ``first-witness`` colors the most
     constrained vertex next (fewest eligible colors); ``canonical-min`` and
     ``count`` keep the fixed order.  ``node_budget`` caps assignments made
-    before giving up.  ``same_color`` adds pairwise equal-color side
-    constraints (used by gadget analysis); these are color-permutation
-    invariant, so symmetry breaking stays sound.
+    before giving up.
     """
 
     mode: str = "first-witness"
     node_budget: int | None = None
-    same_color: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -87,12 +83,14 @@ class SolveOutcome:
 
     ``status`` is SAT, UNSAT, or BUDGET_EXCEEDED.  ``witness`` is present
     exactly when SAT (and has been verified balanced before being returned).
-    ``count`` is present in count mode.  ``pruned_by`` tallies how often each
-    pruning rule fired, keyed by rule name: ``symmetry`` and ``twin`` count
-    candidate colors skipped by (d) and (e), ``quota`` candidates banned by
-    forward checking, and ``deficit`` assignments that left some uncolored
-    vertex without a feasible color.  When the necessity gate refuses, the
-    only key is the failed screen's rule name (for example ``regular-size``).
+    ``count`` is present in count mode.  ``nodes_explored`` counts the
+    assignments made (tried, by brute force), so under BUDGET_EXCEEDED it
+    equals the budget.  ``pruned_by`` tallies how often each pruning rule
+    fired, keyed by rule name: ``symmetry`` and ``twin`` count candidate
+    colors skipped by (d) and (e), ``quota`` candidates banned by forward
+    checking, and ``deficit`` assignments that left some uncolored vertex
+    without a feasible color.  When the necessity gate refuses, the only key
+    is the failed screen's rule name (for example ``regular-size``).
     """
 
     status: str
@@ -100,10 +98,6 @@ class SolveOutcome:
     count: int | None = None
     nodes_explored: int = 0
     pruned_by: dict[str, int] = field(default_factory=dict)
-
-
-class _Budget(Exception):
-    """Raised internally when the node budget runs out."""
 
 
 class _Search:
@@ -118,137 +112,69 @@ class _Search:
     ) -> None:
         self.k = k
         self.cfg = cfg
-        self.budget = math.inf if cfg.node_budget is None else cfg.node_budget
         self.order = order
         self.adj = tuple(map(g.neighbors, range(g.n)))
-        self.quota = tuple(len(nb) // k for nb in self.adj)
         self.color = [0] * g.n
-        self.counts = [[0] * (k + 1) for _ in range(g.n)]  # counts[v][c]
-        self.bans = [[0] * (k + 1) for _ in range(g.n)]  # bans[v][c]
-        self.eligible = [k] * g.n
         self.nodes = 0
         self.pruned: dict[str, int] = {}
         self.count = 0
-        # Union the same-color pairs into groups; each group forces one color.
-        leader = list(range(g.n))
-
-        def find(x: int) -> int:
-            while leader[x] != x:
-                leader[x] = leader[leader[x]]
-                x = leader[x]
-            return x
-
-        for a, b in cfg.same_color:
-            if not (0 <= a < g.n and 0 <= b < g.n):
-                raise ValueError(f"same-color pair ({a}, {b}) out of range")
-            leader[find(a)] = find(b)
-        self.group = tuple(map(find, range(g.n)))
         # twin[v]: the previous vertex in the order with the same open
         # neighbourhood, -1 if none.  Count mode weights leaves by color
-        # orbits only, and a pinned vertex cannot swap with its twin.
+        # orbits only.
         twin = [-1] * g.n
         if cfg.mode != "count":
-            pinned = {v for pair in cfg.same_color for v in pair}
             seen: dict[tuple[int, ...], int] = {}
             for v in order:
-                if v not in pinned:
-                    nb = self.adj[v]
-                    twin[v] = seen.get(nb, -1)
-                    seen[nb] = v
+                nb = self.adj[v]
+                twin[v] = seen.get(nb, -1)
+                seen[nb] = v
         self.twin = twin
-        # masks[e] has bit rank(v) set for each uncolored vertex v with e
-        # eligible colors, rank being the position in the order.
-        bit = [0] * g.n
-        for r, v in enumerate(order):
-            bit[v] = 1 << r
-        self.masks = [0] * k + [(1 << g.n) - 1]
-        # What _assign and _unassign read and update, unpacked once per call.
-        self.state = (
-            self.adj, self.quota, self.counts, self.bans,
-            self.color, self.eligible, self.masks, bit,
-        )
 
-    def _assign(self, v: int, c: int) -> bool:
-        """Apply an assignment; returns False when forward checking wipes out
-        some uncolored vertex (the assignment still stands and must be undone).
-        """
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _Budget
-        adj, quota, counts, bans, color, eligible, masks, bit = self.state
-        color[v] = c
-        masks[eligible[v]] ^= bit[v]
-        ok = True
-        for u in adj[v]:
-            cu = counts[u]
-            cu[c] += 1
-            if cu[c] == quota[u]:
-                for w in adj[u]:
-                    if color[w] == 0:
-                        bw = bans[w]
-                        bw[c] += 1
-                        if bw[c] == 1:
-                            e = eligible[w]
-                            eligible[w] = e - 1
-                            masks[e] ^= bit[w]
-                            masks[e - 1] ^= bit[w]
-                            if e == 1:
-                                ok = False
-        return ok
-
-    def _unassign(self, v: int, c: int) -> None:
-        adj, quota, counts, bans, color, eligible, masks, bit = self.state
-        for u in adj[v]:
-            cu = counts[u]
-            if cu[c] == quota[u]:
-                for w in adj[u]:
-                    if color[w] == 0:
-                        bw = bans[w]
-                        bw[c] -= 1
-                        if bw[c] == 0:
-                            e = eligible[w]
-                            eligible[w] = e + 1
-                            masks[e] ^= bit[w]
-                            masks[e + 1] ^= bit[w]
-            cu[c] -= 1
-        color[v] = 0
-        masks[eligible[v]] ^= bit[v]
-
-    def run(self) -> bool:
+    def run(self) -> bool | None:
         """Search depth-first, colors in increasing order, with one frame per
         depth.  Frame d colors ``vert[d]``: the next vertex of the order in
         ``canonical-min`` and count mode, the uncolored vertex with the fewest
         eligible colors (earliest in the order on ties) in ``first-witness``.
-        Returns True when stopped at a witness (left in ``color``); in count
-        mode, tallies every leaf into ``count`` and returns False once the
-        tree is exhausted.
+
+        Returns True when stopped at a witness (left in ``color``); False once
+        the tree is exhausted, count mode having tallied every leaf into
+        ``count``; None when the node budget runs out, ``nodes`` then being
+        the budget.
         """
         order, k, n = self.order, self.k, len(self.order)
-        group, bans, twin = self.group, self.bans, self.twin
-        color, masks = self.color, self.masks
-        assign, unassign, pruned = self._assign, self._unassign, self.pruned
+        adj, twin, color, pruned = self.adj, self.twin, self.color, self.pruned
+        budget = self.cfg.node_budget or math.inf
         counting = self.cfg.mode == "count"
         dynamic = self.cfg.mode == "first-witness"
+        quota = [len(nb) // k for nb in adj]
+        counts = [[0] * (k + 1) for _ in range(n)]  # counts[v][c]
+        bans = [[0] * (k + 1) for _ in range(n)]  # bans[v][c]
+        eligible = [k] * n
+        # masks[e] has bit rank(v) set for each uncolored vertex v with e
+        # eligible colors, rank being the position in the order.
+        bit = [0] * n
+        for r, v in enumerate(order):
+            bit[v] = 1 << r
+        masks = [0] * k + [(1 << n) - 1]
         # Symmetry breaking makes a leaf use exactly colors 1..maxused; a leaf
         # using 1..m stands for the k(k-1)...(k-m+1) colorings that relabel it.
         orbit = [1] * (k + 1)
         for m in range(1, k + 1):
             orbit[m] = orbit[m - 1] * (k - m + 1)
-        group_color: dict[int, int] = {}
         # Frame d: the vertex it colors, next and last candidate color, the
-        # color held (0: none), whether it fixed its group's color, and
-        # maxused before it.
+        # color held (0: none), and maxused before it.
         vert = [0] * n
         nxt = [0] * n
         last = [0] * n
         held = [0] * n
-        owns = [False] * n
         below = [0] * n
         maxused = 0
+        nodes = 0
         d = 0
         while True:
             if d == n:
                 if not counting:
+                    self.nodes = nodes
                     return True
                 self.count += orbit[maxused]
                 d -= 1
@@ -261,27 +187,35 @@ class _Search:
                 else:
                     v = order[d]
                 vert[d] = v
-                forced = group_color.get(group[v])
                 cap = min(k, maxused + 1)
-                if forced is None:
-                    if cap < k:
-                        pruned["symmetry"] = pruned.get("symmetry", 0) + k - cap
-                    t = twin[v]
-                    lo = color[t] if t >= 0 else 1
-                    if lo > 1:
-                        pruned["twin"] = pruned.get("twin", 0) + lo - 1
-                    nxt[d], last[d] = lo, cap
-                else:
-                    nxt[d], last[d] = forced, forced if forced <= cap else 0
-                owns[d] = forced is None
+                if cap < k:
+                    pruned["symmetry"] = pruned.get("symmetry", 0) + k - cap
+                t = twin[v]
+                lo = color[t] if t >= 0 else 1
+                if lo > 1:
+                    pruned["twin"] = pruned.get("twin", 0) + lo - 1
+                nxt[d], last[d] = lo, cap
                 below[d] = maxused
             while d >= 0:
                 v = vert[d]
                 c = held[d]
                 if c:
-                    unassign(v, c)
-                    if owns[d]:
-                        del group_color[group[v]]
+                    # Undo the held color: lift the bans its saturations set.
+                    for u in adj[v]:
+                        cu = counts[u]
+                        if cu[c] == quota[u]:
+                            for w in adj[u]:
+                                if color[w] == 0:
+                                    bw = bans[w]
+                                    bw[c] -= 1
+                                    if bw[c] == 0:
+                                        e = eligible[w]
+                                        eligible[w] = e + 1
+                                        masks[e] ^= bit[w]
+                                        masks[e + 1] ^= bit[w]
+                        cu[c] -= 1
+                    color[v] = 0
+                    masks[eligible[v]] ^= bit[v]
                     maxused = below[d]
                     held[d] = 0
                 c, hi, bv = nxt[d], last[d], bans[v]
@@ -291,17 +225,42 @@ class _Search:
                 if c > hi:
                     d -= 1
                     continue
+                if nodes == budget:
+                    self.nodes = nodes
+                    return None
+                nodes += 1
                 nxt[d] = c + 1
                 held[d] = c
                 if c > maxused:
                     maxused = c
-                if owns[d]:
-                    group_color[group[v]] = c
-                if assign(v, c):
+                # Assign c to v and forward-check: a neighbourhood that
+                # saturates c bans it on its center's uncolored neighbours.
+                # A vertex left with no eligible color kills the branch, but
+                # every ban still lands, so the undo above stays symmetric.
+                color[v] = c
+                masks[eligible[v]] ^= bit[v]
+                ok = True
+                for u in adj[v]:
+                    cu = counts[u]
+                    cu[c] += 1
+                    if cu[c] == quota[u]:
+                        for w in adj[u]:
+                            if color[w] == 0:
+                                bw = bans[w]
+                                bw[c] += 1
+                                if bw[c] == 1:
+                                    e = eligible[w]
+                                    eligible[w] = e - 1
+                                    masks[e] ^= bit[w]
+                                    masks[e - 1] ^= bit[w]
+                                    if e == 1:
+                                        ok = False
+                if ok:
                     d += 1
                     break
                 pruned["deficit"] = pruned.get("deficit", 0) + 1
             else:
+                self.nodes = nodes
                 return False
 
 
@@ -334,34 +293,18 @@ def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:
             pruned_by={gate.failed_rule: 1},
         )
     search = _Search(g, k, cfg, _vertex_order(g))
-    try:
-        found = search.run()
-    except _Budget:
-        return SolveOutcome(
-            status="BUDGET_EXCEEDED",
-            nodes_explored=search.nodes,
-            pruned_by=search.pruned,
-        )
-    if cfg.mode == "count":
-        return SolveOutcome(
-            status="SAT" if search.count > 0 else "UNSAT",
-            count=search.count,
-            nodes_explored=search.nodes,
-            pruned_by=search.pruned,
-        )
-    if not found:
-        return SolveOutcome(
-            status="UNSAT",
-            nodes_explored=search.nodes,
-            pruned_by=search.pruned,
-        )
-    witness = Coloring(k, tuple(search.color))
-    return SolveOutcome(
-        status="SAT",
-        witness=_balanced_output(g, witness, "solver witness"),
-        nodes_explored=search.nodes,
-        pruned_by=search.pruned,
-    )
+    found = search.run()
+    out = SolveOutcome("UNSAT", nodes_explored=search.nodes, pruned_by=search.pruned)
+    if found is None:
+        out.status = "BUDGET_EXCEEDED"
+    elif cfg.mode == "count":
+        out.status = "SAT" if search.count else "UNSAT"
+        out.count = search.count
+    elif found:
+        out.status = "SAT"
+        witness = Coloring(k, tuple(search.color))
+        out.witness = _balanced_output(g, witness, "solver witness")
+    return out
 
 
 _DEFAULT_CAP_BITS = 24
@@ -376,7 +319,7 @@ def _enumeration_cap(n: int, k: int, cap_bits: int) -> None:
         )
 
 
-def _balanced_assignments(
+def _enumerate_balanced(
     g: Graph, k: int, cap_bits: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (assignments tried so far, assignment) for every balanced one,
@@ -397,7 +340,7 @@ def brute_force(g: Graph, k: int, cap_bits: int = _DEFAULT_CAP_BITS) -> SolveOut
     balance by direct counting.  No degree gate, no symmetry breaking —
     deliberately, so this oracle cannot inherit a bug from the clever path.
     """
-    for tried, assignment in _balanced_assignments(g, k, cap_bits):
+    for tried, assignment in _enumerate_balanced(g, k, cap_bits):
         witness = _balanced_output(g, Coloring(k, assignment), "brute-force witness")
         return SolveOutcome(status="SAT", witness=witness, nodes_explored=tried)
     return SolveOutcome(status="UNSAT", nodes_explored=k**g.n)
@@ -405,7 +348,7 @@ def brute_force(g: Graph, k: int, cap_bits: int = _DEFAULT_CAP_BITS) -> SolveOut
 
 def count_colorings(g: Graph, k: int, cap_bits: int = _DEFAULT_CAP_BITS) -> int:
     """Number of balanced k-colorings with labeled colors, by enumeration."""
-    return sum(1 for _ in _balanced_assignments(g, k, cap_bits))
+    return sum(1 for _ in _enumerate_balanced(g, k, cap_bits))
 
 
 __all__ = [

@@ -235,9 +235,14 @@ def cycle_union_nbc(
     each component endpoint picks up (n-1)/2 extra neighbors of each color.
 
     Even n is refused outright: a component endpoint would have degree n + 1,
-    which is odd, violating degree divisibility for k = 2.
+    which is odd, violating degree divisibility for k = 2.  Inputs are checked
+    before any refusal: n < 1, or an S that is not a dependent proper subset
+    of 0..m-1, raises ``ValueError``.
     """
     s = frozenset(s)
+    if n < 1:
+        raise ValueError(f"need at least one copy, got {n}")
+    ideal, reason = is_ideal_dependent_set(m, s)  # validates m, S, dependence
     if m % 4 != 0:
         return Refusal(
             "cycle-order",
@@ -250,7 +255,6 @@ def cycle_union_nbc(
             f"with n={n} copies each component endpoint has degree n+1={n + 1}, "
             f"odd, so degree divisibility by 2 fails",
         )
-    ideal, reason = is_ideal_dependent_set(m, s)  # validates m, S, dependence
     if not ideal:
         return Refusal(
             "not-ideal",

@@ -8,7 +8,7 @@ code that shares none of its logic.
 
 from collections import Counter
 
-from nbcolor import Graph
+from nbcolor import Graph, to_cnf
 
 
 def naive_balanced(g, colors, k, closed=False):
@@ -77,6 +77,20 @@ def dpll(clauses):
 def complete_model(model, num_vars):
     """Extend a partial DPLL model to a total literal list (missing = false)."""
     return [v if v in model else -v for v in range(1, num_vars + 1)]
+
+
+def same_color_witness(g, k, u, v):
+    """Colors of a balanced k-coloring of g with c(u) == c(v), or None.
+
+    Solves the CNF export plus the clauses "u has color c implies v has
+    color c" with the DPLL above, so no search code of the package is used.
+    """
+    doc = to_cnf(g, k)
+    pins = [(-doc.var(u, c), doc.var(v, c)) for c in range(1, k + 1)]
+    model = dpll(list(doc.clauses) + pins)
+    if model is None:
+        return None
+    return doc.decode_model(complete_model(model, doc.num_vars)).colors
 
 
 def bowtie():

@@ -12,12 +12,11 @@ from functools import lru_cache
 
 import pytest
 
-from helpers import naive_balanced, random_graph
+from helpers import naive_balanced, random_graph, same_color_witness
 from nbcolor import (
     CirculantSpec,
     EssInstance,
     Refusal,
-    SolveConfig,
     UnionSpec,
     brute_force,
     check_necessary,
@@ -360,11 +359,10 @@ def test_criterion_09_flawed_gadget_regression():
     t0 = time.perf_counter()
     fg = flawed_gadget({4, 3, 1})
     free = solve(fg.graph, 2)
-    pinned = solve(fg.graph, 2, SolveConfig(same_color=((fg.u1, fg.u2),)))
-    ok = free.status == "SAT" and pinned.status == "SAT"
-    detail = f"free={free.status} pinned={pinned.status}"
+    colors = same_color_witness(fg.graph, 2, fg.u1, fg.u2)
+    ok = free.status == "SAT" and colors is not None
+    detail = f"free={free.status} pinned={'UNSAT' if colors is None else 'SAT'}"
     if ok:
-        colors = pinned.witness.colors
         ok = colors[fg.u1] == colors[fg.u2] and naive_balanced(fg.graph, colors, 2)
         detail = "pinned witness broken"
     _report(9, "flawed-gadget", time.perf_counter() - t0, 30.0, ok, detail)

@@ -180,7 +180,7 @@ def test_solve_count_mode(c8, capsys):
 def test_solve_budget_exceeded(tmp_path, capsys):
     gf = write_graph(tmp_path / "c24.graph", cycle_graph(24))
     assert run(["solve", gf, "-k", "2", "--budget", "3"]) == 1
-    assert "BUDGET-EXCEEDED" in capsys.readouterr().out
+    assert capsys.readouterr().out == "BUDGET-EXCEEDED\nexplored 3 nodes\n"
 
 
 def test_solve_deep_graph(tmp_path, capsys):
@@ -317,6 +317,16 @@ def test_union_cycle_route(tmp_path, capsys):
 def test_union_cycle_refusal(capsys):
     assert run(["union", "--cycle", "8", "--set", "0,1", "--copies", "3"]) == 1
     assert "REFUSED not-ideal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "glue,copies", [("0,1", "0"), ("0,1", "-1"), ("0,9", "2")]
+)
+def test_union_cycle_bad_input_is_an_error_not_a_refusal(capsys, glue, copies):
+    assert run(["union", "--cycle", "8", "--set", glue, "--copies", copies]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_union_congruence_route(c8, capsys):

@@ -215,6 +215,16 @@ def test_join_refuses_palette_mismatch():
     assert out.rule == "palette-mismatch"
 
 
+def test_join_checks_balance_before_palettes():
+    """An unbalanced factor is an input error, as in ``product_nbc``, not a
+    palette refusal."""
+    k33, c3 = complete_multipartite_nbc((3, 3), 3)
+    with pytest.raises(ValueError, match="first coloring is not balanced"):
+        join_nbc(C4G, Coloring(2, (1, 1, 1, 1)), k33, c3)
+    with pytest.raises(ValueError, match="second coloring covers 3 vertices"):
+        join_nbc(C4G, C4, k33, Coloring(3, (1, 2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # Embedding into a balanced host
 # ---------------------------------------------------------------------------

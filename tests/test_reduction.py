@@ -4,12 +4,11 @@ import itertools
 
 import pytest
 
-from helpers import naive_balanced
+from helpers import naive_balanced, same_color_witness
 from nbcolor import (
     Coloring,
     EssInstance,
     Refusal,
-    SolveConfig,
     UnbalancedColoring,
     brute_force,
     decode,
@@ -269,9 +268,8 @@ def test_flawed_gadget_is_colorable():
 def test_flawed_gadget_fails_to_force_hub_disagreement():
     """The intended constraint c(u1) != c(u2) is not actually enforced."""
     fg = flawed_gadget({4, 3, 1})
-    pinned = solve(fg.graph, 2, SolveConfig(same_color=((fg.u1, fg.u2),)))
-    assert pinned.status == "SAT"
-    c = pinned.witness.colors
+    c = same_color_witness(fg.graph, 2, fg.u1, fg.u2)
+    assert c is not None
     assert c[fg.u1] == c[fg.u2]
     assert naive_balanced(fg.graph, c, 2)
 

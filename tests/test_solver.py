@@ -197,58 +197,18 @@ def test_canonical_min_is_lexicographic_minimum(seed):
 
 
 # ---------------------------------------------------------------------------
-# Same-color constraints
-# ---------------------------------------------------------------------------
-
-
-def test_same_color_restricts_count():
-    g = cycle_graph(8)
-    assert solve(g, 2, SolveConfig(mode="count", same_color=((0, 1),))).count == 2
-    assert solve(g, 2, SolveConfig(mode="count", same_color=((0, 2),))).count == 0
-
-
-def test_same_color_witness_respects_groups():
-    g = CirculantSpec(8, (1, 3)).graph()
-    out = solve(g, 2, SolveConfig(same_color=((0, 5), (5, 7))))
-    assert out.status == "SAT"
-    c = out.witness.colors
-    assert c[0] == c[5] == c[7]
-    assert naive_balanced(g, c, 2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_same_color_count_matches_filtered_enumeration(seed):
-    import itertools
-
-    rng = random.Random(seed)
-    n = rng.randint(2, 6)
-    g = random_graph(rng, n, 0.5)
-    u, v = rng.sample(range(n), 2)
-    got = solve(g, 2, SolveConfig(mode="count", same_color=((u, v),))).count
-    want = sum(
-        1
-        for assignment in itertools.product((1, 2), repeat=n)
-        if assignment[u] == assignment[v] and naive_balanced(g, assignment, 2)
-    )
-    assert got == want
-
-
-def test_same_color_vertex_validation():
-    with pytest.raises(ValueError):
-        solve(cycle_graph(4), 2, SolveConfig(same_color=((0, 9),)))
-
-
-# ---------------------------------------------------------------------------
 # Budgets and statistics
 # ---------------------------------------------------------------------------
 
 
 def test_budget_exceeded():
     g = CirculantSpec(24, (1, 4, 7, 10)).graph()
-    out = solve(g, 4, SolveConfig(node_budget=5))
-    assert out.status == "BUDGET_EXCEEDED"
-    assert out.witness is None
+    for mode in ("first-witness", "canonical-min", "count"):
+        out = solve(g, 4, SolveConfig(mode=mode, node_budget=5))
+        assert out.status == "BUDGET_EXCEEDED"
+        assert out.witness is None
+        assert out.count is None
+        assert out.nodes_explored == 5  # assignments made, the budget exactly
 
 
 def test_budget_generous_enough_solves():
@@ -288,6 +248,22 @@ def test_explored_tree_is_pinned_on_a_reduction_instance():
     assert out.pruned_by == {"symmetry": 1, "quota": 4298, "deficit": 30}
 
 
+@pytest.mark.parametrize(
+    "values,k,status,nodes,pruned_by",
+    [
+        ((1, 2, 3, 4), 2, "SAT", 223, {"symmetry": 1, "quota": 159, "deficit": 23}),
+        ((4, 4, 4, 6, 6), 3, "UNSAT", 12300,
+         {"symmetry": 4, "quota": 21322, "deficit": 729, "twin": 1090}),
+    ],
+)
+def test_canonical_min_tree_is_pinned(values, k, status, nodes, pruned_by):
+    g = reduce_ess_to_nbc(EssInstance(values, k)).graph
+    out = solve(g, k, SolveConfig(mode="canonical-min"))
+    assert out.status == status
+    assert out.nodes_explored == nodes
+    assert list(out.pruned_by.items()) == list(pruned_by.items())
+
+
 # ---------------------------------------------------------------------------
 # Twin-class symmetry breaking
 # ---------------------------------------------------------------------------
@@ -308,21 +284,21 @@ def graph_with_cloned_twins(rng, n, clones):
     return Graph(len(adj), [(u, v) for u in range(len(adj)) for v in adj[u] if u < v])
 
 
-def lex_min_under_search_order(g, k, same_color=()):
-    """Smallest balanced assignment obeying the same-color pairs, comparing
-    colors in the solver's vertex order; None when there is none."""
+def lex_min_under_search_order(g, k):
+    """Smallest balanced assignment, comparing colors in the solver's vertex
+    order; None when there is none."""
     order = _vertex_order(g)
     balanced = (
         a for a in itertools.product(range(1, k + 1), repeat=g.n)
-        if all(a[u] == a[v] for u, v in same_color) and naive_balanced(g, a, k)
+        if naive_balanced(g, a, k)
     )
     return min(balanced, key=lambda a: [a[v] for v in order], default=None)
 
 
-def assert_canonical_witness(g, k, same_color=()):
-    want = lex_min_under_search_order(g, k, same_color)
+def assert_canonical_witness(g, k):
+    want = lex_min_under_search_order(g, k)
     for mode in ("first-witness", "canonical-min"):
-        out = solve(g, k, SolveConfig(mode=mode, same_color=same_color))
+        out = solve(g, k, SolveConfig(mode=mode))
         if want is None:
             assert out.status == "UNSAT"
         else:
@@ -357,15 +333,6 @@ def test_twin_rule_on_graphs_with_cloned_neighbourhoods(seed, k):
     assert solve(g, k).status == brute_force(g, k).status
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_twin_rule_leaves_pinned_vertices_out(seed):
-    """A same-color pin on a twin must not be broken by sorting its class."""
-    rng = random.Random(seed)
-    g = graph_with_cloned_twins(rng, rng.randint(2, 5), rng.randint(2, 5))
-    assert_canonical_witness(g, 2, (tuple(rng.sample(range(g.n), 2)),))
-
-
 def test_twin_rule_prunes_a_hard_reduction_instance():
     g = reduce_ess_to_nbc(EssInstance((4, 4, 4, 6, 6), 3)).graph
     out = solve(g, 3)
@@ -397,48 +364,27 @@ def degree_divisible_graph(rng, n, k):
     return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
-def oracle_status(g, k, same_color=()):
+def oracle_status(g, k):
     """SAT or UNSAT by code that shares no theory with the solver:
-    ``brute_force`` (or filtered enumeration under pins) when k^n is small,
-    the DPLL in helpers on the CNF export otherwise."""
+    ``brute_force`` when k^n is small, the DPLL in helpers on the CNF export
+    otherwise."""
     if k**g.n <= 2**14:
-        if not same_color:
-            return brute_force(g, k).status
-        found = any(
-            all(a[u] == a[v] for u, v in same_color) and naive_balanced(g, a, k)
-            for a in itertools.product(range(1, k + 1), repeat=g.n)
-        )
-    else:
-        doc = to_cnf(g, k)
-        pins = [
-            (-doc.var(u, c), doc.var(v, c))
-            for u, v in same_color
-            for c in range(1, k + 1)
-        ]
-        found = dpll(list(doc.clauses) + pins) is not None
-    return "SAT" if found else "UNSAT"
+        return brute_force(g, k).status
+    return "SAT" if dpll(to_cnf(g, k).clauses) is not None else "UNSAT"
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.integers(0, 10**6),
-    st.sampled_from((2, 3, 4)),
-    st.booleans(),
-    st.booleans(),
-)
-def test_dynamic_first_witness_agrees_with_oracles(seed, k, cloned, pinned):
+@given(st.integers(0, 10**6), st.sampled_from((2, 3, 4)), st.booleans())
+def test_dynamic_first_witness_agrees_with_oracles(seed, k, cloned):
     rng = random.Random(seed)
     if cloned:
         g = graph_with_cloned_twins(rng, rng.randint(2, 6), rng.randint(1, 8))
     else:
         g = degree_divisible_graph(rng, rng.randint(2, 10), k)
-    pin = (tuple(rng.sample(range(g.n), 2)),) if pinned else ()
-    out = solve(g, k, SolveConfig(same_color=pin))
-    assert out.status == oracle_status(g, k, pin)
+    out = solve(g, k)
+    assert out.status == oracle_status(g, k)
     if out.status == "SAT":
-        colors = out.witness.colors
-        assert naive_balanced(g, colors, k)
-        assert all(colors[u] == colors[v] for u, v in pin)
+        assert naive_balanced(g, out.witness.colors, k)
 
 
 def test_dynamic_order_bounds_family_searches():

@@ -210,6 +210,16 @@ def test_cycle_union_refusal_order():
         cycle_union_nbc(8, frozenset({0, 2}), 3)
 
 
+@pytest.mark.parametrize(
+    "m,glue,copies",
+    [(8, {0, 1}, 0), (8, {0, 1}, -1), (6, {0, 1, 2}, 0), (8, {0, 9}, 2), (6, {0, 2}, 3)],
+)
+def test_cycle_union_checks_input_before_refusing(m, glue, copies):
+    """Bad copies or glue sets raise even where a refusal rule also applies."""
+    with pytest.raises(ValueError):
+        cycle_union_nbc(m, frozenset(glue), copies)
+
+
 def _ideal_sets(m):
     found = []
     for r in range(2, m):
