@@ -17,7 +17,7 @@ from pathlib import Path
 # none of them: a command runs only the modules its handler reads.
 from . import cnf, families, io, products, reduction, solver, unions
 from .balance import Coloring, Refusal, check_necessary, is_closed_nbkc, is_nbkc
-from .graph import Graph
+from .graph import Graph, cycle_graph
 
 
 def _read_graph(path: str) -> Graph:
@@ -260,14 +260,16 @@ def _cmd_vertex_add(args: argparse.Namespace) -> int:
 
 
 def _cmd_union(args: argparse.Namespace) -> int:
+    """Glue copies of a graph file, or of C_M with its 1,1,2,2 coloring (--cycle)."""
     glue = frozenset(_parse_int_list(args.set, "--set"))
     if args.cycle is not None:
-        if args.copies is None:
-            raise SystemExit("error: union --cycle requires --copies")
-        return _finish(args, unions.cycle_union_nbc(args.cycle, glue, args.copies))
-    if args.graph is None:
+        if args.graph is not None or args.coloring_file is not None:
+            raise SystemExit("error: union --cycle takes no graph file or --coloring")
+        g = cycle_graph(args.cycle)
+    elif args.graph is None:
         raise SystemExit("error: union needs a graph file unless --cycle is given")
-    g = _read_graph(args.graph)
+    else:
+        g = _read_graph(args.graph)
     if args.congruence:
         if args.k is None:
             raise SystemExit("error: union --congruence requires -k")
@@ -282,23 +284,31 @@ def _cmd_union(args: argparse.Namespace) -> int:
             print(f"admissible copy counts: n ≡ 1 (mod {report.modulus})")
         return 0
     if args.copies is None:
-        raise SystemExit("error: union requires --copies")
+        route = "union --cycle" if args.cycle is not None else "union"
+        raise SystemExit(f"error: {route} requires --copies")
     spec = unions.UnionSpec(g, glue, args.copies)
+    if args.cycle is None and args.coloring_file is None:
+        return _finish(args, (unions.union_over_set(spec)[0], None))
+    base = _read_coloring(args.coloring_file) if args.coloring_file else None
+    inside = spec.inside_edges
+    if inside and args.cycle is not None:
+        return _finish(args, unions.cycle_union_nbc(args.cycle, glue, args.copies))
+    if inside:
+        return _finish(args, Refusal(
+            "dependent-set",
+            f"edge {inside[0]} lies inside the glue set; the copied "
+            f"coloring theorem needs an independent set (try --congruence "
+            f"or solve)",
+        ))
+    if base is None:
+        cycle = families.cycle_nbc(args.cycle)
+        if isinstance(cycle, Refusal):
+            return _finish(args, cycle)
+        base = cycle[1]
     union, _maps = unions.union_over_set(spec)
-    coloring = None
-    if args.coloring_file:
-        base_coloring = _read_coloring(args.coloring_file)
-        inside = [(u, v) for u, v in g.edges if u in glue and v in glue]
-        if inside:
-            return _finish(args, Refusal(
-                "dependent-set",
-                f"edge {inside[0]} lies inside the glue set; the copied "
-                f"coloring theorem needs an independent set (try --congruence "
-                f"or solve)",
-            ))
-        coloring = unions.union_nbc_independent(g, base_coloring, glue, args.copies)
-    _emit_pair(args.output, union, coloring)
-    return 0
+    return _finish(
+        args, (union, unions.union_nbc_independent(g, base, glue, args.copies))
+    )
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -448,8 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="comma-separated glue vertices")
     p.add_argument("--copies", type=int, default=None)
     p.add_argument("--cycle", type=int, default=None, metavar="M",
-                   help="use the cycle C_M as the base graph, with the "
-                        "characterized coloring")
+                   help="use the cycle C_M with its 1,1,2,2 coloring as the "
+                        "base, in place of a graph file and --coloring")
     p.add_argument("--congruence", action="store_true",
                    help="report the dependent-set congruence instead of building")
     p.add_argument("-k", type=int, default=None)

@@ -29,14 +29,12 @@ from .graph import Graph
 class EssInstance:
     """A k-equal-sum-subsets question: split T into k parts of equal sum.
 
-    ``target`` (the common sum), when provided, must equal sum(T)/k.  An
-    instance whose total is not divisible by k is representable — it is
+    An instance whose total is not divisible by k is representable — it is
     simply unsatisfiable — so divisibility is reported, not enforced.
     """
 
     values: tuple[int, ...]
     k: int
-    target: int | None = None
 
     def __post_init__(self) -> None:
         values = tuple(self.values)
@@ -47,11 +45,6 @@ class EssInstance:
             raise ValueError(f"all elements must be positive integers: {values}")
         if self.k < 2:
             raise ValueError(f"subset count must be at least 2, got {self.k}")
-        if self.target is not None and self.k * self.target != sum(values):
-            raise ValueError(
-                f"target {self.target} inconsistent: k*target = "
-                f"{self.k * self.target} but sum(T) = {sum(values)}"
-            )
 
     @property
     def total(self) -> int:
@@ -95,26 +88,23 @@ class HouseGadget:
 
 
 def house(k: int, n: int) -> HouseGadget:
-    """Build a (k, n)-house and self-test its canonical balanced coloring."""
+    """Build a (k, n)-house: k-1 bases, kn supports and n indexes."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     bases, supports, indexes, edges = _house_layout(k, n)
-    g = Graph(indexes.stop, edges)
-    assert g.m == k * k * n, f"(k,n)-house edge count {g.m} != k^2 n = {k * k * n}"
-    gadget = HouseGadget(k=k, n=n, graph=g, bases=tuple(bases),
-                         supports=tuple(supports), indexes=tuple(indexes))
-    scheme = house_scheme_coloring(gadget)
-    _balanced_output(g, scheme, f"scheme coloring of the ({k},{n})-house")
-    return gadget
+    return HouseGadget(k=k, n=n, graph=Graph(indexes.stop, edges),
+                       bases=tuple(bases), supports=tuple(supports),
+                       indexes=tuple(indexes))
 
 
 def house_scheme_coloring(gadget: HouseGadget) -> Coloring:
     """The proof-scheme coloring of an isolated house.
 
     Bases take the k-1 distinct colors 1..k-1, every index takes color k,
-    and each index's block of k supports is a rainbow.
+    and each index's block of k supports is a rainbow.  The coloring has
+    passed the balance check (``AssertionError`` otherwise).
     """
     k = gadget.k
     colors = [0] * gadget.graph.n
@@ -124,7 +114,8 @@ def house_scheme_coloring(gadget: HouseGadget) -> Coloring:
         colors[idx] = k
     for pos, s in enumerate(gadget.supports):
         colors[s] = (pos % k) + 1
-    return Coloring(k, tuple(colors))
+    what = f"scheme coloring of the ({k},{gadget.n})-house"
+    return _balanced_output(gadget.graph, Coloring(k, tuple(colors)), what)
 
 
 @dataclass(frozen=True)
@@ -301,9 +292,7 @@ def decode_from_roles(
 _ESS_CAP = 3**12
 
 
-def ess_brute_force(
-    inst: EssInstance, cap: int = _ESS_CAP
-) -> tuple[tuple[int, ...], ...] | None:
+def ess_brute_force(inst: EssInstance) -> tuple[tuple[int, ...], ...] | None:
     """Ground-truth partition search by plain enumeration.
 
     Assigns each element to one of k subsets (all k^|T| ways, first hit in
@@ -312,10 +301,10 @@ def ess_brute_force(
     """
     k = inst.k
     values = inst.values
-    if k ** len(values) > cap:
+    if k ** len(values) > _ESS_CAP:
         raise ValueError(
             f"instance too large to enumerate: k^|T| = {k}^{len(values)} "
-            f"exceeds the cap {cap}"
+            f"exceeds the cap {_ESS_CAP}"
         )
     if not inst.divisible:
         return None

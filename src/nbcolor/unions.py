@@ -5,6 +5,11 @@ the copies of every vertex in S.  For independent S a balanced coloring of G
 survives the gluing untouched; for dependent S there is an arithmetic
 congruence every balanced union must satisfy, and for cycles the dependent
 sets that work are characterized exactly ("ideal" sets below).
+
+``UnionSpec`` checks every glue set.  The theorem is chosen in one place,
+the ``nbcolor union`` command, from ``UnionSpec.inside_edges``: independent
+sets go to :func:`union_nbc_independent`, dependent sets in a cycle to
+:func:`cycle_union_nbc`, whether the base is a graph file or ``--cycle M``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from functools import reduce
 
 from .balance import Coloring, Refusal, _balanced_input, _balanced_output, cyclic_shift
 from .families import cycle_nbc
-from .graph import Graph
+from .graph import Graph, cycle_graph
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,15 @@ class UnionSpec:
                 raise ValueError(f"glue vertex {v} outside 0..{self.base.n - 1}")
         if len(glue) == self.base.n:
             raise ValueError("glue set must be a proper subset of the vertices")
+
+    @property
+    def inside_edges(self) -> list[tuple[int, int]]:
+        """Base edges with both ends glued; empty iff the glue set is independent."""
+        return _inside_edges(self.base, self.glue)
+
+
+def _inside_edges(g: Graph, s: frozenset[int]) -> list[tuple[int, int]]:
+    return [(u, v) for u, v in g.edges if u in s and v in s]
 
 
 def union_over_set(spec: UnionSpec) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
@@ -87,9 +101,8 @@ def union_nbc_independent(
     per-color counts simply scale by n; other vertices keep their exact
     original neighborhoods.
     """
-    s = frozenset(s)
     spec = UnionSpec(g, s, n)
-    inside = [(u, v) for u, v in g.edges if u in s and v in s]
+    inside = spec.inside_edges
     if inside:
         raise ValueError(
             f"glue set is not independent: edge {inside[0]} lies inside it"
@@ -133,7 +146,7 @@ def union_congruence(g: Graph, s: frozenset[int] | set[int], k: int) -> Congruen
     for v in s:
         if not 0 <= v < g.n:
             raise ValueError(f"glue vertex {v} outside 0..{g.n - 1}")
-    inside = [(u, v) for u, v in g.edges if u in s and v in s]
+    inside = _inside_edges(g, s)
     if not inside:
         raise ValueError(
             "glue set is independent; the congruence test only concerns "
@@ -154,11 +167,13 @@ def union_congruence(g: Graph, s: frozenset[int] | set[int], k: int) -> Congruen
 # ---------------------------------------------------------------------------
 
 
-def _cycle_arcs(m: int, s: frozenset[int]) -> list[tuple[int, ...]]:
+def _cycle_arcs(m: int, s: frozenset[int]) -> list[tuple[tuple[int, ...], int]]:
     """Maximal runs of cyclically consecutive members of S, sorted by start.
 
     Each run is listed in increasing cyclic order (a wrap run like {7, 0, 1}
-    in a cycle of length 8 comes out as (7, 0, 1)).
+    in a cycle of length 8 comes out as (7, 0, 1)) and paired with its gap:
+    the number of non-members between it and the next run.  S must be a
+    proper subset of 0..m-1.
     """
     starts = [v for v in sorted(s) if (v - 1) % m not in s]
     arcs = []
@@ -169,7 +184,10 @@ def _cycle_arcs(m: int, s: frozenset[int]) -> list[tuple[int, ...]]:
             arc.append(nxt)
             nxt = (nxt + 1) % m
         arcs.append(tuple(arc))
-    return arcs
+    return [
+        (arc, (nxt[0] - arc[-1] - 1) % m)
+        for arc, nxt in zip(arcs, arcs[1:] + arcs[:1])
+    ]
 
 
 def is_ideal_dependent_set(m: int, s: frozenset[int] | set[int]) -> tuple[bool, str]:
@@ -181,27 +199,22 @@ def is_ideal_dependent_set(m: int, s: frozenset[int] | set[int]) -> tuple[bool, 
     path with an even number of edges — equivalently, for even m, the
     wrap-around gap also has an odd vertex count.
     """
-    if m < 3:
-        raise ValueError(f"a cycle needs at least 3 vertices, got {m}")
-    s = frozenset(s)
-    if not s:
-        raise ValueError("glue set must be nonempty")
-    for v in s:
-        if not 0 <= v < m:
-            raise ValueError(f"vertex {v} outside 0..{m - 1}")
-    if len(s) == m:
-        raise ValueError("glue set must be a proper subset of the cycle")
-    arcs = _cycle_arcs(m, s)
-    if all(len(a) == 1 for a in arcs):
+    return _ideality(UnionSpec(cycle_graph(m), s, 1))
+
+
+def _ideality(spec: UnionSpec) -> tuple[bool, str]:
+    m = spec.base.n
+    arcs = _cycle_arcs(m, spec.glue)
+    if all(len(a) == 1 for a, _ in arcs):
         raise ValueError(
             "glue set is independent in the cycle; ideality concerns "
             "dependent sets"
         )
-    trivial = [a[0] for a in arcs if len(a) == 1]
+    trivial = [a[0] for a, _ in arcs if len(a) == 1]
     if trivial:
         return False, f"single-vertex component at {trivial[0]}"
     if len(arcs) == 1:
-        (arc,) = arcs
+        ((arc, gap),) = arcs
         edge_count = len(arc) - 1
         if edge_count % 2 == 1:
             return False, (
@@ -210,15 +223,14 @@ def is_ideal_dependent_set(m: int, s: frozenset[int] | set[int]) -> tuple[bool, 
             )
         return True, (
             f"lone component is an even path with {edge_count} edges; "
-            f"wrap gap has {m - len(arc)} vertices (odd)"
+            f"wrap gap has {gap} vertices (odd)"
         )
-    for idx, arc in enumerate(arcs):
-        nxt = arcs[(idx + 1) % len(arcs)]
-        gap = (nxt[0] - arc[-1] - 1) % m
+    for arc, gap in arcs:
         if gap % 2 == 0:
             return False, (
                 f"gap between components ending at {arc[-1]} and starting "
-                f"at {nxt[0]} has {gap} vertices (even); odd is required"
+                f"at {(arc[-1] + gap + 1) % m} has {gap} vertices (even); "
+                f"odd is required"
             )
     return True, f"{len(arcs)} components, all gaps odd"
 
@@ -239,10 +251,8 @@ def cycle_union_nbc(
     before any refusal: n < 1, or an S that is not a dependent proper subset
     of 0..m-1, raises ``ValueError``.
     """
-    s = frozenset(s)
-    if n < 1:
-        raise ValueError(f"need at least one copy, got {n}")
-    ideal, reason = is_ideal_dependent_set(m, s)  # validates m, S, dependence
+    spec = UnionSpec(cycle_graph(m), s, n)
+    ideal, reason = _ideality(spec)  # raises if S is independent
     if m % 4 != 0:
         return Refusal(
             "cycle-order",
@@ -262,33 +272,22 @@ def cycle_union_nbc(
             f"balanced 2-coloring",
         )
 
-    base = cycle_nbc(m)
-    assert not isinstance(base, Refusal)
-    cycle, c = base
+    _, c = cycle_nbc(m)  # not a refusal: m is a multiple of 4 here
     c_bar = cyclic_shift(c, 1)
-
-    union, maps = union_over_set(UnionSpec(cycle, s, n))
-    colors = [0] * union.n
-    for v in sorted(s):
-        colors[maps[0][v]] = c.colors[v]
+    odd_offsets = {
+        (arc[-1] + offset) % m
+        for arc, gap in _cycle_arcs(m, spec.glue)
+        for offset in range(1, gap + 1, 2)
+    }
     half = (n + 1) // 2
-    for arc in _cycle_arcs(m, s):
-        anchor = arc[-1]
-        gap_len = 0
-        probe = (anchor + 1) % m
-        while probe not in s:
-            gap_len += 1
-            probe = (probe + 1) % m
-        for offset in range(1, gap_len + 1):
-            x = (anchor + offset) % m
-            for j in range(1, n + 1):
-                if offset % 4 in (1, 3):
-                    chosen = c if j <= half else c_bar
-                else:
-                    chosen = c
-                colors[maps[j - 1][x]] = chosen.colors[x]
+    union, maps = union_over_set(spec)
+    colors = [0] * union.n
+    for j, table in enumerate(maps):
+        for x in range(m):
+            chosen = c_bar if j >= half and x in odd_offsets else c
+            colors[table[x]] = chosen.colors[x]
     candidate = Coloring(2, tuple(colors))
-    what = f"union of {n} copies of C_{m} glued on {sorted(s)}"
+    what = f"union of {n} copies of C_{m} glued on {sorted(spec.glue)}"
     return union, _balanced_output(union, candidate, what)
 
 

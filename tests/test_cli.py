@@ -38,6 +38,7 @@ from nbcolor import (
     roles_to_text,
     solve,
 )
+from helpers import naive_balanced
 from nbcolor.balance import _balanced
 from nbcolor.cli import run
 from nbcolor.graph import complete_graph, cycle_graph
@@ -324,6 +325,65 @@ def test_union_cycle_refusal(capsys):
 )
 def test_union_cycle_bad_input_is_an_error_not_a_refusal(capsys, glue, copies):
     assert run(["union", "--cycle", "8", "--set", glue, "--copies", copies]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_union_cycle_independent_set_matches_the_file_route(tmp_path, capsys):
+    """``--cycle 8`` stands for C8 with its 1,1,2,2 coloring, so an
+    independent glue set copies that coloring exactly as ``--coloring`` does."""
+    assert run(["union", "--cycle", "8", "--set", "0,2", "--copies", "3",
+                "-o", str(tmp_path / "u")]) == 0
+    run(["construct", "cycle", "8", "-k", "2", "-o", str(tmp_path / "c8")])
+    assert run(["union", str(tmp_path / "c8.graph"), "--set", "0,2", "--copies", "3",
+                "--coloring", str(tmp_path / "c8.coloring"),
+                "-o", str(tmp_path / "v")]) == 0
+    g = graph_from_text((tmp_path / "u.graph").read_text())
+    c = coloring_from_text((tmp_path / "u.coloring").read_text())
+    assert g.n == 2 + 3 * 6
+    assert naive_balanced(g, c.colors, 2)
+    for suffix in ("graph", "coloring"):
+        assert ((tmp_path / f"u.{suffix}").read_bytes()
+                == (tmp_path / f"v.{suffix}").read_bytes())
+
+
+def test_union_cycle_independent_set_without_a_cycle_coloring_refused(capsys):
+    assert run(["union", "--cycle", "6", "--set", "0,3", "--copies", "3"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "REFUSED regular-size"
+
+
+@pytest.mark.parametrize(
+    "m,glue,copies", [("8", "0,2", "0"), ("8", "0,2", "-1"), ("8", "0,2,9", "2"),
+                      ("6", "0,3", "0")]
+)
+def test_union_cycle_independent_bad_input_is_an_error(capsys, m, glue, copies):
+    assert run(["union", "--cycle", m, "--set", glue, "--copies", copies]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_union_cycle_congruence_matches_the_file_route(c8, capsys, fmt):
+    assert run(["union", "--cycle", "8", "--set", "0,1", "--congruence", "-k", "2",
+                "--format", fmt]) == 0
+    from_cycle = capsys.readouterr().out
+    assert run(["union", c8, "--set", "0,1", "--congruence", "-k", "2",
+                "--format", fmt]) == 0
+    assert from_cycle == capsys.readouterr().out != ""
+
+
+@pytest.mark.parametrize("extra", ["graph", "coloring"])
+def test_union_cycle_with_a_graph_file_or_coloring_is_an_error(tmp_path, capsys, extra):
+    run(["construct", "cycle", "8", "-k", "2", "-o", str(tmp_path / "c8")])
+    argv = ["union", "--cycle", "8", "--set", "0,1,2", "--copies", "3"]
+    if extra == "graph":
+        argv.insert(1, str(tmp_path / "c8.graph"))
+    else:
+        argv += ["--coloring", str(tmp_path / "c8.coloring")]
+    capsys.readouterr()
+    assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

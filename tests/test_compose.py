@@ -1,8 +1,10 @@
 """Products, joins, host embeddings, and the unequal-class augmentation."""
 
+import random
+
 import pytest
 
-from helpers import naive_balanced
+from helpers import naive_balanced, random_graph
 from nbcolor import (
     Coloring,
     Graph,
@@ -58,6 +60,37 @@ def test_product_edge_counts():
     assert direct_product(C4G, C8G).m == 2 * 4 * 8
     assert strong_product(C4G, C8G).m == (4 * 8 + 8 * 4) + 2 * 4 * 8
     assert lexicographic_product(C4G, C8G).m == 4 * 8 * 8 + 4 * 8
+
+
+def _to_networkx(nx, g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "direct", "strong", "lexicographic"])
+def test_products_match_networkx(kind):
+    """Every product edge, pinned against networkx on random factors with
+    0-6 vertices (edgeless ones included), pairs relabelled u*|V(H)| + v."""
+    nx = pytest.importorskip("networkx")
+    reference = {
+        "cartesian": nx.cartesian_product,
+        "direct": nx.tensor_product,
+        "strong": nx.strong_product,
+        "lexicographic": nx.lexicographic_product,
+    }[kind]
+    rng = random.Random(4417)
+    for _ in range(80):
+        g, h = (
+            random_graph(rng, rng.randint(0, 6), rng.choice((0.0, 0.3, 0.6, 1.0)))
+            for _ in range(2)
+        )
+        expected = reference(_to_networkx(nx, g), _to_networkx(nx, h))
+        assert product_graph(kind, g, h) == Graph(
+            g.n * h.n,
+            [(u * h.n + v, x * h.n + y) for (u, v), (x, y) in expected.edges()],
+        ), (kind, g.n, g.edges, h.n, h.edges)
 
 
 def test_product_graph_dispatch():

@@ -34,8 +34,6 @@ def test_instance_validation():
         EssInstance((0, 1), 2)  # values must be positive
     with pytest.raises(ValueError):
         EssInstance((1, 2), 1)  # at least two subsets
-    with pytest.raises(ValueError):
-        EssInstance((1, 2, 3), 2, target=4)  # 2 * 4 != 6
 
 
 def test_instance_arithmetic():
