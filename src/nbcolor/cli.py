@@ -305,10 +305,7 @@ def _cmd_union(args: argparse.Namespace) -> int:
         if isinstance(cycle, Refusal):
             return _finish(args, cycle)
         base = cycle[1]
-    union, _maps = unions.union_over_set(spec)
-    return _finish(
-        args, (union, unions.union_nbc_independent(g, base, glue, args.copies))
-    )
+    return _finish(args, unions._independent_union(spec, base))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:

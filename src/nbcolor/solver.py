@@ -10,29 +10,45 @@
 (d) color-symmetry breaking — a vertex may use at most one color beyond the
     largest color used so far,
 (e) twin-class symmetry breaking — a vertex takes no color below that of the
-    previous vertex in the fixed order with the same open neighbourhood (a
+    previous vertex in the search order with the same open neighbourhood (a
     false twin), since swapping the colors of false twins keeps every
     neighbourhood's color counts,
-(f) fail-first vertex choice — ``first-witness`` colors next the uncolored
-    vertex with the fewest eligible colors, the earliest in the fixed order
-    on ties; ``canonical-min`` and count mode follow the fixed order.
+(f) fail-first vertex choice — ``first-witness`` and count mode color next
+    the uncolored vertex with the fewest eligible colors, the earliest in the
+    search order on ties; ``canonical-min`` follows the search order.
 
-(d) and (e) are lex-leader constraints over the fixed vertex order, so the
-lexicographically smallest balanced coloring satisfies both and the ordered
-search still finds it first.  Count mode skips (e): it weights each leaf by
-its color orbit, and a twin-orbit weighting would overcount, because (d) and
-(e) can both accept two colorings of one combined orbit (C4 with k=2 would
-count 8 instead of 4).
+The search order is fixed before the search starts.  ``canonical-min`` and
+every irregular graph use descending degree with index as tiebreak.  On a
+regular graph (as the gate reports it) that order is just the labels a
+builder assigned, so ``first-witness`` and count mode use a connected order
+there instead: maximum-cardinality search, where each next vertex has the
+most neighbours already placed.  Fail-first ties then follow the graph's
+structure rather than an arbitrary walk through it.
 
-(f) keeps (d) and (e) sound.  False twins have the same open neighbourhood,
-so while both are uncolored they carry identical bans and eligible counts;
-the (eligible, order) choice therefore colors each twin class in class
-order, and a vertex's previous twin is always colored before it.  For (d),
-take any solution that extends the current node and is sorted within each
-twin class.  If the vertex's color in it is unused so far, swap that color
-with maxused+1 and sort the classes again.  The result still extends the node,
-because every uncolored class member's color is at least the colors of the
-class's colored prefix, and the vertex now takes maxused+1.
+(d) and (e) are lex-leader constraints over the search order, so the
+lexicographically smallest balanced coloring under that order satisfies both
+and the ordered search still finds it first.  Count mode skips (e): it
+weights each leaf by its color orbit, and a twin-orbit weighting would
+overcount, because (d) and (e) can both accept two colorings of one combined
+orbit (C4 with k=2 would count 8 instead of 4).
+
+(f) keeps (d) and (e) sound, whichever fixed order it breaks ties by.  False
+twins have the same open neighbourhood, so while both are uncolored they
+carry identical bans and eligible counts; the (eligible, order) choice
+therefore colors each twin class in class order, twins being defined
+relative to the order the search uses, and a vertex's previous twin is
+always colored before it.  For (d), take any solution that extends the
+current node and is sorted within each twin class.  If the vertex's color in
+it is unused so far, swap that color with maxused+1 and sort the classes
+again.  The result still extends the node, because every uncolored class
+member's color is at least the colors of the class's colored prefix, and the
+vertex now takes maxused+1.
+
+(f) also keeps count mode's orbit weights exact.  The vertex choice reads
+only eligible counts and the order, and relabelling the colors of a partial
+coloring leaves both unchanged.  So a coloring and every relabelling of it
+color the same vertex sequence, and its orbit reaches exactly one leaf under
+(d): the relabelling whose colors appear in first-use order.
 
 ``brute_force`` is the deliberately theory-free oracle: it enumerates every
 assignment and checks balance by counting.  It shares no search or pruning
@@ -61,10 +77,11 @@ class SolveConfig:
 
     ``mode`` selects what to produce: any witness, the canonical
     (lexicographically smallest under the fixed vertex order) witness, or the
-    number of balanced colorings.  ``first-witness`` colors the most
-    constrained vertex next (fewest eligible colors); ``canonical-min`` and
-    ``count`` keep the fixed order.  ``node_budget`` caps assignments made
-    before giving up.
+    number of balanced colorings.  ``first-witness`` and ``count`` color the
+    most constrained vertex next (fewest eligible colors), breaking ties by a
+    connected order on regular graphs and by the fixed order otherwise;
+    ``canonical-min`` keeps the fixed order.  ``node_budget`` caps
+    assignments made before giving up.
     """
 
     mode: str = "first-witness"
@@ -101,7 +118,8 @@ class SolveOutcome:
 
 
 class _Search:
-    """One backtracking run; ``order`` is the fixed vertex order."""
+    """One backtracking run; ``order`` is the search order, which fixes
+    twin classes and breaks fail-first ties (module docstring, (e) and (f))."""
 
     def __init__(
         self,
@@ -133,8 +151,9 @@ class _Search:
     def run(self) -> bool | None:
         """Search depth-first, colors in increasing order, with one frame per
         depth.  Frame d colors ``vert[d]``: the next vertex of the order in
-        ``canonical-min`` and count mode, the uncolored vertex with the fewest
-        eligible colors (earliest in the order on ties) in ``first-witness``.
+        ``canonical-min``, the uncolored vertex with the fewest eligible
+        colors (earliest in the order on ties) in ``first-witness`` and count
+        mode.
 
         Returns True when stopped at a witness (left in ``color``); False once
         the tree is exhausted, count mode having tallied every leaf into
@@ -145,7 +164,7 @@ class _Search:
         adj, twin, color, pruned = self.adj, self.twin, self.color, self.pruned
         budget = self.cfg.node_budget or math.inf
         counting = self.cfg.mode == "count"
-        dynamic = self.cfg.mode == "first-witness"
+        dynamic = self.cfg.mode != "canonical-min"
         quota = [len(nb) // k for nb in adj]
         counts = [[0] * (k + 1) for _ in range(n)]  # counts[v][c]
         bans = [[0] * (k + 1) for _ in range(n)]  # bans[v][c]
@@ -270,6 +289,41 @@ def _vertex_order(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(range(g.n), key=g.degrees().__getitem__, reverse=True))
 
 
+def _connected_order(g: Graph) -> tuple[int, ...]:
+    """Maximum-cardinality search order (Tarjan & Yannakakis 1984): vertex 0
+    first, then always a vertex with the most neighbours already placed, the
+    one that reached that count last on ties; a new component starts at its
+    lowest index.  O(n + m): stack c holds the vertices pushed when they had
+    c placed neighbours, and entries left behind by a later count are
+    skipped."""
+    adj = tuple(map(g.neighbors, range(g.n)))
+    placed = [0] * g.n  # placed neighbours; -1 once the vertex is placed
+    stacks = [[] for _ in range(max(map(len, adj), default=0) + 1)]
+    stacks[0] = list(range(g.n - 1, -1, -1))
+    push = [stack.append for stack in stacks]
+    top = 0
+    order = []
+    for _ in range(g.n):
+        while True:
+            stack = stacks[top]
+            if stack:
+                v = stack.pop()
+                if placed[v] == top:
+                    break
+            else:
+                top -= 1
+        placed[v] = -1
+        order.append(v)
+        for u in adj[v]:
+            c = placed[u] + 1
+            if c:
+                placed[u] = c
+                push[c](u)
+                if c > top:
+                    top = c
+    return tuple(order)
+
+
 def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:
     """Decide balanced k-colorability of g exactly.
 
@@ -278,7 +332,8 @@ def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:
     color vector under the fixed vertex order (descending degree, index
     tiebreak); because candidate colors are tried in increasing order and
     every balanced coloring can be palette-permuted into the symmetry-broken
-    form, the first witness the ordered search finds *is* that minimum.
+    form, the first witness the ordered search finds *is* that minimum.  The
+    other modes search a regular graph in connected order.
     """
     if k < 2:
         raise ValueError(f"palette size must be at least 2, got {k}")
@@ -292,7 +347,11 @@ def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:
             nodes_explored=0,
             pruned_by={gate.failed_rule: 1},
         )
-    search = _Search(g, k, cfg, _vertex_order(g))
+    if cfg.mode != "canonical-min" and gate.regularity is not None:
+        order = _connected_order(g)
+    else:
+        order = _vertex_order(g)
+    search = _Search(g, k, cfg, order)
     found = search.run()
     out = SolveOutcome("UNSAT", nodes_explored=search.nodes, pruned_by=search.pruned)
     if found is None:

@@ -8,7 +8,8 @@ sets that work are characterized exactly ("ideal" sets below).
 
 ``UnionSpec`` checks every glue set.  The theorem is chosen in one place,
 the ``nbcolor union`` command, from ``UnionSpec.inside_edges``: independent
-sets go to :func:`union_nbc_independent`, dependent sets in a cycle to
+sets go to :func:`union_nbc_independent` (through ``_independent_union``,
+which also returns the union it builds), dependent sets in a cycle to
 :func:`cycle_union_nbc`, whether the base is a graph file or ``--cycle M``.
 """
 
@@ -101,20 +102,25 @@ def union_nbc_independent(
     per-color counts simply scale by n; other vertices keep their exact
     original neighborhoods.
     """
-    spec = UnionSpec(g, s, n)
+    return _independent_union(UnionSpec(g, s, n), c)[1]
+
+
+def _independent_union(spec: UnionSpec, c: Coloring) -> tuple[Graph, Coloring]:
+    """The union of ``spec`` and the copied coloring of
+    :func:`union_nbc_independent`, building the union once."""
     inside = spec.inside_edges
     if inside:
         raise ValueError(
             f"glue set is not independent: edge {inside[0]} lies inside it"
         )
-    _balanced_input(g, c, "base")
+    _balanced_input(spec.base, c, "base")
     union, maps = union_over_set(spec)
     colors = [0] * union.n
     for table in maps:
-        for v in range(g.n):
+        for v in range(spec.base.n):
             colors[table[v]] = c.colors[v]
     out = Coloring(c.k, tuple(colors))
-    return _balanced_output(union, out, "independent-set union")
+    return union, _balanced_output(union, out, "independent-set union")
 
 
 @dataclass(frozen=True)

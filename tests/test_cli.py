@@ -506,6 +506,19 @@ def test_decode_verifies_the_coloring_once(tmp_path, monkeypatch, capsys):
     assert out[1].endswith(" vertices violate balance")
 
 
+def test_union_cycle_independent_set_builds_the_union_once(tmp_path, monkeypatch):
+    builds = _count_calls(monkeypatch, nbcolor.unions.union_over_set)
+    assert run(["union", "--cycle", "8", "--set", "0,2", "--copies", "3",
+                "-o", str(tmp_path / "u")]) == 0
+    assert len(builds) == 1
+    g8, c8 = cycle_nbc(8)
+    spec = nbcolor.UnionSpec(g8, frozenset({0, 2}), 3)
+    union, _ = nbcolor.union_over_set(spec)
+    coloring = nbcolor.union_nbc_independent(g8, c8, frozenset({0, 2}), 3)
+    assert (tmp_path / "u.graph").read_text() == graph_to_text(union)
+    assert (tmp_path / "u.coloring").read_text() == coloring_to_text(coloring)
+
+
 def test_gates_build_no_balance_report(monkeypatch):
     """Builders and the solver gate what they return with the balance check
     alone; the full report is built only where it is printed or returned."""

@@ -28,7 +28,7 @@ from nbcolor import (
     solve,
     to_cnf,
 )
-from nbcolor.solver import _vertex_order
+from nbcolor.solver import _connected_order, _vertex_order
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +244,8 @@ def test_explored_tree_is_pinned_on_a_reduction_instance():
     assert out.pruned_by == {"symmetry": 1, "quota": 20, "deficit": 4}
     out = solve(g, 2, SolveConfig(mode="count"))
     assert out.count == 4096
-    assert out.nodes_explored == 8453
-    assert out.pruned_by == {"symmetry": 1, "quota": 4298, "deficit": 30}
+    assert out.nodes_explored == 8232
+    assert out.pruned_by == {"symmetry": 1, "quota": 4123, "deficit": 7}
 
 
 @pytest.mark.parametrize(
@@ -284,10 +284,10 @@ def graph_with_cloned_twins(rng, n, clones):
     return Graph(len(adj), [(u, v) for u in range(len(adj)) for v in adj[u] if u < v])
 
 
-def lex_min_under_search_order(g, k):
-    """Smallest balanced assignment, comparing colors in the solver's vertex
-    order; None when there is none."""
-    order = _vertex_order(g)
+def lex_min_under_search_order(g, k, order=None):
+    """Smallest balanced assignment, comparing colors in ``order`` (by default
+    the fixed vertex order of canonical-min); None when there is none."""
+    order = order or _vertex_order(g)
     balanced = (
         a for a in itertools.product(range(1, k + 1), repeat=g.n)
         if naive_balanced(g, a, k)
@@ -296,6 +296,9 @@ def lex_min_under_search_order(g, k):
 
 
 def assert_canonical_witness(g, k):
+    """canonical-min returns the lex-min coloring under the fixed order, and
+    first-witness the lex-min under the order it searches in: the connected
+    order on regular graphs, the fixed order otherwise."""
     want = lex_min_under_search_order(g, k)
     for mode in ("first-witness", "canonical-min"):
         out = solve(g, k, SolveConfig(mode=mode))
@@ -303,7 +306,11 @@ def assert_canonical_witness(g, k):
             assert out.status == "UNSAT"
         else:
             assert out.status == "SAT"
-            assert out.witness.colors == want
+            if mode == "first-witness" and check_necessary(g, k).regularity is not None:
+                order = _connected_order(g)
+                assert out.witness.colors == lex_min_under_search_order(g, k, order)
+            else:
+                assert out.witness.colors == want
 
 
 MULTIPARTITE_CASES = [
@@ -398,3 +405,111 @@ def test_dynamic_order_bounds_family_searches():
     out = solve(g, 2)
     assert out.status == "SAT"
     assert out.nodes_explored <= 5000
+
+
+# ---------------------------------------------------------------------------
+# Connected order on regular graphs, fail-first in count mode
+# ---------------------------------------------------------------------------
+
+
+def strong_cycle_product(a, b):
+    (ga, ca), (gb, cb) = cycle_nbc(a), cycle_nbc(b)
+    return product_nbc("strong", ga, gb, ca, cb)[0]
+
+
+@pytest.mark.parametrize(
+    "g,k,mode,status,ceiling",
+    [
+        # 95,418 nodes with fail-first ties broken by vertex labels
+        (strong_cycle_product(4, 12), 2, "first-witness", "SAT", 1000),
+        # over 200,000 nodes with ties broken by vertex labels
+        (strong_cycle_product(16, 16), 2, "first-witness", "SAT", 5000),
+        # 1,121 nodes with ties broken by vertex labels
+        (complete_multipartite_graph((4, 4, 4, 4)), 4, "first-witness", "SAT", 100),
+        # 1,811 nodes in the fixed order
+        (reduce_ess_to_nbc(EssInstance((1, 4, 4), 3)).graph, 3, "count", "UNSAT", 100),
+    ],
+    ids=["C4xC12", "C16xC16", "K(4,4,4,4)", "ESS(1,4,4) count"],
+)
+def test_connected_order_and_count_fail_first_bound_searches(g, k, mode, status, ceiling):
+    out = solve(g, k, SolveConfig(mode=mode, node_budget=ceiling))
+    assert out.status == status
+    assert out.nodes_explored <= ceiling
+    if mode == "count":
+        assert out.count == 0
+    else:
+        assert naive_balanced(g, out.witness.colors, k)
+
+
+def regular_shapes(k, n_max):
+    """(n, r) with n <= n_max for which r-regular graphs on n vertices pass
+    every screen for k, so that they reach the search."""
+    return [
+        (n, r)
+        for n in range(2 * k, n_max + 1, k)
+        for r in range(k, n, k)
+        if n * r % 2 == 0 and n * r // 2 % (k * k) == 0
+    ]
+
+
+def random_regular_graph(rng, k, n_max, circulant):
+    """A random circulant of a shape from ``regular_shapes`` (odd degree
+    adds the chords v, v + n/2), labelled as built; or, unless
+    ``circulant``, that circulant scrambled by random double-edge swaps
+    (which keep every degree) and relabelled at random."""
+    n, r = rng.choice(regular_shapes(k, n_max))
+    conns = tuple(sorted(rng.sample(range(1, (n + 1) // 2), r // 2)))
+    edges = list(CirculantSpec(n, conns).graph().edges) if conns else []
+    if r % 2:
+        edges += [(v, v + n // 2) for v in range(n // 2)]
+    g = Graph(n, edges)
+    if circulant:
+        return g
+    adj = [set(g.neighbors(v)) for v in range(n)]
+    edges = list(g.edges)
+    for _ in range(4 * len(edges)):
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], edges[j]
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) == 4 and c not in adj[a] and d not in adj[b]:
+            adj[a] ^= {b, c}
+            adj[b] ^= {a, d}
+            adj[c] ^= {a, d}
+            adj[d] ^= {b, c}
+            edges[i], edges[j] = (a, c), (b, d)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from((2, 3, 4)), st.booleans())
+def test_connected_first_witness_agrees_with_oracles(seed, k, circulant):
+    rng = random.Random(seed)
+    # small enough that oracle_status enumerates or runs DPLL on a small CNF
+    g = random_regular_graph(rng, k, {2: 12, 3: 6, 4: 8}[k], circulant)
+    assert check_necessary(g, k).regularity is not None
+    out = solve(g, k)
+    assert out.status == oracle_status(g, k)
+    if out.status == "SAT":
+        assert naive_balanced(g, out.witness.colors, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from((2, 3, 4)),
+    st.sampled_from(("random", "cloned", "regular")),
+)
+def test_fail_first_count_agrees_with_enumeration(seed, k, kind):
+    rng = random.Random(seed)
+    n_max = {2: 12, 3: 9, 4: 8}[k]  # k^n <= 2^16 assignments to enumerate
+    if kind == "random":
+        g = degree_divisible_graph(rng, rng.randint(1, n_max - 2), k)
+    elif kind == "cloned":
+        n = rng.randint(2, 4)
+        g = graph_with_cloned_twins(rng, n, rng.randint(1, n_max - 2 - n))
+    else:
+        g = random_regular_graph(rng, k, n_max, rng.random() < 0.5)
+    assert solve(g, k, SolveConfig(mode="count")).count == count_colorings(g, k)
