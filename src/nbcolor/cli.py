@@ -74,7 +74,7 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part != "")
     except ValueError:
-        raise SystemExit(f"error: {what} must be comma-separated integers: {text!r}")
+        raise ValueError(f"{what} must be comma-separated integers: {text!r}") from None
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -84,48 +84,48 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
     def need(count: int, usage: str) -> None:
         if len(params) != count:
-            raise SystemExit(f"error: construct {family} expects {usage}")
+            raise ValueError(f"construct {family} expects {usage}")
 
     result: tuple | Refusal
     if family == "cycle":
         need(1, "one parameter: the cycle length")
         if k not in (None, 2):
-            raise SystemExit("error: cycle colorings use k=2")
+            raise ValueError("cycle colorings use k=2")
         result = families.cycle_nbc(int(params[0]))
     elif family == "circulant":
         need(2, "two parameters: n and the comma-separated connections")
         n = int(params[0])
         conns = _parse_int_list(params[1], "connections")
         spec = families.CirculantSpec(n, conns)
-        if k is None or k == spec.arity:
+        if k is None:
             result = families.circulant_progression_nbc(spec)
         else:
             result = families.circulant_residue_nbc(spec, k)
     elif family == "hamming":
         need(1, "one parameter: the word length d (the alphabet size is -k)")
         if k is None:
-            raise SystemExit("error: construct hamming requires -k")
+            raise ValueError("construct hamming requires -k")
         result = families.hamming_nbc(int(params[0]), k)
     elif family == "hypercube":
         need(1, "one parameter: the dimension d")
         if k not in (None, 2):
-            raise SystemExit("error: hypercube colorings use k=2")
+            raise ValueError("hypercube colorings use k=2")
         result = families.hypercube_nbc(int(params[0]))
     elif family == "multipartite":
         need(1, "one parameter: comma-separated part sizes")
         if k is None:
-            raise SystemExit("error: construct multipartite requires -k")
+            raise ValueError("construct multipartite requires -k")
         result = families.complete_multipartite_nbc(
             _parse_int_list(params[0], "part sizes"), k
         )
     elif family == "complete":
         need(1, "one parameter: the vertex count")
         if k is None:
-            raise SystemExit("error: construct complete requires -k")
+            raise ValueError("construct complete requires -k")
         result = families.complete_graph_nbc(int(params[0]), k)
     else:
-        raise SystemExit(
-            f"error: unknown family {family!r}; choose from cycle, circulant, "
+        raise ValueError(
+            f"unknown family {family!r}; choose from cycle, circulant, "
             f"hamming, hypercube, multipartite, complete"
         )
     return _finish(args, result)
@@ -191,6 +191,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
     cfg = solver.SolveConfig(mode=args.mode, node_budget=args.budget)
     outcome = solver.solve(g, args.k, cfg)
+    if args.output and outcome.witness is not None:
+        _write(args.output, io.coloring_to_text(outcome.witness))
     if args.format == "json":
         print(io.report_to_json(outcome))
         return 0 if outcome.status == "SAT" else 1
@@ -200,7 +202,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             print(f"colorings: {outcome.count}")
         if outcome.witness is not None:
             if args.output:
-                _write(args.output, io.coloring_to_text(outcome.witness))
                 print(f"wrote {args.output}")
             else:
                 sys.stdout.write(io.coloring_to_text(outcome.witness))
@@ -250,9 +251,8 @@ def _cmd_vertex_add(args: argparse.Namespace) -> int:
     for chunk in args.pairs.split(","):
         parts = chunk.split(":")
         if len(parts) != 2:
-            raise SystemExit(
-                f"error: --pairs expects u:v pairs separated by commas, got "
-                f"{chunk!r}"
+            raise ValueError(
+                f"--pairs expects u:v pairs separated by commas, got {chunk!r}"
             )
         u_list.append(int(parts[0]))
         v_list.append(int(parts[1]))
@@ -264,15 +264,15 @@ def _cmd_union(args: argparse.Namespace) -> int:
     glue = frozenset(_parse_int_list(args.set, "--set"))
     if args.cycle is not None:
         if args.graph is not None or args.coloring_file is not None:
-            raise SystemExit("error: union --cycle takes no graph file or --coloring")
+            raise ValueError("union --cycle takes no graph file or --coloring")
         g = cycle_graph(args.cycle)
     elif args.graph is None:
-        raise SystemExit("error: union needs a graph file unless --cycle is given")
+        raise ValueError("union needs a graph file unless --cycle is given")
     else:
         g = _read_graph(args.graph)
     if args.congruence:
         if args.k is None:
-            raise SystemExit("error: union --congruence requires -k")
+            raise ValueError("union --congruence requires -k")
         report = unions.union_congruence(g, glue, args.k)
         if args.format == "json":
             print(io.report_to_json(report))
@@ -285,7 +285,7 @@ def _cmd_union(args: argparse.Namespace) -> int:
         return 0
     if args.copies is None:
         route = "union --cycle" if args.cycle is not None else "union"
-        raise SystemExit(f"error: {route} requires --copies")
+        raise ValueError(f"{route} requires --copies")
     spec = unions.UnionSpec(g, glue, args.copies)
     if args.cycle is None and args.coloring_file is None:
         return _finish(args, (unions.union_over_set(spec)[0], None))
@@ -390,7 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="generate a family graph and coloring")
     p.add_argument("family")
     p.add_argument("params", nargs="*")
-    p.add_argument("-k", type=int, default=None)
+    p.add_argument("-k", type=int, default=None,
+                   help="palette size; circulants use the residue theorem with "
+                        "-k and the progression theorem (k = arity) without it")
     p.add_argument("-o", "--output", default=None, metavar="PREFIX")
     p.set_defaults(handler=_cmd_construct)
 
@@ -517,12 +519,6 @@ def run(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        message = str(exc)
-        if message and not isinstance(exc.code, int):
-            print(message, file=sys.stderr)
-            return 2
-        return int(exc.code or 0)
     except Exception as exc:
         # Exit 1 means a mathematical negative, so a crash must not reach it.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

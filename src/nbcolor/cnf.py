@@ -157,13 +157,7 @@ def _exact_count(
     variable number.
     """
     m = len(literals)
-    assert 0 <= q <= m
-    if q == 0:
-        clauses.extend((-lit,) for lit in literals)
-        return next_var
-    if q == m:
-        clauses.extend((lit,) for lit in literals)
-        return next_var
+    assert 0 < q < m
 
     # rows[i][j - 1] is R[i][j] and neg[i][j - 1] is its negation, so every
     # register's number and literal is one int object shared by its clauses.

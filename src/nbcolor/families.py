@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .balance import Coloring, Refusal, _balanced_output, signed_color_value
+from .balance import Coloring, Refusal, _balanced_output
 from .graph import Graph, complete_multipartite_graph, cycle_graph
 
 
@@ -66,11 +66,10 @@ def circulant_progression_nbc(spec: CirculantSpec) -> tuple[Graph, Coloring] | R
 
     With s connections, the palette size is k = s.  Hypotheses: consecutive
     connection differences are congruent to a common p (mod s) with p not a
-    multiple of s, n ≡ 0 (mod s), and gcd(p, s) = 1.  Writing each residue
-    class r (mod s) of vertex labels in one color yields balance because the
-    connections a_1..a_s hit each residue-class offset pattern uniformly; the
-    assignment of colors to residues goes through a signed relabeling that
-    pairs +j with -j so that each vertex's neighborhood nets out even.
+    multiple of s, n ≡ 0 (mod s), and gcd(p, s) = 1.  Then a_i ≡ a_1 + (i-1)p
+    (mod s) puts a_1..a_s in distinct residue classes mod s, one connection
+    per class, which is :func:`circulant_residue_nbc`'s hypothesis at k = s;
+    its coloring 1 + (v mod s) is returned (all ones when s = 1).
     """
     s = spec.arity
     conns = spec.connections
@@ -101,29 +100,7 @@ def circulant_progression_nbc(spec: CirculantSpec) -> tuple[Graph, Coloring] | R
             f"(gcd={math.gcd(p, s)}), so the residue walk cannot cover "
             f"all classes",
         )
-
-    signed_of_residue: dict[int, int] = {}
-    if s % 2 == 1:
-        # Odd arity: the fixed bijection 0→0, 2j→+j, 2j-1→-j on residues
-        # mod s sends each vertex-label residue to a signed value; the
-        # resulting coloring is balanced exactly when gcd(p, s) = 1.
-        signed_of_residue[0] = 0
-        for j in range(1, (s - 1) // 2 + 1):
-            signed_of_residue[(2 * j) % s] = j
-            signed_of_residue[(2 * j - 1) % s] = -j
-    else:
-        # Even arity s = 2t: walk the residues in steps of p, assigning the
-        # signed colors +1, -1, +2, -2, ... in claimed order.  Block j claims
-        # the residue of (j*p + 1) mod 2t and gets signed value +(j//2 + 1)
-        # when j is even, -(j//2 + 1) when j is odd.  The walk visits every
-        # residue exactly once iff gcd(p, 2t) = 1.
-        for j in range(s):
-            magnitude = j // 2 + 1
-            signed_of_residue[(j * p + 1) % s] = -magnitude if j % 2 else magnitude
-    color_of_signed = {signed_color_value(c, s): c for c in range(1, s + 1)}
-    colors = tuple(color_of_signed[signed_of_residue[v % s]] for v in range(n))
-    g = spec.graph()
-    return g, _balanced_output(g, Coloring(s, colors), f"coloring of {spec}")
+    return _residue_coloring(spec, s)
 
 
 def circulant_residue_nbc(
@@ -153,8 +130,12 @@ def circulant_residue_nbc(
             f"connections per residue class mod {k} are {observed}, "
             f"need exactly {want} in each class",
         )
+    return _residue_coloring(spec, k)
+
+
+def _residue_coloring(spec: CirculantSpec, k: int) -> tuple[Graph, Coloring]:
     g = spec.graph()
-    candidate = Coloring(k, tuple(1 + (v % k) for v in range(n)))
+    candidate = Coloring(k, tuple(1 + (v % k) for v in range(spec.n)))
     return g, _balanced_output(g, candidate, f"residue {k}-coloring of {spec}")
 
 

@@ -300,19 +300,7 @@ def to_dot(
 
 def report_to_json(report: object) -> str:
     """Serialize any of the package's report dataclasses to stable JSON."""
-    if dataclasses.is_dataclass(report) and not isinstance(report, type):
-        payload = dataclasses.asdict(report)
-    else:
-        payload = report
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
-
-
-def _json_default(value: object) -> object:
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    if isinstance(value, tuple):
-        return list(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    return json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
 
 
 __all__ = [

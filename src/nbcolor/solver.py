@@ -366,48 +366,42 @@ def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:
     return out
 
 
-_DEFAULT_CAP_BITS = 24
+_CAP_BITS = 24
 
 
-def _enumeration_cap(n: int, k: int, cap_bits: int) -> None:
-    total_bits = n * max(1, (k - 1).bit_length())
-    if k**n > 2**cap_bits:
-        raise ValueError(
-            f"instance too large for exhaustive enumeration: k^n = {k}^{n} "
-            f"exceeds 2^{cap_bits} (≈{total_bits} assignment bits)"
-        )
-
-
-def _enumerate_balanced(
-    g: Graph, k: int, cap_bits: int
-) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _enumerate_balanced(g: Graph, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (assignments tried so far, assignment) for every balanced one,
     enumerating all k^n in lexicographic order (vertex 0 varies slowest)."""
     if k < 2:
         raise ValueError(f"palette size must be at least 2, got {k}")
-    _enumeration_cap(g.n, k, cap_bits)
+    if k**g.n > 2**_CAP_BITS:
+        total_bits = g.n * max(1, (k - 1).bit_length())
+        raise ValueError(
+            f"instance too large for exhaustive enumeration: k^n = {k}^{g.n} "
+            f"exceeds 2^{_CAP_BITS} (≈{total_bits} assignment bits)"
+        )
     adj = tuple(g.neighbors(v) for v in range(g.n))
     for tried, assignment in enumerate(product(range(1, k + 1), repeat=g.n), 1):
         if _balanced(adj, assignment, k):
             yield tried, assignment
 
 
-def brute_force(g: Graph, k: int, cap_bits: int = _DEFAULT_CAP_BITS) -> SolveOutcome:
+def brute_force(g: Graph, k: int) -> SolveOutcome:
     """Exhaustive ground-truth check, sharing no pruning theory with solve.
 
     Takes the first balanced assignment in lexicographic order, testing
     balance by direct counting.  No degree gate, no symmetry breaking —
     deliberately, so this oracle cannot inherit a bug from the clever path.
     """
-    for tried, assignment in _enumerate_balanced(g, k, cap_bits):
+    for tried, assignment in _enumerate_balanced(g, k):
         witness = _balanced_output(g, Coloring(k, assignment), "brute-force witness")
         return SolveOutcome(status="SAT", witness=witness, nodes_explored=tried)
     return SolveOutcome(status="UNSAT", nodes_explored=k**g.n)
 
 
-def count_colorings(g: Graph, k: int, cap_bits: int = _DEFAULT_CAP_BITS) -> int:
+def count_colorings(g: Graph, k: int) -> int:
     """Number of balanced k-colorings with labeled colors, by enumeration."""
-    return sum(1 for _ in _enumerate_balanced(g, k, cap_bits))
+    return sum(1 for _ in _enumerate_balanced(g, k))
 
 
 __all__ = [

@@ -103,6 +103,47 @@ def test_construct_unknown_family_is_usage_error(capsys):
     assert run(["construct", "moebius", "8", "-k", "2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,code,first",
+    [
+        ("complete 5 -k 2", 1, "REFUSED order-conflict"),
+        ("complete 5", 2, "error: construct complete requires -k"),
+        ("hamming 4", 2, "error: construct hamming requires -k"),
+        ("cycle 8 -k 3", 2, "error: cycle colorings use k=2"),
+        ("hypercube 4 -k 3", 2, "error: hypercube colorings use k=2"),
+        ("multipartite 2,2", 2, "error: construct multipartite requires -k"),
+        ("circulant 36 1,2,4,5 -k 2", 0, "p 36 144"),
+        ("circulant 12 1,2,5 -k 2", 1, "REFUSED arity"),
+        ("circulant 12 1,x", 2, "error: connections must be comma-separated integers: '1,x'"),
+        ("circulant 8 1 -k 1", 2, "error: palette size must be at least 2, got 1"),
+        ("circulant 8 1", 0, "p 8 8"),
+    ],
+)
+def test_construct_routes_keep_the_exit_code_contract(capsys, argv, code, first):
+    assert run(["construct", *argv.split()]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == first
+    else:
+        assert captured.out.splitlines()[0] == first
+
+
+def test_construct_circulant_with_k_at_the_arity_takes_the_residue_route(tmp_path, capsys):
+    """C20(1,3,6,8) is no progression mod 4, yet it has one connection in
+    each residue class mod 4, so ``-k 4`` colors it while the progression
+    route (no ``-k``) refuses it."""
+    assert run(["construct", "circulant", "20", "1,3,6,8"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "REFUSED progression"
+    prefix = tmp_path / "c20"
+    assert run(["construct", "circulant", "20", "1,3,6,8", "-k", "4", "-o", str(prefix)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"wrote {prefix}.graph and {prefix}.coloring"
+    )
+    assert run(["verify", f"{prefix}.graph", f"{prefix}.coloring"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "BALANCED"
+
+
 def test_verify_unbalanced_exits_one(tmp_path, capsys):
     g = cycle_graph(8)
     gf = write_graph(tmp_path / "g.graph", g)
@@ -130,6 +171,26 @@ def test_verify_closed_flag(tmp_path, capsys):
     assert run(["verify", gf, str(cf)]) == 1
 
 
+def test_verify_lists_ten_violations_then_a_tally(tmp_path, capsys):
+    gf = write_graph(tmp_path / "c24.graph", cycle_graph(24))
+    cf = tmp_path / "alt.coloring"
+    cf.write_text("k 2\n" + "".join(f"v {v} {1 + v % 2}\n" for v in range(24)))
+    assert run(["verify", gf, str(cf)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "UNBALANCED"
+    assert len(out) == 12
+    assert out[-1] == "... and 14 more violations"
+
+
+def test_verify_reports_unused_colors(tmp_path, capsys, c8):
+    cf = tmp_path / "c.coloring"
+    cf.write_text("k 3\n" + "".join(f"v {v} {1 + (v // 2) % 2}\n" for v in range(8)))
+    assert run(["verify", c8, str(cf)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "UNBALANCED"
+    assert out[-1] == "unused colors: [3]"
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -150,6 +211,20 @@ def test_analyze_json(k4, capsys):
     assert run(["analyze", k4, "-k", "2", "--format", "json"]) == 1
     blob = json.loads(capsys.readouterr().out)
     assert blob["failed_rule"] == "degree-divisibility"
+
+
+@pytest.mark.parametrize(
+    "g,rule,detail",
+    [
+        (complete_graph(3), "min-order", "n=3 < 2k=4 with no isolated vertices"),
+        (cycle_graph(5), "regular-order", "2-regular graph: n mod k = 1, |E| mod k^2 = 1"),
+        (cycle_graph(6), "regular-size", "2-regular graph: n mod k = 0, |E| mod k^2 = 2"),
+    ],
+)
+def test_analyze_refusal_texts(tmp_path, capsys, g, rule, detail):
+    gf = write_graph(tmp_path / "g.graph", g)
+    assert run(["analyze", gf, "-k", "2"]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"REFUSED {rule}", detail]
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +257,34 @@ def test_solve_budget_exceeded(tmp_path, capsys):
     gf = write_graph(tmp_path / "c24.graph", cycle_graph(24))
     assert run(["solve", gf, "-k", "2", "--budget", "3"]) == 1
     assert capsys.readouterr().out == "BUDGET-EXCEEDED\nexplored 3 nodes\n"
+
+
+@pytest.mark.parametrize(
+    "m,extra,code,status,count",
+    [
+        (8, [], 0, "SAT", None),
+        (6, [], 1, "UNSAT", None),
+        (8, ["--mode", "count"], 0, "SAT", 4),
+        (24, ["--budget", "3"], 1, "BUDGET_EXCEEDED", None),
+    ],
+)
+def test_solve_json(tmp_path, capsys, m, extra, code, status, count):
+    gf = write_graph(tmp_path / "c.graph", cycle_graph(m))
+    assert run(["solve", gf, "-k", "2", "--format", "json", *extra]) == code
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "{"
+    blob = json.loads(out)
+    assert (blob["status"], blob["count"]) == (status, count)
+
+
+def test_solve_json_writes_the_witness(tmp_path, capsys, c8):
+    wf = tmp_path / "w.coloring"
+    assert run(["solve", c8, "-k", "2", "--format", "json", "-o", str(wf)]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["status"] == "SAT"
+    assert list(coloring_from_text(wf.read_text()).colors) == blob["witness"]["colors"]
+    assert run(["verify", c8, str(wf)]) == 0
+    assert capsys.readouterr().out.startswith("BALANCED\n")
 
 
 def test_solve_deep_graph(tmp_path, capsys):
@@ -300,6 +403,19 @@ def test_vertex_add_refusal(tmp_path, capsys):
     assert "REFUSED pair-color-mismatch" in capsys.readouterr().out
 
 
+def test_vertex_add_malformed_pairs_is_usage_error(tmp_path, capsys):
+    run(["construct", "multipartite", "2,2", "-k", "2", "-o", str(tmp_path / "m")])
+    capsys.readouterr()
+    code = run(
+        ["vertex-add", str(tmp_path / "m.graph"), str(tmp_path / "m.coloring"),
+         "--pairs", "0:2,1"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --pairs expects u:v pairs separated by commas, got '1'\n"
+
+
 # ---------------------------------------------------------------------------
 # union
 # ---------------------------------------------------------------------------
@@ -393,6 +509,22 @@ def test_union_congruence_route(c8, capsys):
     assert run(["union", c8, "--set", "0,1", "--congruence", "-k", "2"]) == 0
     out = capsys.readouterr().out
     assert "modulus" in out and "4" in out
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("--set 0,1 --copies 2", "union needs a graph file unless --cycle is given"),
+        ("{c8} --set 0,1 --congruence", "union --congruence requires -k"),
+        ("{c8} --set 0,1", "union requires --copies"),
+        ("--cycle 8 --set 0,1", "union --cycle requires --copies"),
+    ],
+)
+def test_union_missing_input_is_usage_error(c8, capsys, argv, message):
+    assert run(["union", *argv.format(c8=c8).split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_union_congruence_json(c8, capsys):

@@ -100,8 +100,6 @@ def test_brute_force_matches_pinned_statuses():
 def test_brute_force_cap():
     with pytest.raises(ValueError):
         brute_force(Graph(25, []), 2)
-    # a custom cap loosens the limit
-    assert brute_force(Graph(25, []), 2, cap_bits=25).status == "SAT"
 
 
 def test_brute_force_witness_is_valid():
