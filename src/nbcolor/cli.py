@@ -70,9 +70,16 @@ def _finish(args: argparse.Namespace, result: tuple | Refusal) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer: {text!r}") from None
+
+
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
+        return tuple(_parse_int(part, what) for part in text.split(",") if part != "")
     except ValueError:
         raise ValueError(f"{what} must be comma-separated integers: {text!r}") from None
 
@@ -91,10 +98,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         need(1, "one parameter: the cycle length")
         if k not in (None, 2):
             raise ValueError("cycle colorings use k=2")
-        result = families.cycle_nbc(int(params[0]))
+        result = families.cycle_nbc(_parse_int(params[0], "cycle length"))
     elif family == "circulant":
         need(2, "two parameters: n and the comma-separated connections")
-        n = int(params[0])
+        n = _parse_int(params[0], "circulant order n")
         conns = _parse_int_list(params[1], "connections")
         spec = families.CirculantSpec(n, conns)
         if k is None:
@@ -105,12 +112,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         need(1, "one parameter: the word length d (the alphabet size is -k)")
         if k is None:
             raise ValueError("construct hamming requires -k")
-        result = families.hamming_nbc(int(params[0]), k)
+        result = families.hamming_nbc(_parse_int(params[0], "word length d"), k)
     elif family == "hypercube":
         need(1, "one parameter: the dimension d")
         if k not in (None, 2):
             raise ValueError("hypercube colorings use k=2")
-        result = families.hypercube_nbc(int(params[0]))
+        result = families.hypercube_nbc(_parse_int(params[0], "dimension d"))
     elif family == "multipartite":
         need(1, "one parameter: comma-separated part sizes")
         if k is None:
@@ -122,7 +129,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         need(1, "one parameter: the vertex count")
         if k is None:
             raise ValueError("construct complete requires -k")
-        result = families.complete_graph_nbc(int(params[0]), k)
+        result = families.complete_graph_nbc(_parse_int(params[0], "vertex count"), k)
     else:
         raise ValueError(
             f"unknown family {family!r}; choose from cycle, circulant, "
@@ -195,9 +202,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         _write(args.output, io.coloring_to_text(outcome.witness))
     if args.format == "json":
         print(io.report_to_json(outcome))
-        return 0 if outcome.status == "SAT" else 1
-    if outcome.status == "SAT":
-        print("SAT")
+    else:
+        print(outcome.status)
+        if outcome.status == "BUDGET_EXCEEDED":
+            print(f"explored {outcome.nodes_explored} nodes")
         if outcome.count is not None:
             print(f"colorings: {outcome.count}")
         if outcome.witness is not None:
@@ -205,15 +213,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 print(f"wrote {args.output}")
             else:
                 sys.stdout.write(io.coloring_to_text(outcome.witness))
-        return 0
-    if outcome.status == "UNSAT":
-        print("UNSAT")
-        if outcome.count is not None:
-            print("colorings: 0")
-        return 1
-    print("BUDGET-EXCEEDED")
-    print(f"explored {outcome.nodes_explored} nodes")
-    return 1
+    return 0 if outcome.status == "SAT" else 1
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
@@ -254,8 +254,8 @@ def _cmd_vertex_add(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--pairs expects u:v pairs separated by commas, got {chunk!r}"
             )
-        u_list.append(int(parts[0]))
-        v_list.append(int(parts[1]))
+        u_list.append(_parse_int(parts[0], "--pairs vertex"))
+        v_list.append(_parse_int(parts[1], "--pairs vertex"))
     return _finish(args, products.vertex_addition(g, c, tuple(u_list), tuple(v_list)))
 
 
@@ -310,10 +310,15 @@ def _cmd_union(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     values = _parse_int_list(args.ess, "--ess")
-    inst = reduction.EssInstance(values=values, k=args.k)
-    rinst = reduction.reduce_ess_to_nbc(inst)
     graph_path = args.output
     roles_path = args.roles or str(Path(graph_path).with_suffix(".roles"))
+    if Path(graph_path).resolve() == Path(roles_path).resolve():
+        raise ValueError(
+            f"the graph and its roles would both be written to {roles_path}; "
+            f"choose another -o or --roles"
+        )
+    inst = reduction.EssInstance(values=values, k=args.k)
+    rinst = reduction.reduce_ess_to_nbc(inst)
     _write(graph_path, io.graph_to_text(
         rinst.graph,
         comments=(

@@ -43,16 +43,11 @@ def _records(text: str) -> Iterator[tuple[int, str, list[str]]]:
 
 
 def _column_of(raw: str, fields: list[str], index: int) -> int:
-    """Best-effort 1-based column of the index-th field in the raw line."""
+    """1-based column of the index-th field of ``raw.split()`` in ``raw``."""
     pos = 0
-    for i, field in enumerate(fields):
-        found = raw.find(field, pos)
-        if found < 0:
-            return 1
-        if i == index:
-            return found + 1
-        pos = found + len(field)
-    return len(raw) + 1
+    for field in fields[:index]:
+        pos = raw.find(field, pos) + len(field)
+    return raw.find(fields[index], pos) + 1
 
 
 def _int_field(
@@ -60,10 +55,9 @@ def _int_field(
 ) -> int:
     try:
         return int(fields[index])
-    except (ValueError, IndexError):
-        column = _column_of(raw, fields, min(index, len(fields) - 1))
-        got = fields[index] if index < len(fields) else "nothing"
-        raise ParseError(lineno, column, f"expected {what}, got {got!r}") from None
+    except ValueError:
+        column = _column_of(raw, fields, index)
+        raise ParseError(lineno, column, f"expected {what}, got {fields[index]!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -117,170 +117,150 @@ class SolveOutcome:
     pruned_by: dict[str, int] = field(default_factory=dict)
 
 
-class _Search:
-    """One backtracking run; ``order`` is the search order, which fixes
-    twin classes and breaks fail-first ties (module docstring, (e) and (f))."""
+def _search(
+    adj: tuple[tuple[int, ...], ...], k: int, order: tuple[int, ...], cfg: SolveConfig
+) -> tuple[bool | None, list[int], int, dict[str, int], int]:
+    """One backtracking run over neighbourhoods ``adj`` in the search order
+    ``order``, which fixes twin classes and breaks fail-first ties (module
+    docstring, (e) and (f)).
 
-    def __init__(
-        self,
-        g: Graph,
-        k: int,
-        cfg: SolveConfig,
-        order: tuple[int, ...],
-    ) -> None:
-        self.k = k
-        self.cfg = cfg
-        self.order = order
-        self.adj = tuple(map(g.neighbors, range(g.n)))
-        self.color = [0] * g.n
-        self.nodes = 0
-        self.pruned: dict[str, int] = {}
-        self.count = 0
-        # twin[v]: the previous vertex in the order with the same open
-        # neighbourhood, -1 if none.  Count mode weights leaves by color
-        # orbits only.
-        twin = [-1] * g.n
-        if cfg.mode != "count":
-            seen: dict[tuple[int, ...], int] = {}
-            for v in order:
-                nb = self.adj[v]
-                twin[v] = seen.get(nb, -1)
-                seen[nb] = v
-        self.twin = twin
+    Depth-first, colors in increasing order, one frame per depth.  Frame d
+    colors ``vert[d]``: the next vertex of the order in ``canonical-min``,
+    else the uncolored vertex with the fewest eligible colors, earliest in
+    the order on ties.  A frame keeps only that vertex and ``below[d]``, the
+    largest color used before it.  The vertex is uncolored only on the
+    frame's first visit, whose first candidate is the twin lower bound.
+    Every later visit undoes the held color ``color[vert[d]]``, which
+    restores ``maxused = below[d]``, and scans on from the next color.  So
+    every candidate scan has ``maxused == below[d]`` and the top candidate
+    ``min(k, maxused + 1)``.
 
-    def run(self) -> bool | None:
-        """Search depth-first, colors in increasing order, with one frame per
-        depth.  Frame d colors ``vert[d]``: the next vertex of the order in
-        ``canonical-min``, the uncolored vertex with the fewest eligible
-        colors (earliest in the order on ties) in ``first-witness`` and count
-        mode.
-
-        Returns True when stopped at a witness (left in ``color``); False once
-        the tree is exhausted, count mode having tallied every leaf into
-        ``count``; None when the node budget runs out, ``nodes`` then being
-        the budget.
-        """
-        order, k, n = self.order, self.k, len(self.order)
-        adj, twin, color, pruned = self.adj, self.twin, self.color, self.pruned
-        budget = self.cfg.node_budget or math.inf
-        counting = self.cfg.mode == "count"
-        dynamic = self.cfg.mode != "canonical-min"
-        quota = [len(nb) // k for nb in adj]
-        counts = [[0] * (k + 1) for _ in range(n)]  # counts[v][c]
-        bans = [[0] * (k + 1) for _ in range(n)]  # bans[v][c]
-        eligible = [k] * n
-        # masks[e] has bit rank(v) set for each uncolored vertex v with e
-        # eligible colors, rank being the position in the order.
-        bit = [0] * n
-        for r, v in enumerate(order):
-            bit[v] = 1 << r
-        masks = [0] * k + [(1 << n) - 1]
-        # Symmetry breaking makes a leaf use exactly colors 1..maxused; a leaf
-        # using 1..m stands for the k(k-1)...(k-m+1) colorings that relabel it.
-        orbit = [1] * (k + 1)
-        for m in range(1, k + 1):
-            orbit[m] = orbit[m - 1] * (k - m + 1)
-        # Frame d: the vertex it colors, next and last candidate color, the
-        # color held (0: none), and maxused before it.
-        vert = [0] * n
-        nxt = [0] * n
-        last = [0] * n
-        held = [0] * n
-        below = [0] * n
-        maxused = 0
-        nodes = 0
-        d = 0
-        while True:
-            if d == n:
-                if not counting:
-                    self.nodes = nodes
-                    return True
-                self.count += orbit[maxused]
-                d -= 1
+    Returns ``(found, color, nodes, pruned, count)``.  ``found`` is True when
+    stopped at a witness (left in ``color``); False once the tree is
+    exhausted, count mode having tallied every leaf into ``count``; None when
+    the node budget runs out, ``nodes`` then being the budget.
+    """
+    n = len(order)
+    budget = cfg.node_budget or math.inf
+    counting = cfg.mode == "count"
+    dynamic = cfg.mode != "canonical-min"
+    # twin[v]: the previous vertex in the order with the same open
+    # neighbourhood, -1 if none.  Count mode weights leaves by orbits only.
+    twin = [-1] * n
+    if not counting:
+        seen: dict[tuple[int, ...], int] = {}
+        for v in order:
+            nb = adj[v]
+            twin[v] = seen.get(nb, -1)
+            seen[nb] = v
+    color = [0] * n
+    pruned: dict[str, int] = {}
+    count = 0
+    quota = [len(nb) // k for nb in adj]
+    counts = [[0] * (k + 1) for _ in range(n)]  # counts[v][c]
+    bans = [[0] * (k + 1) for _ in range(n)]  # bans[v][c]
+    eligible = [k] * n
+    # masks[e] has bit rank(v) set for each uncolored vertex v with e
+    # eligible colors, rank being the position in the order.
+    bit = [0] * n
+    for r, v in enumerate(order):
+        bit[v] = 1 << r
+    masks = [0] * k + [(1 << n) - 1]
+    # Symmetry breaking makes a leaf use exactly colors 1..maxused; a leaf
+    # using 1..m stands for the k(k-1)...(k-m+1) colorings that relabel it.
+    orbit = [1] * (k + 1)
+    for m in range(1, k + 1):
+        orbit[m] = orbit[m - 1] * (k - m + 1)
+    vert = [0] * n
+    below = [0] * n
+    maxused = 0
+    nodes = 0
+    d = 0
+    while True:
+        if d == n:
+            if not counting:
+                return True, color, nodes, pruned, count
+            count += orbit[maxused]
+            d -= 1
+        else:
+            if dynamic:
+                for m in masks:
+                    if m:
+                        break
+                v = order[(m & -m).bit_length() - 1]
             else:
-                if dynamic:
-                    for m in masks:
-                        if m:
-                            break
-                    v = order[(m & -m).bit_length() - 1]
-                else:
-                    v = order[d]
-                vert[d] = v
-                cap = min(k, maxused + 1)
-                if cap < k:
-                    pruned["symmetry"] = pruned.get("symmetry", 0) + k - cap
-                t = twin[v]
-                lo = color[t] if t >= 0 else 1
-                if lo > 1:
-                    pruned["twin"] = pruned.get("twin", 0) + lo - 1
-                nxt[d], last[d] = lo, cap
-                below[d] = maxused
-            while d >= 0:
-                v = vert[d]
-                c = held[d]
-                if c:
-                    # Undo the held color: lift the bans its saturations set.
-                    for u in adj[v]:
-                        cu = counts[u]
-                        if cu[c] == quota[u]:
-                            for w in adj[u]:
-                                if color[w] == 0:
-                                    bw = bans[w]
-                                    bw[c] -= 1
-                                    if bw[c] == 0:
-                                        e = eligible[w]
-                                        eligible[w] = e + 1
-                                        masks[e] ^= bit[w]
-                                        masks[e + 1] ^= bit[w]
-                        cu[c] -= 1
-                    color[v] = 0
-                    masks[eligible[v]] ^= bit[v]
-                    maxused = below[d]
-                    held[d] = 0
-                c, hi, bv = nxt[d], last[d], bans[v]
-                while c <= hi and bv[c]:
-                    pruned["quota"] = pruned.get("quota", 0) + 1
-                    c += 1
-                if c > hi:
-                    d -= 1
-                    continue
-                if nodes == budget:
-                    self.nodes = nodes
-                    return None
-                nodes += 1
-                nxt[d] = c + 1
-                held[d] = c
-                if c > maxused:
-                    maxused = c
-                # Assign c to v and forward-check: a neighbourhood that
-                # saturates c bans it on its center's uncolored neighbours.
-                # A vertex left with no eligible color kills the branch, but
-                # every ban still lands, so the undo above stays symmetric.
-                color[v] = c
-                masks[eligible[v]] ^= bit[v]
-                ok = True
+                v = order[d]
+            vert[d] = v
+            below[d] = maxused
+            if maxused + 1 < k:
+                pruned["symmetry"] = pruned.get("symmetry", 0) + k - maxused - 1
+            t = twin[v]
+            c = color[t] if t >= 0 else 1
+            if c > 1:
+                pruned["twin"] = pruned.get("twin", 0) + c - 1
+        while d >= 0:
+            v = vert[d]
+            held = color[v]
+            if held:
+                # Undo the held color: lift the bans its saturations set.
                 for u in adj[v]:
                     cu = counts[u]
-                    cu[c] += 1
-                    if cu[c] == quota[u]:
+                    if cu[held] == quota[u]:
                         for w in adj[u]:
                             if color[w] == 0:
                                 bw = bans[w]
-                                bw[c] += 1
-                                if bw[c] == 1:
+                                bw[held] -= 1
+                                if bw[held] == 0:
                                     e = eligible[w]
-                                    eligible[w] = e - 1
+                                    eligible[w] = e + 1
                                     masks[e] ^= bit[w]
-                                    masks[e - 1] ^= bit[w]
-                                    if e == 1:
-                                        ok = False
-                if ok:
-                    d += 1
-                    break
-                pruned["deficit"] = pruned.get("deficit", 0) + 1
-            else:
-                self.nodes = nodes
-                return False
+                                    masks[e + 1] ^= bit[w]
+                    cu[held] -= 1
+                color[v] = 0
+                masks[eligible[v]] ^= bit[v]
+                maxused = below[d]
+                c = held + 1
+            hi = maxused + 1 if maxused < k else k
+            bv = bans[v]
+            while c <= hi and bv[c]:
+                pruned["quota"] = pruned.get("quota", 0) + 1
+                c += 1
+            if c > hi:
+                d -= 1
+                continue
+            if nodes == budget:
+                return None, color, nodes, pruned, count
+            nodes += 1
+            if c > maxused:
+                maxused = c
+            # Assign c to v and forward-check: a neighbourhood that
+            # saturates c bans it on its center's uncolored neighbours.
+            # A vertex left with no eligible color kills the branch, but
+            # every ban still lands, so the undo above stays symmetric.
+            color[v] = c
+            masks[eligible[v]] ^= bit[v]
+            ok = True
+            for u in adj[v]:
+                cu = counts[u]
+                cu[c] += 1
+                if cu[c] == quota[u]:
+                    for w in adj[u]:
+                        if color[w] == 0:
+                            bw = bans[w]
+                            bw[c] += 1
+                            if bw[c] == 1:
+                                e = eligible[w]
+                                eligible[w] = e - 1
+                                masks[e] ^= bit[w]
+                                masks[e - 1] ^= bit[w]
+                                if e == 1:
+                                    ok = False
+            if ok:
+                d += 1
+                break
+            pruned["deficit"] = pruned.get("deficit", 0) + 1
+        else:
+            return False, color, nodes, pruned, count
 
 
 def _vertex_order(g: Graph) -> tuple[int, ...]:
@@ -351,18 +331,17 @@ def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:
         order = _connected_order(g)
     else:
         order = _vertex_order(g)
-    search = _Search(g, k, cfg, order)
-    found = search.run()
-    out = SolveOutcome("UNSAT", nodes_explored=search.nodes, pruned_by=search.pruned)
+    adj = tuple(map(g.neighbors, range(g.n)))
+    found, color, nodes, pruned, count = _search(adj, k, order, cfg)
+    out = SolveOutcome("UNSAT", nodes_explored=nodes, pruned_by=pruned)
     if found is None:
         out.status = "BUDGET_EXCEEDED"
     elif cfg.mode == "count":
-        out.status = "SAT" if search.count else "UNSAT"
-        out.count = search.count
+        out.status = "SAT" if count else "UNSAT"
+        out.count = count
     elif found:
         out.status = "SAT"
-        witness = Coloring(k, tuple(search.color))
-        out.witness = _balanced_output(g, witness, "solver witness")
+        out.witness = _balanced_output(g, Coloring(k, tuple(color)), "solver witness")
     return out
 
 

@@ -326,12 +326,11 @@ from nbcolor import Graph, brute_force, cycle_graph, cycle_nbc, solve
 assert not __debug__, "asserts must be stripped"
 
 
-def stop_at_all_ones(search):
-    search.color = [1] * len(search.color)
-    return True
+def stop_at_all_ones(adj, k, order, cfg):
+    return True, [1] * len(adj), 0, {}, 0
 
 
-solver._Search.run = stop_at_all_ones
+solver._search = stop_at_all_ones
 solver._balanced = lambda adj, assignment, k: True
 families.cycle_graph = lambda m: Graph(m, [(v, v + 1) for v in range(m - 1)])
 for call in (

@@ -129,6 +129,23 @@ def test_construct_routes_keep_the_exit_code_contract(capsys, argv, code, first)
         assert captured.out.splitlines()[0] == first
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        ("circulant x 1,2", "circulant order n must be an integer: 'x'"),
+        ("cycle x", "cycle length must be an integer: 'x'"),
+        ("hamming x -k 2", "word length d must be an integer: 'x'"),
+        ("hypercube 2.5", "dimension d must be an integer: '2.5'"),
+        ("complete five -k 2", "vertex count must be an integer: 'five'"),
+    ],
+)
+def test_construct_non_integer_parameter_is_named(capsys, argv, err):
+    assert run(["construct", *argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_construct_circulant_with_k_at_the_arity_takes_the_residue_route(tmp_path, capsys):
     """C20(1,3,6,8) is no progression mod 4, yet it has one connection in
     each residue class mod 4, so ``-k 4`` colors it while the progression
@@ -256,7 +273,7 @@ def test_solve_count_mode(c8, capsys):
 def test_solve_budget_exceeded(tmp_path, capsys):
     gf = write_graph(tmp_path / "c24.graph", cycle_graph(24))
     assert run(["solve", gf, "-k", "2", "--budget", "3"]) == 1
-    assert capsys.readouterr().out == "BUDGET-EXCEEDED\nexplored 3 nodes\n"
+    assert capsys.readouterr().out == "BUDGET_EXCEEDED\nexplored 3 nodes\n"
 
 
 @pytest.mark.parametrize(
@@ -414,6 +431,20 @@ def test_vertex_add_malformed_pairs_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --pairs expects u:v pairs separated by commas, got '1'\n"
+
+
+@pytest.mark.parametrize("pairs,bad", [("0:a", "a"), ("b:2", "b")])
+def test_vertex_add_non_integer_pair_names_the_option(tmp_path, capsys, pairs, bad):
+    run(["construct", "multipartite", "2,2", "-k", "2", "-o", str(tmp_path / "m")])
+    capsys.readouterr()
+    code = run(
+        ["vertex-add", str(tmp_path / "m.graph"), str(tmp_path / "m.coloring"),
+         "--pairs", pairs]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --pairs vertex must be an integer: {bad!r}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +729,24 @@ def test_reduce_rejects_bad_multiset(capsys):
     assert run(["reduce", "--ess", "1,0,3", "-k", "2", "-o", "/tmp/never.graph"]) == 2
 
 
+@pytest.mark.parametrize(
+    "output,roles",
+    [("x.roles", None), ("x.graph", "x.graph"), ("x.graph", "sub/../x.graph")],
+)
+def test_reduce_refuses_to_write_graph_and_roles_to_one_file(tmp_path, capsys, output, roles):
+    """``-o x.roles`` makes the default roles path the graph's own path, and
+    ``--roles`` may name it too; either way nothing is written."""
+    (tmp_path / "sub").mkdir()
+    argv = ["reduce", "--ess", "1,2,3", "-k", "2", "-o", str(tmp_path / output)]
+    if roles is not None:
+        argv += ["--roles", str(tmp_path / roles)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the graph and its roles would both be written")
+    assert not (tmp_path / output).exists()
+
+
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
@@ -827,7 +876,7 @@ def test_no_arguments(capsys):
 # Fuzzed graph and coloring files
 # ---------------------------------------------------------------------------
 
-NEGATIVE_FIRST_WORDS = {"REFUSED", "UNSAT", "UNBALANCED", "BUDGET-EXCEEDED"}
+NEGATIVE_FIRST_WORDS = {"REFUSED", "UNSAT", "UNBALANCED", "BUDGET_EXCEEDED"}
 
 fuzz_tokens = st.one_of(
     st.integers(-2, 12).map(str),

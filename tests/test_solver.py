@@ -1,6 +1,7 @@
 """Exact search: statuses, counting, canonical witnesses, budgets, deep graphs,
 twin-class symmetry breaking, the dynamic vertex choice of first-witness."""
 
+import hashlib
 import itertools
 import random
 
@@ -260,6 +261,52 @@ def test_canonical_min_tree_is_pinned(values, k, status, nodes, pruned_by):
     assert out.status == status
     assert out.nodes_explored == nodes
     assert list(out.pruned_by.items()) == list(pruned_by.items())
+
+
+SWEEP_TREES = {
+    "first-witness": (
+        33563,
+        {"degree-divisibility": 532, "symmetry": 754, "quota": 31836,
+         "deficit": 3581, "twin": 5306},
+        "50e1d7d774754b3a09ce3e4f840572e47316541cbe5dd4b1a29c06f6968c6fc4",
+    ),
+    "canonical-min": (
+        151440,
+        {"degree-divisibility": 532, "symmetry": 758, "quota": 173229,
+         "deficit": 13649, "twin": 7982},
+        "50052ded88e0e91a029d907b5edac83a699990c7c1ebbf8192d67aeb3cdaa3c7",
+    ),
+    "count": (
+        123534,
+        {"degree-divisibility": 532, "symmetry": 754, "quota": 97210, "deficit": 8530},
+        "c326e54ca91d230e8b95e5ddcaadcf1c444241d6c62de4894457111a3e2f8305",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(SWEEP_TREES))
+def test_reduction_sweep_trees_are_pinned(mode):
+    """Every search tree of the 922 reduction instances of acceptance
+    criterion 06, cut at 500 nodes: the node and prune totals, and a digest
+    over each instance's status, witness, count, nodes and prune tallies in
+    key order."""
+    cfg = SolveConfig(mode=mode, node_budget=500)
+    digest = hashlib.sha256()
+    nodes, pruned, instances = 0, {}, 0
+    for size in range(1, 6):
+        for values in itertools.combinations_with_replacement(range(1, 7), size):
+            for k in (2, 3):
+                out = solve(reduce_ess_to_nbc(EssInstance(values, k)).graph, k, cfg)
+                nodes += out.nodes_explored
+                for rule, times in out.pruned_by.items():
+                    pruned[rule] = pruned.get(rule, 0) + times
+                witness = None if out.witness is None else out.witness.colors
+                record = (out.status, witness, out.count, out.nodes_explored,
+                          list(out.pruned_by.items()))
+                digest.update(repr(record).encode())
+                instances += 1
+    assert instances == 922
+    assert (nodes, pruned, digest.hexdigest()) == SWEEP_TREES[mode]
 
 
 # ---------------------------------------------------------------------------
