@@ -127,9 +127,9 @@ def _verify(g: Graph, c: Coloring, closed: bool) -> BalanceReport:
     values = [signed_color_value(color, k) for color in range(1, k + 1)]
     violations: list[tuple[int, tuple[int, ...]]] = []
     weights: list[int] = []
-    for v in range(g.n):
+    for v, nb in enumerate(g.adjacency):
         counts = [0] * k
-        for u in g.neighbors(v):
+        for u in nb:
             counts[colors[u] - 1] += 1
         # The weight diagnostic stays over the open neighbourhood.
         weights.append(sum(map(mul, counts, values)))
@@ -203,7 +203,7 @@ def _balanced_input(g: Graph, c: Coloring, name: str) -> Coloring:
         raise ValueError(
             f"{name} coloring covers {len(c.colors)} vertices, graph has {g.n}"
         )
-    if not _balanced(map(g.neighbors, range(g.n)), c.colors, c.k):
+    if not _balanced(g.adjacency, c.colors, c.k):
         raise ValueError(f"{name} coloring is not balanced")
     return c
 
@@ -214,9 +214,7 @@ def _balanced_output(g: Graph, c: Coloring, what: str) -> Coloring:
     An unbalanced one contradicts the proof behind ``what``, so this raises
     ``AssertionError`` explicitly: the check also holds under ``python -O``.
     """
-    if len(c.colors) != g.n or not _balanced(
-        map(g.neighbors, range(g.n)), c.colors, c.k
-    ):
+    if len(c.colors) != g.n or not _balanced(g.adjacency, c.colors, c.k):
         raise AssertionError(f"{what} is unbalanced, contradicting its proof")
     return c
 

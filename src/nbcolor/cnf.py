@@ -109,8 +109,7 @@ class CnfDocument:
         for v in range(self.n):
             yield one, range(v * k + 1, v * k + k + 1)
         next_var = self.n * k + 1
-        for v in range(self.n):
-            nb = g.neighbors(v)
+        for nb in g.adjacency:
             if not nb:
                 continue
             counter = self.counters[len(nb)]
@@ -147,51 +146,38 @@ class CnfDocument:
         return sink.getvalue() if out is None else None
 
 
-def _exact_count(
-    literals: list[int], q: int, next_var: int, clauses: list[tuple[int, ...]]
-) -> int:
-    """Append clauses forcing exactly q of the literals true.
+def _counter(d: int, q: int) -> _Template:
+    """Sequential counter (Sinz 2005) forcing exactly q of slots 1..d true.
 
-    Sequential-counter registers R[i][j] ⟺ "at least j of the first i
-    literals are true", for 1 <= j <= min(i, q).  Returns the next free
-    variable number.
+    Register R(i, j) ⟺ "at least j of slots 1..i are true", for
+    1 <= j <= min(i, q), is slot ``row + j`` where row i's registers follow
+    row i - 1's, the first row starting after slot d.
     """
-    m = len(literals)
-    assert 0 < q < m
-
-    # rows[i][j - 1] is R[i][j] and neg[i][j - 1] is its negation, so every
-    # register's number and literal is one int object shared by its clauses.
-    rows: list[list[int]] = [[]]
-    for i in range(1, m + 1):
-        width = min(i, q)
-        rows.append(list(range(next_var, next_var + width)))
-        next_var += width
-    neg = [[-r for r in row] for row in rows]
-
-    for i in range(1, m + 1):
-        x = literals[i - 1]
-        nx = -x
-        row, nrow, prev, nprev = rows[i], neg[i], rows[i - 1], neg[i - 1]
-        for j in range(len(row)):  # row[j] is R[i][j + 1]
-            r, nr = row[j], nrow[j]
-            # Forward: why the count reaches j + 1.
-            clauses.append((nx, r) if j == 0 else (nx, nprev[j - 1], r))
-            if j < len(prev):  # R[i-1][j + 1] exists
-                below = prev[j]
-                clauses.append((nprev[j], r))
-                # Backward: the count cannot reach j + 1 without a reason.
-                clauses.append((nr, below, x))
-                if j:  # j == 0 would pair with the always-true R[i-1][0]
-                    clauses.append((nr, below, prev[j - 1]))
+    assert 0 < q < d
+    clauses: list[tuple[int, ...]] = []
+    prev, top = 0, d  # R(i-1, j) is slot prev + j; top is the last slot used
+    for x in range(1, d + 1):
+        row, width, below = top, min(x, q), min(x - 1, q)
+        for j in range(1, width + 1):
+            r = row + j
+            # Forward: why the count reaches j.
+            clauses.append((-x, r) if j == 1 else (-x, -(prev + j - 1), r))
+            if j <= below:  # R(i-1, j) exists
+                clauses.append((-(prev + j), r))
+                # Backward: the count cannot reach j without a reason.
+                clauses.append((-r, prev + j, x))
+                if j > 1:  # j == 1 would pair with the always-true R(i-1, 0)
+                    clauses.append((-r, prev + j, prev + j - 1))
             else:
-                clauses.append((nr, x))
-                if j:
-                    clauses.append((nr, prev[j - 1]))
+                clauses.append((-r, x))
+                if j > 1:
+                    clauses.append((-r, prev + j - 1))
         # Overflow: once q are already true among the first i-1, forbid more.
-        if i - 1 >= q:
-            clauses.append((nx, nprev[q - 1]))
-    clauses.append((rows[m][q - 1],))
-    return next_var
+        if below == q:
+            clauses.append((-x, -(prev + q)))
+        prev, top = row, row + width
+    clauses.append((prev + q,))
+    return _template(clauses, top - d)
 
 
 def to_cnf(g: Graph, k: int) -> CnfDocument:
@@ -242,9 +228,7 @@ def to_cnf(g: Graph, k: int) -> CnfDocument:
             continue
         counter = counters.get(d)
         if counter is None:
-            clauses: list[tuple[int, ...]] = []
-            top = _exact_count(list(range(1, d + 1)), d // k, d + 1, clauses)
-            counter = counters[d] = _template(clauses, top - d - 1)
+            counter = counters[d] = _counter(d, d // k)
         num_vars += k * counter.registers
         num_clauses += k * len(counter.clauses)
 

@@ -16,6 +16,10 @@ class Graph:
     Vertices are the integers ``0..n-1``.  Self-loops are rejected outright;
     duplicate edges are deduplicated silently.  Instances are immutable and
     hashable, and may be shared freely between threads.
+
+    ``adjacency`` is the same table that ``neighbors`` indexes: entry v is the
+    ascending tuple of v's neighbours.  Code that walks every vertex reads it
+    once instead of range-checking each vertex.
     """
 
     __slots__ = ("_n", "_edges", "_adj")
@@ -62,6 +66,10 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (min, max) pairs in lexicographic order."""
         return self._edges
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return self._adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self._n:

@@ -226,7 +226,8 @@ def decode_from_roles(
     """
     if len(c.colors) != g.n:
         raise ValueError(f"coloring covers {len(c.colors)} vertices, graph has {g.n}")
-    if not _balanced(map(g.neighbors, range(g.n)), c.colors, c.k):
+    adj = g.adjacency
+    if not _balanced(adj, c.colors, c.k):
         raise UnbalancedColoring(is_nbkc(g, c))
     if set(roles) != set(range(g.n)):
         missing = sorted(set(range(g.n)) - set(roles))
@@ -260,7 +261,7 @@ def decode_from_roles(
         seen[start] = True
         component = [start]
         for v in component:  # grows while it is walked
-            for u in g.neighbors(v):
+            for u in adj[v]:
                 if not seen[u]:
                     seen[u] = True
                     component.append(u)

@@ -276,7 +276,7 @@ def _connected_order(g: Graph) -> tuple[int, ...]:
     lowest index.  O(n + m): stack c holds the vertices pushed when they had
     c placed neighbours, and entries left behind by a later count are
     skipped."""
-    adj = tuple(map(g.neighbors, range(g.n)))
+    adj = g.adjacency
     placed = [0] * g.n  # placed neighbours; -1 once the vertex is placed
     stacks = [[] for _ in range(max(map(len, adj), default=0) + 1)]
     stacks[0] = list(range(g.n - 1, -1, -1))
@@ -331,8 +331,7 @@ def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:
         order = _connected_order(g)
     else:
         order = _vertex_order(g)
-    adj = tuple(map(g.neighbors, range(g.n)))
-    found, color, nodes, pruned, count = _search(adj, k, order, cfg)
+    found, color, nodes, pruned, count = _search(g.adjacency, k, order, cfg)
     out = SolveOutcome("UNSAT", nodes_explored=nodes, pruned_by=pruned)
     if found is None:
         out.status = "BUDGET_EXCEEDED"
@@ -359,9 +358,8 @@ def _enumerate_balanced(g: Graph, k: int) -> Iterator[tuple[int, tuple[int, ...]
             f"instance too large for exhaustive enumeration: k^n = {k}^{g.n} "
             f"exceeds 2^{_CAP_BITS} (≈{total_bits} assignment bits)"
         )
-    adj = tuple(g.neighbors(v) for v in range(g.n))
     for tried, assignment in enumerate(product(range(1, k + 1), repeat=g.n), 1):
-        if _balanced(adj, assignment, k):
+        if _balanced(g.adjacency, assignment, k):
             yield tried, assignment
 
 

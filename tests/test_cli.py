@@ -146,6 +146,26 @@ def test_construct_non_integer_parameter_is_named(capsys, argv, err):
     assert captured.err == f"error: {err}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,usage",
+    [
+        ("cycle", "one parameter: the cycle length"),
+        ("cycle 8 9", "one parameter: the cycle length"),
+        ("circulant 12", "two parameters: n and the comma-separated connections"),
+        ("hamming -k 3", "one parameter: the word length d (the alphabet size is -k)"),
+        ("hypercube 2 3", "one parameter: the dimension d"),
+        ("multipartite -k 2", "one parameter: comma-separated part sizes"),
+        ("complete 4 5 -k 2", "one parameter: the vertex count"),
+    ],
+)
+def test_construct_wrong_parameter_count_is_a_usage_error(capsys, argv, usage):
+    family = argv.split()[0]
+    assert run(["construct", *argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: construct {family} expects {usage}\n"
+
+
 def test_construct_circulant_with_k_at_the_arity_takes_the_residue_route(tmp_path, capsys):
     """C20(1,3,6,8) is no progression mod 4, yet it has one connection in
     each residue class mod 4, so ``-k 4`` colors it while the progression

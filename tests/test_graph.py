@@ -7,12 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbcolor import (
+    EssInstance,
     Graph,
+    SolveConfig,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
+    decode,
     graph_from_text,
     induced_subgraph,
+    is_nbkc,
+    reduce_ess_to_nbc,
+    solve,
+    to_cnf,
 )
 
 
@@ -246,3 +253,56 @@ def test_induced_subgraph_preserves_exactly_internal_edges(n, data):
         (a, b) for a, b in g.edges if a in keep and b in keep
     }
     assert rebuilt == expected
+
+
+# ---------------------------------------------------------------------------
+# The adjacency table
+# ---------------------------------------------------------------------------
+
+
+def assert_adjacency_is_the_neighbour_table(g):
+    adj = g.adjacency
+    assert adj == tuple(map(g.neighbors, range(g.n)))
+    assert type(adj) is tuple
+    assert all(type(nb) is tuple for nb in adj)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(0), Graph(5), Graph(6, [(1, 4), (4, 2)]), cycle_graph(5)],
+    ids=["empty", "edgeless", "isolated-vertices", "cycle"],
+)
+def test_adjacency_is_the_neighbour_table(g):
+    assert_adjacency_is_the_neighbour_table(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_lists())
+def test_adjacency_is_the_neighbour_table_on_random_graphs(case):
+    assert_adjacency_is_the_neighbour_table(Graph(*case))
+
+
+def test_whole_graph_walks_read_the_adjacency_table(monkeypatch):
+    """Solving, verifying, decoding and CNF export read ``Graph.adjacency``;
+    none of them goes through the range-checked ``neighbors`` per vertex."""
+    regular = cycle_graph(8)
+    irregular = complete_multipartite_graph([2, 4])  # degrees 4 and 2
+    rinst = reduce_ess_to_nbc(EssInstance((1, 1, 2), 2))
+    witness = solve(rinst.graph, 2).witness
+    calls = []
+    neighbors = Graph.neighbors
+
+    def counted(self, v):
+        calls.append(v)
+        return neighbors(self, v)
+
+    monkeypatch.setattr(Graph, "neighbors", counted)
+    for g in (regular, irregular):
+        for mode in ("first-witness", "canonical-min", "count"):
+            out = solve(g, 2, SolveConfig(mode=mode))
+            assert out.status == "SAT"
+            if out.witness is not None:
+                assert is_nbkc(g, out.witness).balanced
+        assert to_cnf(g, 2).to_dimacs().startswith("c balanced 2-coloring")
+    assert sorted(map(sum, decode(rinst, witness))) == [2, 2]
+    assert calls == []

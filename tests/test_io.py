@@ -92,6 +92,22 @@ def test_graph_parse_rejects_non_numeric_fields():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ("p 2 1\np 2 1\ne 0 1\n", (2, 1, "duplicate 'p' header")),
+        ("p -1 0\n", (1, 3, "vertex count is negative")),
+        ("p  -3   0\n", (1, 4, "vertex count is negative")),
+        ("p 2 1\ne 1 1\n", (2, 3, "self-loop at vertex 1")),
+        ("p 3 1\n  e  2   2\n", (2, 6, "self-loop at vertex 2")),
+    ],
+)
+def test_graph_parse_error_positions(text, where):
+    with pytest.raises(ParseError) as err:
+        graph_from_text(text)
+    assert (err.value.line, err.value.column, err.value.reason) == where
+
+
 # ---------------------------------------------------------------------------
 # Coloring files
 # ---------------------------------------------------------------------------
@@ -116,6 +132,25 @@ def test_coloring_parse_errors():
         coloring_from_text("k 2\nv 1 2\n")  # vertex 0 never colored
     with pytest.raises(ParseError):
         coloring_from_text("k 2\nv 0 3\n")  # color above palette
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ("k 2\nk 2\n", (2, 1, "duplicate 'k' header")),
+        ("k 2 3\n", (1, 1, "'k' header needs exactly 1 number")),
+        ("k 0\n", (1, 3, "palette size 0 < 1")),
+        ("k  -1\n", (1, 4, "palette size -1 < 1")),
+        ("k 2\nv 0\n", (2, 1, "'v' line needs a vertex and a color")),
+        ("k 2\nv 0 1 2\n", (2, 1, "'v' line needs a vertex and a color")),
+        ("k 2\nv -1 1\n", (2, 3, "vertex -1 is negative")),
+        ("k 2\n v  -4 1\n", (2, 5, "vertex -4 is negative")),
+    ],
+)
+def test_coloring_parse_error_positions(text, where):
+    with pytest.raises(ParseError) as err:
+        coloring_from_text(text)
+    assert (err.value.line, err.value.column, err.value.reason) == where
 
 
 @settings(max_examples=40)
@@ -148,6 +183,19 @@ def test_roles_parse_errors():
         roles_from_text("r 0\n")  # role name missing
     with pytest.raises(ParseError):
         roles_from_text("r 0 base 1\nr 0 index 1\n")  # duplicate vertex
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ("x 0 base 1\n", (1, 1, "unknown record type 'x'")),
+        ("r 0 base 1\ne 0 1\n", (2, 1, "unknown record type 'e'")),
+    ],
+)
+def test_roles_parse_error_positions(text, where):
+    with pytest.raises(ParseError) as err:
+        roles_from_text(text)
+    assert (err.value.line, err.value.column, err.value.reason) == where
 
 
 # ---------------------------------------------------------------------------

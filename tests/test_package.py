@@ -87,3 +87,19 @@ def test_verify_runs_only_the_modules_it_needs(c4_files):
     assert {"nbcolor.balance", "nbcolor.graph", "nbcolor.io"} <= set(ran["ran"])
     for idle in ("cnf", "families", "products", "unions", "reduction", "solver"):
         assert f"nbcolor.{idle}" not in ran["ran"]
+
+
+DECLARING = [m for m in nbcolor._EXPORTS if hasattr(getattr(nbcolor, m), "__all__")]
+
+
+def test_export_check_covers_every_module_with_all():
+    assert {"cnf", "families", "io", "products", "reduction", "solver", "unions"} <= set(
+        DECLARING
+    )
+
+
+@pytest.mark.parametrize("name", DECLARING)
+def test_export_table_matches_the_modules_all(name):
+    """``nbcolor._EXPORTS`` lists each module's public names a second time;
+    a name added to one list and not the other fails here."""
+    assert set(getattr(nbcolor, name).__all__) == set(nbcolor._EXPORTS[name])

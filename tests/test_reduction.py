@@ -234,6 +234,51 @@ def test_decode_from_roles_validates_sidecar():
     assert caught.value.report.violations
 
 
+def _lie_no_index(rinst, roles, colors):
+    """The first house's index vertices relabeled as supports."""
+    first = rinst.houses[0]
+    for v in first.indexes():
+        roles[v] = ("support", first.element)
+
+
+def _lie_two_index_colors(rinst, roles, colors):
+    """An index vertex of the element-2 house swaps labels with a support of
+    another color."""
+    two = rinst.houses[2]
+    i = two.indexes()[0]
+    s = next(s for s in two.supports() if colors[s] != colors[i])
+    roles[i], roles[s] = roles[s], roles[i]
+
+
+def _lie_short_house(rinst, roles, colors):
+    """The element-2 house loses an index vertex and claims element 1."""
+    two = rinst.houses[2]
+    for v in two.bases() + two.supports() + two.indexes():
+        roles[v] = (roles[v][0], 1)
+    roles[two.indexes()[0]] = ("support", 1)
+
+
+@pytest.mark.parametrize(
+    "lie,reason",
+    [
+        (_lie_no_index, "has no index vertices"),
+        (_lie_two_index_colors, "carry colors"),
+        (_lie_short_house, r"decoded subset sums \[2, 1\] differ"),
+    ],
+)
+def test_decode_from_roles_refuses_a_lying_sidecar(lie, reason):
+    """A balanced witness with a sidecar that lies about the houses: each lie
+    is a ``ValueError`` about the sidecar, not an unbalanced coloring."""
+    rinst = reduce_ess_to_nbc(EssInstance((1, 1, 2), 2))
+    assert [p.element for p in rinst.houses] == [1, 1, 2]
+    witness = solve(rinst.graph, 2).witness
+    roles = rinst.roles()
+    lie(rinst, roles, witness.colors)
+    with pytest.raises(ValueError, match=reason) as caught:
+        decode_from_roles(rinst.graph, roles, witness)
+    assert not isinstance(caught.value, UnbalancedColoring)
+
+
 def test_decode_rejects_unbalanced_coloring():
     rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
     with pytest.raises(ValueError):
