@@ -197,6 +197,31 @@ def _balanced(
     return True
 
 
+def _screen(adj: Sequence[Sequence[int]], m: int, k: int) -> str | None:
+    """The first necessary condition that a graph with neighbourhoods ``adj``
+    and ``m`` edges fails for k colors, or None if it passes them all.
+
+    The one yes/no screen: it reads only the distinct degrees, checks the
+    rules in ``check_necessary``'s order and builds no report.
+    ``check_necessary`` takes its ``failed_rule`` from here.
+    """
+    degrees = set(map(len, adj))
+    for d in degrees:
+        if d % k:
+            return "degree-divisibility"
+    if 0 in degrees:  # isolated vertices make the order rules vacuous
+        return None
+    n = len(adj)
+    if n < 2 * k:
+        return "min-order" if n else None
+    if len(degrees) == 1:  # r-regular with r >= 1
+        if n % k:
+            return "regular-order"
+        if m % (k * k):
+            return "regular-size"
+    return None
+
+
 def _balanced_input(g: Graph, c: Coloring, name: str) -> Coloring:
     """Return a caller's coloring of g if it is balanced; else raise ValueError."""
     if len(c.colors) != g.n:
@@ -266,6 +291,8 @@ def check_necessary(g: Graph, k: int) -> NecessityReport:
 
     The regularity sub-report is populated whenever it applies, even if an
     earlier rule already failed, so callers can always read off the residues.
+    ``failed_rule`` (and so ``verdict``) comes from ``_screen``, the yes/no
+    screen ``solve`` gates through; the other fields explain it.
     """
     if k < 1:
         raise ValueError(f"palette size must be at least 1, got {k}")
@@ -302,16 +329,7 @@ def check_necessary(g: Graph, k: int) -> NecessityReport:
             size_ok=g.m % (k * k) == 0,
         )
 
-    failed_rule: str | None = None
-    if not degree_ok:
-        failed_rule = "degree-divisibility"
-    elif not order_ok:
-        failed_rule = "min-order"
-    elif regularity is not None and not regularity.order_ok:
-        failed_rule = "regular-order"
-    elif regularity is not None and not regularity.size_ok:
-        failed_rule = "regular-size"
-
+    failed_rule = _screen(g.adjacency, g.m, k)
     verdict = "provably-uncolorable" if failed_rule else "possibly-colorable"
     return NecessityReport(
         k=k,

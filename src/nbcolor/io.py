@@ -50,6 +50,11 @@ def _column_of(raw: str, fields: list[str], index: int) -> int:
     return raw.find(fields[index], pos) + 1
 
 
+def _record_error(lineno: int, raw: str, message: str) -> ParseError:
+    """An error about the record on line ``raw`` as a whole, placed at its tag."""
+    return ParseError(lineno, _column_of(raw, raw.split(), 0), message)
+
+
 def _int_field(
     raw: str, fields: list[str], index: int, lineno: int, what: str
 ) -> int:
@@ -82,10 +87,10 @@ def graph_from_text(text: str) -> Graph:
         tag = fields[0]
         if tag == "p":
             if n is not None:
-                raise ParseError(lineno, 1, "duplicate 'p' header")
+                raise _record_error(lineno, raw, "duplicate 'p' header")
             if len(fields) != 3:
-                raise ParseError(
-                    lineno, 1, f"'p' header needs 2 numbers, got {len(fields) - 1}"
+                raise _record_error(
+                    lineno, raw, f"'p' header needs 2 numbers, got {len(fields) - 1}"
                 )
             n = _int_field(raw, fields, 1, lineno, "a vertex count")
             declared_m = _int_field(raw, fields, 2, lineno, "an edge count")
@@ -96,10 +101,10 @@ def graph_from_text(text: str) -> Graph:
                 )
         elif tag == "e":
             if n is None:
-                raise ParseError(lineno, 1, "'e' line before the 'p' header")
+                raise _record_error(lineno, raw, "'e' line before the 'p' header")
             if len(fields) != 3:
-                raise ParseError(
-                    lineno, 1, f"'e' line needs 2 endpoints, got {len(fields) - 1}"
+                raise _record_error(
+                    lineno, raw, f"'e' line needs 2 endpoints, got {len(fields) - 1}"
                 )
             u = _int_field(raw, fields, 1, lineno, "a vertex index")
             v = _int_field(raw, fields, 2, lineno, "a vertex index")
@@ -116,7 +121,7 @@ def graph_from_text(text: str) -> Graph:
                 )
             edges.append((u, v))
         else:
-            raise ParseError(lineno, 1, f"unknown record type {tag!r}")
+            raise _record_error(lineno, raw, f"unknown record type {tag!r}")
     if n is None:
         raise ParseError(1, 1, "missing 'p <n> <m>' header")
     if declared_m != len(edges):
@@ -145,9 +150,9 @@ def coloring_from_text(text: str) -> Coloring:
         tag = fields[0]
         if tag == "k":
             if k is not None:
-                raise ParseError(lineno, 1, "duplicate 'k' header")
+                raise _record_error(lineno, raw, "duplicate 'k' header")
             if len(fields) != 2:
-                raise ParseError(lineno, 1, "'k' header needs exactly 1 number")
+                raise _record_error(lineno, raw, "'k' header needs exactly 1 number")
             k = _int_field(raw, fields, 1, lineno, "a palette size")
             if k < 1:
                 raise ParseError(
@@ -155,9 +160,9 @@ def coloring_from_text(text: str) -> Coloring:
                 )
         elif tag == "v":
             if k is None:
-                raise ParseError(lineno, 1, "'v' line before the 'k' header")
+                raise _record_error(lineno, raw, "'v' line before the 'k' header")
             if len(fields) != 3:
-                raise ParseError(lineno, 1, "'v' line needs a vertex and a color")
+                raise _record_error(lineno, raw, "'v' line needs a vertex and a color")
             vertex = _int_field(raw, fields, 1, lineno, "a vertex index")
             color = _int_field(raw, fields, 2, lineno, "a color")
             if vertex < 0:
@@ -178,7 +183,7 @@ def coloring_from_text(text: str) -> Coloring:
                 )
             assignment[vertex] = color
         else:
-            raise ParseError(lineno, 1, f"unknown record type {tag!r}")
+            raise _record_error(lineno, raw, f"unknown record type {tag!r}")
     if k is None:
         raise ParseError(1, 1, "missing 'k <k>' header")
     n = len(assignment)
@@ -210,10 +215,10 @@ def roles_from_text(text: str) -> dict[int, tuple[str, int | None]]:
     roles: dict[int, tuple[str, int | None]] = {}
     for lineno, raw, fields in _records(text):
         if fields[0] != "r":
-            raise ParseError(lineno, 1, f"unknown record type {fields[0]!r}")
+            raise _record_error(lineno, raw, f"unknown record type {fields[0]!r}")
         if len(fields) not in (3, 4):
-            raise ParseError(
-                lineno, 1, "'r' line needs a vertex, a role, and an optional element"
+            raise _record_error(
+                lineno, raw, "'r' line needs a vertex, a role, and an optional element"
             )
         vertex = _int_field(raw, fields, 1, lineno, "a vertex index")
         role = fields[2]

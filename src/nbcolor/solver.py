@@ -2,7 +2,8 @@
 
 ``solve`` runs pruned backtracking with six devices:
 
-(a) the arithmetic necessity gate (any failure is immediate UNSAT),
+(a) the arithmetic necessity screens, ``balance._screen`` (any failure is
+    immediate UNSAT),
 (b) per-vertex color quotas deg(v)/k enforced incrementally,
 (c) forward checking — saturating a color in some neighborhood bans it on
     the uncolored vertices adjacent to that neighborhood's center, and a
@@ -19,7 +20,7 @@
 
 The search order is fixed before the search starts.  ``canonical-min`` and
 every irregular graph use descending degree with index as tiebreak.  On a
-regular graph (as the gate reports it) that order is just the labels a
+regular graph (every degree the same r >= 1) that order is just the labels a
 builder assigned, so ``first-witness`` and count mode use a connected order
 there instead: maximum-cardinality search, where each next vertex has the
 most neighbours already placed.  Fail-first ties then follow the graph's
@@ -65,7 +66,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from .balance import Coloring, _balanced, _balanced_output, check_necessary
+from .balance import Coloring, _balanced, _balanced_output, _screen
 from .graph import Graph
 
 _MODES = ("first-witness", "canonical-min", "count")
@@ -92,6 +93,9 @@ class SolveConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.node_budget is not None and self.node_budget <= 0:
             raise ValueError(f"node budget must be positive, got {self.node_budget}")
+
+
+_DEFAULT_CONFIG = SolveConfig()
 
 
 @dataclass
@@ -317,17 +321,17 @@ def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:
     """
     if k < 2:
         raise ValueError(f"palette size must be at least 2, got {k}")
-    cfg = cfg or SolveConfig()
-    gate = check_necessary(g, k)
-    if not gate.possibly_colorable:
-        assert gate.failed_rule is not None
+    cfg = cfg or _DEFAULT_CONFIG
+    rule = _screen(g.adjacency, g.m, k)
+    if rule is not None:
         return SolveOutcome(
             status="UNSAT",
             count=0 if cfg.mode == "count" else None,
             nodes_explored=0,
-            pruned_by={gate.failed_rule: 1},
+            pruned_by={rule: 1},
         )
-    if cfg.mode != "canonical-min" and gate.regularity is not None:
+    # g.m >= 1 makes a regular graph's degree at least 1.
+    if cfg.mode != "canonical-min" and g.m and g.is_regular():
         order = _connected_order(g)
     else:
         order = _vertex_order(g)

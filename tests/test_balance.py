@@ -1,5 +1,6 @@
 """Verifier, signed weights, arithmetic screens, recoloring maps."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import bowtie, naive_balanced, petersen, random_graph
 from nbcolor import (
     Coloring,
+    EssInstance,
     Graph,
     check_necessary,
     complete_graph,
@@ -23,10 +25,11 @@ from nbcolor import (
     is_closed_nbkc,
     is_nbkc,
     permute_colors,
+    reduce_ess_to_nbc,
     signed_color_value,
     weight,
 )
-from nbcolor.balance import _balanced
+from nbcolor.balance import _balanced, _screen
 
 C8 = cycle_graph(8)
 C8_COLORING = Coloring(2, (1, 1, 2, 2, 1, 1, 2, 2))
@@ -247,6 +250,60 @@ def test_check_necessary_trivial_palette():
     # k=1 makes every divisibility vacuous: one color is always balanced
     rep = check_necessary(C8, 1)
     assert rep.verdict == "possibly-colorable"
+
+
+def _circulant(n, jumps):
+    return Graph(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in jumps})
+
+
+def _screen_cases():
+    """(graph, k) pairs over which the yes/no screen must agree with the report."""
+    rng = random.Random(1906)
+    for _ in range(600):
+        n = rng.randint(0, 10)
+        yield random_graph(rng, n, rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))), rng.randint(1, 5)
+    for _ in range(200):  # a graph plus isolated vertices
+        n, extra = rng.randint(1, 8), rng.randint(1, 3)
+        core = random_graph(rng, n, rng.choice((0.3, 0.7, 1.0)))
+        yield Graph(n + extra, core.edges), rng.randint(1, 5)
+    for n in range(1, 17):  # circulants: every jump set, so every residue case
+        jumps = range(1, n // 2 + 1)
+        for size in range(len(jumps) + 1):
+            for chosen in itertools.combinations(jumps, size):
+                g = _circulant(n, chosen)
+                for k in range(1, 5):
+                    yield g, k
+    for values, k in (((1, 2, 3), 2), ((1, 1, 2), 2), ((1, 2, 3), 3), ((2, 2, 2), 3),
+                      ((1, 1, 1, 1), 2), ((1, 2, 4), 3), ((3, 3, 3, 3), 4)):
+        yield reduce_ess_to_nbc(EssInstance(values, k)).graph, k
+
+
+RULES = ("degree-divisibility", "min-order", "regular-order", "regular-size")
+
+
+def test_screen_agrees_with_the_report():
+    seen = set()
+    for g, k in _screen_cases():
+        rule = check_necessary(g, k).failed_rule
+        assert _screen(g.adjacency, g.m, k) == rule, (g, k)
+        seen.add(rule)
+    assert seen == {None, *RULES}
+
+
+def test_failed_rule_is_the_first_failing_field():
+    """The report's fields say why: its rule is the first check they fail."""
+    for g, k in _screen_cases():
+        rep = check_necessary(g, k)
+        reg = rep.regularity
+        checks = (
+            rep.degree_ok,
+            rep.order_ok,
+            reg is None or reg.order_ok,
+            reg is None or reg.size_ok,
+        )
+        first = next((rule for rule, ok in zip(RULES, checks) if not ok), None)
+        assert rep.failed_rule == first, (g, k)
+        assert rep.possibly_colorable == (first is None)
 
 
 # ---------------------------------------------------------------------------

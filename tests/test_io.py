@@ -265,3 +265,32 @@ def test_necessity_report_to_json():
     assert blob["verdict"] == "provably-uncolorable"
     assert blob["failed_rule"] == "degree-divisibility"
     assert blob["regularity"]["degree"] == 3
+
+
+@pytest.mark.parametrize("indent,column", [("  ", 3), ("\t", 2)], ids=["spaces", "tab"])
+@pytest.mark.parametrize(
+    "parse,text,line,reason",
+    [
+        (graph_from_text, "p 2 0\n{}p 3 0\n", 2, "duplicate 'p' header"),
+        (graph_from_text, "{}p 2\n", 1, "'p' header needs 2 numbers, got 1"),
+        (graph_from_text, "{}e 0 1\np 2 1\n", 1, "'e' line before the 'p' header"),
+        (graph_from_text, "p 2 1\n{}e 0\n", 2, "'e' line needs 2 endpoints, got 1"),
+        (graph_from_text, "p 2 0\n\n{}q 1\n", 3, "unknown record type 'q'"),
+        (coloring_from_text, "k 2\n{}k 2\n", 2, "duplicate 'k' header"),
+        (coloring_from_text, "{}k 2 3\n", 1, "'k' header needs exactly 1 number"),
+        (coloring_from_text, "{}v 0 1\nk 2\n", 1, "'v' line before the 'k' header"),
+        (coloring_from_text, "k 2\n{}v 0\n", 2, "'v' line needs a vertex and a color"),
+        (coloring_from_text, "k 2\n{}q 1\n", 2, "unknown record type 'q'"),
+        (roles_from_text, "\n{}q 1\n", 2, "unknown record type 'q'"),
+        (
+            roles_from_text,
+            "r 0 base 1\n{}r 1\n",
+            2,
+            "'r' line needs a vertex, a role, and an optional element",
+        ),
+    ],
+)
+def test_record_errors_point_at_an_indented_tag(parse, text, line, reason, indent, column):
+    with pytest.raises(ParseError) as err:
+        parse(text.format(indent))
+    assert (err.value.line, err.value.column, err.value.reason) == (line, column, reason)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nbcolor.balance
 from helpers import bowtie, dpll, naive_balanced, random_graph
 from nbcolor import (
     CirculantSpec,
@@ -54,6 +55,48 @@ def test_k4_unsat_via_screen():
     out = solve(complete_graph(4), 2)
     assert out.status == "UNSAT"
     assert out.pruned_by == {"degree-divisibility": 1}
+
+
+MODES = ("first-witness", "canonical-min", "count")
+
+# One graph refused by each screen at k=2, in rule order.
+SCREENED = (
+    ("degree-divisibility", complete_graph(4)),
+    ("min-order", cycle_graph(3)),
+    ("regular-order", cycle_graph(5)),
+    ("regular-size", cycle_graph(6)),
+)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("rule,g", SCREENED)
+def test_screen_refusal_outcome(rule, g, mode):
+    out = solve(g, 2, SolveConfig(mode=mode))
+    assert out.status == "UNSAT"
+    assert out.witness is None
+    assert out.count == (0 if mode == "count" else None)
+    assert out.nodes_explored == 0
+    assert list(out.pruned_by.items()) == [(rule, 1)]
+
+
+def test_solve_builds_no_necessity_report(monkeypatch):
+    """The gate answers yes or no; only ``check_necessary`` builds reports."""
+    made = []
+
+    class CountingReport(nbcolor.balance.NecessityReport):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(nbcolor.balance, "NecessityReport", CountingReport)
+    graphs = [g for _, g in SCREENED] + [cycle_graph(8)]
+    for g in graphs:
+        for mode in MODES:
+            solve(g, 2, SolveConfig(mode=mode))
+    assert solve(cycle_graph(8), 2).status == "SAT"
+    assert not made
+    check_necessary(cycle_graph(8), 2)  # the counter does see a report
+    assert made == [1]
 
 
 def test_bowtie_needs_real_search():
