@@ -20,6 +20,11 @@ class Graph:
     ``adjacency`` is the same table that ``neighbors`` indexes: entry v is the
     ascending tuple of v's neighbours.  Code that walks every vertex reads it
     once instead of range-checking each vertex.
+
+    The constructor validates and normalizes everything it is given.  The
+    private ``Graph._from_tables`` skips that for tables the package derives
+    itself (the compiled reduction instances): it trusts the caller that the
+    edges are already canonical and the rows match them.
     """
 
     __slots__ = ("_n", "_edges", "_adj")
@@ -53,6 +58,24 @@ class Graph:
             else:
                 adj[v] = [u]
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+
+    @classmethod
+    def _from_tables(
+        cls,
+        n: int,
+        edges: tuple[tuple[int, int], ...],
+        adj: tuple[tuple[int, ...], ...],
+    ) -> Graph:
+        """A graph whose tables the caller guarantees are canonical.
+
+        ``edges`` must be sorted (min, max) pairs with both ends in 0..n-1,
+        no self-loops and no duplicates; ``adj[v]`` must be v's neighbours in
+        ascending order, exactly as ``edges`` lists them.  Nothing is checked:
+        only builders that derive both tables from one layout may call this.
+        """
+        g = cls.__new__(cls)
+        g._n, g._edges, g._adj = n, edges, adj
+        return g
 
     @property
     def n(self) -> int:

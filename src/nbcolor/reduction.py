@@ -5,7 +5,9 @@ The compiler attaches one (k, a)-house per multiset element a plus k shared
 of the compiled graph, all of a house's index vertices to share one color —
 so each element effectively picks a subset — and balance at the distributive
 vertices forces the k subset sums equal.  ``_house_layout`` alone states the
-house layout; ``house`` and ``reduce_ess_to_nbc`` take their edges from it.
+house layout; ``house`` and ``reduce_ess_to_nbc`` take their tables from it,
+the sorted edge tuple and the adjacency rows alike, and hand them to the
+graph without a second normalizing pass.
 ``decode_from_roles`` validates a balanced coloring and its role table and
 reads the partition back out; ``ess_brute_force`` is the independent ground
 truth for the partition problem.
@@ -19,7 +21,7 @@ numeric-vertex split the argument relied on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, product, repeat
 
 from .balance import BalanceReport, Coloring, _balanced, _balanced_output, is_nbkc
 from .graph import Graph
@@ -41,6 +43,9 @@ class EssInstance:
         object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("the multiset must be nonempty")
+        for a in values:
+            _require_int(a, "element")
+        _require_int(self.k, "subset count")
         if any(a < 1 for a in values):
             raise ValueError(f"all elements must be positive integers: {values}")
         if self.k < 2:
@@ -55,24 +60,52 @@ class EssInstance:
         return self.total % self.k == 0
 
 
-def _house_layout(k: int, n: int, offset: int = 0) -> tuple[range, range, range, chain]:
-    """The (k, n)-house at ``offset``: (bases, supports, indexes, edges).
+def _require_int(value: object, what: str) -> None:
+    if not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _house_layout(k: int, n: int, offset: int = 0) -> tuple[range, range, range]:
+    """The (k, n)-house at ``offset``: its (bases, supports, indexes) ranges.
 
     Local labels: bases 0..k-2, then kn supports, then n indexes.  Every
     base is adjacent to every support; support number j is adjacent to index
     number j // k (consecutive blocks of k supports per index).  So a support
     has degree exactly k, which is what forces rainbow neighborhoods around
-    supports and, from there, a single shared color on all indexes.  The
-    labels come as ranges, the k^2 n edges as a lazy (low, high) iterator.
+    supports and, from there, a single shared color on all indexes.
+
+    ``house`` and ``reduce_ess_to_nbc`` take their tables from these ranges,
+    the sorted edges and the adjacency rows alike, through ``_house_tables``.
     """
     bases = range(offset, offset + k - 1)
     supports = range(bases.stop, bases.stop + k * n)
     indexes = range(supports.stop, supports.stop + n)
+    return bases, supports, indexes
+
+
+def _house_tables(
+    k: int, bases: range, supports: range, indexes: range, hub: tuple[int, ...]
+) -> tuple[chain, chain]:
+    """The (edges, rows) of the house on ``_house_layout``'s ranges.
+
+    Every index is also adjacent to every ``hub`` vertex, and the hub lies
+    above the house.  ``edges`` yields (low, high) pairs in sorted order and
+    ``rows`` each house vertex's ascending neighbours in label order: the
+    k-1 bases share one row, as do the k supports of one index.
+    """
+    index_of_support = chain.from_iterable(map(repeat, indexes, repeat(k)))
     edges = chain(
-        ((b, s) for b in bases for s in supports),
-        ((s, indexes[j // k]) for j, s in enumerate(supports)),
+        product(bases, supports),
+        zip(supports, index_of_support),
+        product(indexes, hub),
     )
-    return bases, supports, indexes, edges
+    support_rows = map(tuple(bases).__add__, zip(indexes))  # bases, then (i,)
+    rows = chain(
+        repeat(tuple(supports), len(bases)),
+        chain.from_iterable(map(repeat, support_rows, repeat(k))),
+        map(tuple.__add__, zip(*[iter(supports)] * k), repeat(hub)),
+    )
+    return edges, rows
 
 
 @dataclass(frozen=True)
@@ -89,14 +122,17 @@ class HouseGadget:
 
 def house(k: int, n: int) -> HouseGadget:
     """Build a (k, n)-house: k-1 bases, kn supports and n indexes."""
+    _require_int(k, "k")
+    _require_int(n, "n")
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    bases, supports, indexes, edges = _house_layout(k, n)
-    return HouseGadget(k=k, n=n, graph=Graph(indexes.stop, edges),
-                       bases=tuple(bases), supports=tuple(supports),
-                       indexes=tuple(indexes))
+    bases, supports, indexes = _house_layout(k, n)
+    edges, rows = _house_tables(k, bases, supports, indexes, ())
+    graph = Graph._from_tables(indexes.stop, tuple(edges), tuple(rows))
+    return HouseGadget(k=k, n=n, graph=graph, bases=tuple(bases),
+                       supports=tuple(supports), indexes=tuple(indexes))
 
 
 def house_scheme_coloring(gadget: HouseGadget) -> Coloring:
@@ -155,10 +191,8 @@ class ReductionInstance:
         for p in self.houses:
             layout = _house_layout(p.k, p.element, p.offset)
             for role, labels in zip(("base", "support", "index"), layout):
-                for v in labels:
-                    table[v] = (role, p.element)
-        for d in self.distributive:
-            table[d] = ("distributive", None)
+                table.update(dict.fromkeys(labels, (role, p.element)))
+        table.update(dict.fromkeys(self.distributive, ("distributive", None)))
         return table
 
 
@@ -174,16 +208,23 @@ def reduce_ess_to_nbc(inst: EssInstance) -> ReductionInstance:
     distributive = tuple(range(n, n + k))
     placements: list[HousePlacement] = []
     edges: list[tuple[int, int]] = []
+    rows: list[tuple[int, ...]] = []
+    all_indexes: list[int] = []
     offset = 0
     for a in inst.values:
         placements.append(HousePlacement(element=a, k=k, offset=offset))
-        _, _, indexes, house_edges = _house_layout(k, a, offset)
+        bases, supports, indexes = _house_layout(k, a, offset)
+        house_edges, house_rows = _house_tables(k, bases, supports, indexes, distributive)
         edges.extend(house_edges)
-        edges.extend((i, d) for i in indexes for d in distributive)
+        rows.extend(house_rows)
+        all_indexes.extend(indexes)
         offset = indexes.stop
+    # Houses occupy ascending label blocks below the distributive vertices,
+    # so the concatenated tables are already the sorted, canonical ones.
+    rows.extend(repeat(tuple(all_indexes), k))
     return ReductionInstance(
         instance=inst,
-        graph=Graph(n + k, edges),
+        graph=Graph._from_tables(n + k, tuple(edges), tuple(rows)),
         houses=tuple(placements),
         distributive=distributive,
     )

@@ -23,6 +23,7 @@ from nbcolor import (
     cycle_nbc,
     embed_in_nbkc,
     flawed_gadget,
+    house,
     induced_subgraph,
     signed_color_value,
     to_cnf,
@@ -89,6 +90,14 @@ CASES = [
     # reduction
     case("ess-empty", "the multiset must be nonempty",
          lambda: EssInstance((), 2)),
+    case("ess-float-element", "element must be an integer, got 1.5",
+         lambda: EssInstance((1.5, 1.5), 2)),
+    case("ess-float-k", "subset count must be an integer, got 2.0",
+         lambda: EssInstance((2, 2), 2.0)),
+    case("house-float-k", "k must be an integer, got 2.5",
+         lambda: house(2.5, 3)),
+    case("house-float-n", "n must be an integer, got 3.0",
+         lambda: house(2, 3.0)),
     case("flawed-empty", "the multiset must be nonempty",
          lambda: flawed_gadget(())),
     case("flawed-nonpositive", "all elements must be positive integers",

@@ -1,6 +1,8 @@
 """Equal-sum-subsets reduction: gadgets, compilation, decoding, regression."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +10,7 @@ from helpers import naive_balanced, same_color_witness
 from nbcolor import (
     Coloring,
     EssInstance,
+    Graph,
     Refusal,
     UnbalancedColoring,
     brute_force,
@@ -15,11 +18,13 @@ from nbcolor import (
     decode_from_roles,
     ess_brute_force,
     flawed_gadget,
+    graph_to_text,
     house,
     house_scheme_coloring,
     induced_subgraph,
     is_nbkc,
     reduce_ess_to_nbc,
+    roles_to_text,
     solve,
 )
 
@@ -34,6 +39,11 @@ def test_instance_validation():
         EssInstance((0, 1), 2)  # values must be positive
     with pytest.raises(ValueError):
         EssInstance((1, 2), 1)  # at least two subsets
+
+
+def test_bools_count_as_integers():
+    assert EssInstance((True, 1), 2).total == 2
+    assert house(2, True).graph == house(2, 1).graph
 
 
 def test_instance_arithmetic():
@@ -166,6 +176,77 @@ def test_reduction_graph_size_formula():
     per_house_vertices = sum((3 - 1) + 3 * n + n for n in inst.values)
     assert rinst.graph.n == per_house_vertices + 3
     assert rinst.graph.m == 9 * total + 3 * total
+
+
+# ---------------------------------------------------------------------------
+# Compiled tables
+# ---------------------------------------------------------------------------
+
+
+def _criterion_06_instances():
+    for size in range(1, 6):
+        for values in itertools.combinations_with_replacement(range(1, 7), size):
+            for k in (2, 3):
+                yield EssInstance(values, k)
+
+
+def _compiled_graphs():
+    """Every graph the compilers build in the sweep, random instances, houses."""
+    for inst in _criterion_06_instances():
+        yield reduce_ess_to_nbc(inst).graph
+    rng = random.Random(20)
+    for _ in range(150):
+        values = [rng.randint(1, 30) for _ in range(rng.randint(1, 8))]
+        yield reduce_ess_to_nbc(EssInstance(values, rng.randint(2, 6))).graph
+    for k in range(2, 7):
+        for n in range(1, 13):
+            yield house(k, n).graph
+
+
+def test_compiled_tables_match_the_validating_constructor():
+    """The tables the compilers derive are the ones ``Graph`` would build."""
+    rng = random.Random(21)
+    graphs = 0
+    for g in _compiled_graphs():
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        rng.shuffle(edges)
+        rebuilt = Graph(g.n, edges)
+        assert rebuilt.edges == g.edges
+        assert rebuilt.adjacency == g.adjacency
+        assert (rebuilt.m, hash(rebuilt)) == (g.m, hash(g))
+        graphs += 1
+    assert graphs == 922 + 150 + 60
+
+
+COMPILED_FILES_SHA256 = "7b165b5ea62a527f1ced993b3a1d4e20e352c4cf10a683982adf526d840b7a33"
+
+
+def test_compiled_files_are_pinned():
+    """``nbcolor reduce`` writes ``graph_to_text`` and ``roles_to_text`` of
+    these compilations; the digest also covers the role table's order."""
+    digest = hashlib.sha256()
+    for inst in _criterion_06_instances():
+        rinst = reduce_ess_to_nbc(inst)
+        roles = rinst.roles()
+        digest.update(graph_to_text(rinst.graph).encode())
+        digest.update(roles_to_text(roles).encode())
+        digest.update(repr(list(roles.items())).encode())
+    assert digest.hexdigest() == COMPILED_FILES_SHA256
+
+
+def test_compilers_skip_the_validating_constructor(monkeypatch):
+    calls = []
+    validating = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        validating(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 3))
+    h = house(3, 4)
+    assert calls == []
+    assert (rinst.graph.m, h.graph.m) == (72, 36)
 
 
 # ---------------------------------------------------------------------------
