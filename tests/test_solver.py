@@ -16,19 +16,25 @@ from nbcolor import (
     EssInstance,
     Graph,
     SolveConfig,
+    UnionSpec,
     brute_force,
     check_necessary,
     circulant_progression_nbc,
+    circulant_residue_nbc,
     complete_graph,
     complete_multipartite_graph,
+    complete_multipartite_nbc,
     count_colorings,
     cycle_graph,
     cycle_nbc,
+    cycle_union_nbc,
+    hamming_nbc,
     hypercube_nbc,
     product_nbc,
     reduce_ess_to_nbc,
     solve,
     to_cnf,
+    union_over_set,
 )
 from nbcolor.solver import _connected_order, _vertex_order
 
@@ -350,6 +356,91 @@ def test_reduction_sweep_trees_are_pinned(mode):
                 instances += 1
     assert instances == 922
     assert (nodes, pruned, digest.hexdigest()) == SWEEP_TREES[mode]
+
+
+def family_witness_graphs():
+    """(k, graph) for every graph of the family-witness benchmark workload:
+    its 21 first-witness graphs and C30(1,2,3), the one graph it only counts,
+    each built through ``families``, ``products`` or ``unions``."""
+    spec = CirculantSpec
+    (g4, c4), (g8, c8) = cycle_nbc(4), cycle_nbc(8)
+    glue = frozenset({0, 4})
+    built = [
+        (4, circulant_progression_nbc(spec(48, (1, 4, 7, 10)))),
+        (2, circulant_residue_nbc(spec(48, (1, 4, 7, 10)), 2)),
+        (2, circulant_residue_nbc(spec(36, (1, 2, 4, 5)), 2)),
+        (3, circulant_progression_nbc(spec(60, (1, 2, 3)))),
+        *((2, hypercube_nbc(d)) for d in (4, 6, 8, 10)),
+        (3, hamming_nbc(3, 3)),
+        (3, complete_multipartite_nbc((3, 3, 3), 3)),
+        (2, complete_multipartite_nbc((4, 4, 4), 2)),
+        *((2, product_nbc(kind, g4, g8, c4, c8)) for kind in ("cartesian", "direct", "strong")),
+        (2, product_nbc("lexicographic", g8, g4, c8, c4)),
+        (2, cycle_union_nbc(8, frozenset({0, 1, 2}), 3)),
+        (2, cycle_union_nbc(12, frozenset({0, 1, 2}), 5)),
+        (2, union_over_set(UnionSpec(g8, glue, 3))),
+        *((2, cycle_nbc(n)) for n in (400, 600, 800)),
+        (3, circulant_progression_nbc(spec(30, (1, 2, 3)))),
+    ]
+    return [(k, graph) for k, (graph, *_) in built]
+
+
+def seeded_random_graphs():
+    """(k, graph) for 216 seeded draws of the three random kinds the oracle
+    tests use: degree-divisible, cloned twins and regular."""
+    out = []
+    for seed in range(72):
+        rng = random.Random(seed)
+        k = 2 + seed % 3
+        out.append((k, degree_divisible_graph(rng, rng.randint(4, 14), k)))
+        n = rng.randint(2, 6)
+        out.append((k, graph_with_cloned_twins(rng, n, rng.randint(1, 12 - n))))
+        out.append((k, random_regular_graph(rng, k, {2: 16, 3: 12, 4: 16}[k], seed % 2 == 0)))
+    return out
+
+
+FAMILY_TREES = {
+    "first-witness": (
+        42702,
+        {"symmetry": 600, "quota": 60366, "deficit": 11513, "twin": 68,
+         "degree-divisibility": 93, "min-order": 2, "regular-order": 2, "regular-size": 1},
+        "ca0878bfb5d5ba24c4960368494d649a24d83d8a514d1c7ae4fe23f0f1ce7a37",
+    ),
+    "canonical-min": (
+        58651,
+        {"symmetry": 650, "quota": 72716, "deficit": 16799, "twin": 157,
+         "degree-divisibility": 93, "min-order": 2, "regular-order": 2, "regular-size": 1},
+        "cce358893b681382f2728342094280e477221e0c562fd3b004d838df6b3627dd",
+    ),
+    "count": (
+        117266,
+        {"symmetry": 628, "quota": 121423, "deficit": 18128,
+         "degree-divisibility": 93, "min-order": 2, "regular-order": 2, "regular-size": 1},
+        "d5f37659c2d89de7a84841e24fdf3f0bbe78ca1fdf7cbe7b292b24ea826378e0",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(FAMILY_TREES))
+def test_family_and_random_trees_are_pinned(mode):
+    """Every search tree of the family-witness graphs and of the seeded random
+    graphs, cut at 5,000 nodes: the node and prune totals, and a digest over
+    each graph's status, witness, count, nodes and prune tallies in key
+    order.  Regular graphs (searched in connected order) and count mode have
+    no other pinned trees."""
+    cfg = SolveConfig(mode=mode, node_budget=5000)
+    digest = hashlib.sha256()
+    nodes, pruned = 0, {}
+    for k, g in family_witness_graphs() + seeded_random_graphs():
+        out = solve(g, k, cfg)
+        nodes += out.nodes_explored
+        for rule, times in out.pruned_by.items():
+            pruned[rule] = pruned.get(rule, 0) + times
+        witness = None if out.witness is None else out.witness.colors
+        record = (out.status, witness, out.count, out.nodes_explored,
+                  list(out.pruned_by.items()))
+        digest.update(repr(record).encode())
+    assert (nodes, pruned, digest.hexdigest()) == FAMILY_TREES[mode]
 
 
 # ---------------------------------------------------------------------------
