@@ -524,6 +524,10 @@ def run(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large for this machine",
+              file=sys.stderr)
+        return 2
     except Exception as exc:
         # Exit 1 means a mathematical negative, so a crash must not reach it.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

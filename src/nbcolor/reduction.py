@@ -408,6 +408,8 @@ def flawed_gadget(values: tuple[int, ...] | list[int]) -> FlawedGadget:
     values = tuple(values)
     if not values:
         raise ValueError("the multiset must be nonempty")
+    for a in values:
+        _require_int(a, "element")
     if any(a < 1 for a in values):
         raise ValueError(f"all elements must be positive integers: {values}")
     v1, v2, u1, u2 = 0, 1, 2, 3

@@ -7,7 +7,9 @@
 (b) per-vertex color quotas deg(v)/k enforced incrementally,
 (c) forward checking — saturating a color in some neighborhood bans it on
     the uncolored vertices adjacent to that neighborhood's center, and a
-    vertex left with no feasible color kills the branch,
+    vertex left with no feasible color kills the branch; each vertex keeps
+    its bans in one word, undone from a trail of the bans each assignment
+    set (Schulte 1999), so for a fixed k the search state is linear in n + m,
 (d) color-symmetry breaking — a vertex may use at most one color beyond the
     largest color used so far,
 (e) twin-class symmetry breaking — a vertex takes no color below that of the
@@ -139,6 +141,14 @@ def _search(
     every candidate scan has ``maxused == below[d]`` and the top candidate
     ``min(k, maxused + 1)``.
 
+    State, O(kn + m) words plus k + 1 bucket ints of n bits: ``room[c][u]``
+    counts the neighbours of u that may still take color c; ``ban[w]`` has
+    bit c set while c is banned on w and bit 0 while w is colored, so a ban
+    sweep skips both with one test; ``trail`` holds the vertices whose ban
+    bit an assignment set, popped back to the frame's ``mark[d]`` on undo;
+    ``masks[e]`` has bit ``rank[v]`` (the position in the order) set for
+    each uncolored vertex v with e eligible colors.
+
     Returns ``(found, color, nodes, pruned, count)``.  ``found`` is True when
     stopped at a witness (left in ``color``); False once the tree is
     exhausted, count mode having tallied every leaf into ``count``; None when
@@ -160,15 +170,14 @@ def _search(
     color = [0] * n
     pruned: dict[str, int] = {}
     count = 0
-    quota = [len(nb) // k for nb in adj]
-    counts = [[0] * (k + 1) for _ in range(n)]  # counts[v][c]
-    bans = [[0] * (k + 1) for _ in range(n)]  # bans[v][c]
+    room = [[len(nb) // k for nb in adj] for _ in range(k + 1)]
+    ban = [0] * n
+    trail: list[int] = []
+    mark = [0] * n
     eligible = [k] * n
-    # masks[e] has bit rank(v) set for each uncolored vertex v with e
-    # eligible colors, rank being the position in the order.
-    bit = [0] * n
+    rank = [0] * n
     for r, v in enumerate(order):
-        bit[v] = 1 << r
+        rank[v] = r
     masks = [0] * k + [(1 << n) - 1]
     # Symmetry breaking makes a leaf use exactly colors 1..maxused; a leaf
     # using 1..m stands for the k(k-1)...(k-m+1) colorings that relabel it.
@@ -206,27 +215,27 @@ def _search(
             v = vert[d]
             held = color[v]
             if held:
-                # Undo the held color: lift the bans its saturations set.
+                # Undo the held color: pop the bans it set, restore its room.
+                flag = 1 << held
+                for w in trail[mark[d]:]:
+                    ban[w] ^= flag
+                    e = eligible[w]
+                    eligible[w] = e + 1
+                    b = 1 << rank[w]
+                    masks[e] ^= b
+                    masks[e + 1] ^= b
+                del trail[mark[d]:]
+                row = room[held]
                 for u in adj[v]:
-                    cu = counts[u]
-                    if cu[held] == quota[u]:
-                        for w in adj[u]:
-                            if color[w] == 0:
-                                bw = bans[w]
-                                bw[held] -= 1
-                                if bw[held] == 0:
-                                    e = eligible[w]
-                                    eligible[w] = e + 1
-                                    masks[e] ^= bit[w]
-                                    masks[e + 1] ^= bit[w]
-                    cu[held] -= 1
+                    row[u] += 1
                 color[v] = 0
-                masks[eligible[v]] ^= bit[v]
+                ban[v] ^= 1
+                masks[eligible[v]] ^= 1 << rank[v]
                 maxused = below[d]
                 c = held + 1
             hi = maxused + 1 if maxused < k else k
-            bv = bans[v]
-            while c <= hi and bv[c]:
+            bv = ban[v]
+            while c <= hi and bv >> c & 1:
                 pruned["quota"] = pruned.get("quota", 0) + 1
                 c += 1
             if c > hi:
@@ -240,25 +249,31 @@ def _search(
             # Assign c to v and forward-check: a neighbourhood that
             # saturates c bans it on its center's uncolored neighbours.
             # A vertex left with no eligible color kills the branch, but
-            # every ban still lands, so the undo above stays symmetric.
+            # every ban still lands on the trail for the undo above.
             color[v] = c
-            masks[eligible[v]] ^= bit[v]
+            ban[v] = bv | 1
+            masks[eligible[v]] ^= 1 << rank[v]
+            mark[d] = len(trail)
+            flag = 1 << c
+            skip = flag | 1
+            row = room[c]
             ok = True
             for u in adj[v]:
-                cu = counts[u]
-                cu[c] += 1
-                if cu[c] == quota[u]:
+                r = row[u] - 1
+                row[u] = r
+                if not r:
                     for w in adj[u]:
-                        if color[w] == 0:
-                            bw = bans[w]
-                            bw[c] += 1
-                            if bw[c] == 1:
-                                e = eligible[w]
-                                eligible[w] = e - 1
-                                masks[e] ^= bit[w]
-                                masks[e - 1] ^= bit[w]
-                                if e == 1:
-                                    ok = False
+                        bw = ban[w]
+                        if not bw & skip:
+                            ban[w] = bw | flag
+                            trail.append(w)
+                            e = eligible[w]
+                            eligible[w] = e - 1
+                            b = 1 << rank[w]
+                            masks[e] ^= b
+                            masks[e - 1] ^= b
+                            if e == 1:
+                                ok = False
             if ok:
                 d += 1
                 break

@@ -867,6 +867,30 @@ def test_malformed_graph_reports_location(tmp_path, capsys):
     assert "line 2" in err
 
 
+def run_child(argv, preexec_fn=None):
+    """Run ``python -m nbcolor.cli argv`` in a child process on this source."""
+    src = str(Path(nbcolor.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    return subprocess.run([sys.executable, "-m", "nbcolor.cli", *argv],
+                          capture_output=True, text=True, env=env, preexec_fn=preexec_fn)
+
+
+def run_child_in_1gb(argv):
+    """``run_child`` with the child's address space capped at 1 GB (POSIX)."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        limit = 2**30
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        if hard != resource.RLIM_INFINITY:
+            limit = min(limit, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    return run_child(argv, preexec_fn=cap)
+
+
 def test_module_entry_point_runs_the_cli(tmp_path, c8, capsys):
     """``python -m nbcolor.cli`` behaves like ``run``."""
     run(["construct", "cycle", "8", "-k", "2", "-o", str(tmp_path / "ring")])
@@ -874,14 +898,33 @@ def test_module_entry_point_runs_the_cli(tmp_path, c8, capsys):
     capsys.readouterr()
     code = run(argv)
     expected = capsys.readouterr().out
-    src = str(Path(nbcolor.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    ))
-    proc = subprocess.run([sys.executable, "-m", "nbcolor.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = run_child(argv)
     assert (proc.returncode, proc.stdout) == (code, expected)
     assert code == 0 and expected.startswith("BALANCED\n")
+
+
+def test_solve_runs_a_large_sparse_graph_in_1gb(tmp_path, capsys):
+    """300,000 isolated vertices: the search state is linear in n + m, where
+    a table of one n-bit mask per vertex needs ~5.6 GB."""
+    gf, cf = tmp_path / "p300k.graph", tmp_path / "w.coloring"
+    gf.write_text("p 300000 0\n")
+    proc = run_child_in_1gb(["solve", str(gf), "-k", "2", "--mode", "canonical-min",
+                             "-o", str(cf)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("SAT\n")
+    assert run(["verify", str(gf), str(cf)]) == 0
+    assert capsys.readouterr().out.startswith("BALANCED\n")
+
+
+def test_out_of_memory_is_an_input_error(tmp_path):
+    """A 14-byte header that asks for 300,000,000 vertices exits 2 with one
+    line on stderr, not 3 (an internal error)."""
+    gf = tmp_path / "p300m.graph"
+    gf.write_text("p 300000000 0\n")
+    proc = run_child_in_1gb(["solve", str(gf), "-k", "2"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out of memory")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_unknown_subcommand(capsys):

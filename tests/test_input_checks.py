@@ -102,6 +102,8 @@ CASES = [
          lambda: flawed_gadget(())),
     case("flawed-nonpositive", "all elements must be positive integers",
          lambda: flawed_gadget((2, 0))),
+    case("flawed-float-element", "element must be an integer, got 1.5",
+         lambda: flawed_gadget((1.5, 2))),
     # solver
     case("solve-budget", "node budget must be positive, got 0",
          lambda: SolveConfig(node_budget=0)),

@@ -4,6 +4,7 @@ twin-class symmetry breaking, the dynamic vertex choice of first-witness."""
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -282,6 +283,20 @@ def test_search_depth_is_not_bounded_by_the_call_stack(g):
     out = solve(g, 2)
     assert out.status == "SAT"
     assert naive_balanced(g, out.witness.colors, 2)
+
+
+def test_search_state_is_linear_in_the_graph():
+    """A table of one n-bit mask per vertex made this peak 21.9 MB; the
+    search state is O(n + m) words plus k + 1 masks of n bits."""
+    g = cycle_graph(16000)
+    tracemalloc.start()
+    try:
+        out = solve(g, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.status == "SAT"
+    assert peak < 8 * 10**6
 
 
 def test_explored_tree_is_pinned_on_a_reduction_instance():
