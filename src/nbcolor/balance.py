@@ -18,6 +18,14 @@ from typing import Iterable, Mapping, Sequence
 from .graph import Graph
 
 
+def _require_int(value: object, what: str, least: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an int, and at least ``least`` if given."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class Coloring:
     """An assignment of colors ``1..k`` to the vertices of a graph.
@@ -32,12 +40,12 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"palette size must be at least 1, got {self.k}")
+        _require_int(self.k, "palette size", 1)
         if not isinstance(self.colors, tuple):
             object.__setattr__(self, "colors", tuple(self.colors))
         for v, c in enumerate(self.colors):
-            if not 1 <= c <= self.k:
+            if not (isinstance(c, int) and 1 <= c <= self.k):
+                _require_int(c, f"color of vertex {v}")
                 raise ValueError(
                     f"vertex {v} has color {c}, outside the palette 1..{self.k}"
                 )
@@ -100,6 +108,8 @@ def signed_color_value(color: int, k: int) -> int:
     {-t..-1, 1..t} with no zero.  Either way the palette values sum to zero,
     so a balanced neighborhood always has zero total weight.
     """
+    _require_int(color, "color")
+    _require_int(k, "palette size", 1)
     if not 1 <= color <= k:
         raise ValueError(f"color {color} outside palette 1..{k}")
     if k % 2 == 1:
@@ -294,8 +304,7 @@ def check_necessary(g: Graph, k: int) -> NecessityReport:
     ``failed_rule`` (and so ``verdict``) comes from ``_screen``, the yes/no
     screen ``solve`` gates through; the other fields explain it.
     """
-    if k < 1:
-        raise ValueError(f"palette size must be at least 1, got {k}")
+    _require_int(k, "palette size", 1)
     degrees = g.degrees()
 
     degree_offender = None
@@ -349,6 +358,7 @@ def divisor_recolor(c: Coloring, p: int) -> Coloring:
     Color i becomes 1 + ((i-1) mod p).  Because the k classes merge into p
     groups of k/p classes each, every balanced neighborhood stays balanced.
     """
+    _require_int(p, "target palette")
     if p < 2:
         raise ValueError(f"target palette must have at least 2 colors, got {p}")
     if c.k % p != 0:
@@ -361,6 +371,7 @@ def cyclic_shift(c: Coloring, i: int) -> Coloring:
 
     A shift permutes color classes, so balance is preserved exactly.
     """
+    _require_int(i, "shift")
     if not 0 <= i < c.k:
         raise ValueError(f"shift must lie in 0..{c.k - 1}, got {i}")
     return Coloring(c.k, tuple(1 + ((col - 1 + i) % c.k) for col in c.colors))

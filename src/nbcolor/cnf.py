@@ -26,7 +26,7 @@ from functools import cached_property
 from io import StringIO
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .balance import Coloring
+from .balance import Coloring, _require_int
 from .graph import Graph
 
 
@@ -188,8 +188,7 @@ def to_cnf(g: Graph, k: int) -> CnfDocument:
     (plus a comment naming the offending vertex) so downstream solvers agree
     immediately.
     """
-    if k < 2:
-        raise ValueError(f"palette size must be at least 2, got {k}")
+    _require_int(k, "palette size", 2)
     n = g.n
     base_comments = [
         f"balanced {k}-coloring of a graph with {n} vertices, {g.m} edges",

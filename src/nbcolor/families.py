@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .balance import Coloring, Refusal, _balanced_output
+from .balance import Coloring, Refusal, _balanced_output, _require_int
 from .graph import Graph, complete_multipartite_graph, cycle_graph
 
 
@@ -33,6 +33,7 @@ class CirculantSpec:
     connections: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _require_int(self.n, "circulant order")
         if self.n < 3:
             raise ValueError(f"circulant needs at least 3 vertices, got {self.n}")
         conns = tuple(self.connections)
@@ -40,6 +41,7 @@ class CirculantSpec:
         if not conns:
             raise ValueError("at least one connection is required")
         for i, a in enumerate(conns):
+            _require_int(a, "connection")
             if a < 1:
                 raise ValueError(f"connections must be positive, got {a}")
             if i > 0 and conns[i - 1] >= a:
@@ -112,8 +114,7 @@ def circulant_residue_nbc(
     fall evenly across the k residue classes mod k (class k meaning ≡ 0).
     Then coloring vertex v with 1 + (v mod k) balances every neighborhood.
     """
-    if k < 2:
-        raise ValueError(f"palette size must be at least 2, got {k}")
+    _require_int(k, "palette size", 2)
     n, conns, s = spec.n, spec.connections, spec.arity
     if n % k != 0:
         return Refusal("order", f"n={n} is not a multiple of k={k}")
@@ -157,10 +158,8 @@ class HammingSpec:
     k: int
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"word length must be at least 1, got {self.d}")
-        if self.k < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.k}")
+        _require_int(self.d, "word length", 1)
+        _require_int(self.k, "alphabet size", 2)
 
     @property
     def n(self) -> int:
@@ -248,10 +247,11 @@ def complete_multipartite_nbc(
     whole parts.
     """
     sizes = tuple(sizes)
-    if k < 2:
-        raise ValueError(f"palette size must be at least 2, got {k}")
+    _require_int(k, "palette size", 2)
     if len(sizes) < 2:
         raise ValueError(f"need at least 2 parts, got {len(sizes)}")
+    for s in sizes:
+        _require_int(s, "part size")
     if any(s < 1 for s in sizes):
         raise ValueError(f"part sizes must be positive: {sizes}")
     for i, s in enumerate(sizes):
@@ -275,10 +275,10 @@ def complete_graph_nbc(n: int, k: int) -> Refusal:
     has degree n-1, so balance needs k | n-1, while the color classes seen
     from any vertex force k | n as well — impossible for k >= 2.
     """
+    _require_int(n, "vertex count")
     if n < 2:
         raise ValueError(f"need at least 2 vertices for a complete graph, got {n}")
-    if k < 2:
-        raise ValueError(f"palette size must be at least 2, got {k}")
+    _require_int(k, "palette size", 2)
     if (n - 1) % k != 0:
         return Refusal(
             "degree-divisibility",

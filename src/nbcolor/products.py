@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balance import Coloring, Refusal, _balanced_input, _balanced_output
+from .balance import Coloring, Refusal, _balanced_input, _balanced_output, _require_int
 from .graph import Graph
 
 
@@ -240,8 +240,7 @@ def embed_in_nbkc(
     host edges.  Copy 1 keeps g's own labels 0..n-1, so the returned
     embedding is the identity on the original vertices.
     """
-    if k < 2:
-        raise ValueError(f"palette size must be at least 2, got {k}")
+    _require_int(k, "palette size", 2)
     if g.n == 0:
         raise ValueError("cannot embed the empty graph")
     n = g.n
@@ -280,8 +279,7 @@ def vertex_addition(
     rest — balanced colorings do not need equal class sizes.
     """
     k = c.k
-    if k < 2:
-        raise ValueError(f"palette size must be at least 2, got {k}")
+    _require_int(k, "palette size", 2)
     _balanced_input(g, c, "base")
     if any(d == 0 for d in g.degrees()):
         raise ValueError("base graph must have no isolated vertices")

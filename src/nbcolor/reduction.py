@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 
-from .balance import BalanceReport, Coloring, _balanced, _balanced_output, is_nbkc
+from .balance import (
+    BalanceReport, Coloring, _balanced, _balanced_output, _require_int, is_nbkc
+)
 from .graph import Graph
 
 
@@ -45,11 +47,9 @@ class EssInstance:
             raise ValueError("the multiset must be nonempty")
         for a in values:
             _require_int(a, "element")
-        _require_int(self.k, "subset count")
+        _require_int(self.k, "subset count", 2)
         if any(a < 1 for a in values):
             raise ValueError(f"all elements must be positive integers: {values}")
-        if self.k < 2:
-            raise ValueError(f"subset count must be at least 2, got {self.k}")
 
     @property
     def total(self) -> int:
@@ -58,11 +58,6 @@ class EssInstance:
     @property
     def divisible(self) -> bool:
         return self.total % self.k == 0
-
-
-def _require_int(value: object, what: str) -> None:
-    if not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _house_layout(k: int, n: int, offset: int = 0) -> tuple[range, range, range]:
@@ -122,12 +117,8 @@ class HouseGadget:
 
 def house(k: int, n: int) -> HouseGadget:
     """Build a (k, n)-house: k-1 bases, kn supports and n indexes."""
-    _require_int(k, "k")
-    _require_int(n, "n")
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_int(k, "k", 2)
+    _require_int(n, "n", 1)
     bases, supports, indexes = _house_layout(k, n)
     edges, rows = _house_tables(k, bases, supports, indexes, ())
     graph = Graph._from_tables(indexes.stop, tuple(edges), tuple(rows))

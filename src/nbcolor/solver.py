@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from .balance import Coloring, _balanced, _balanced_output, _screen
+from .balance import Coloring, _balanced, _balanced_output, _require_int, _screen
 from .graph import Graph
 
 _MODES = ("first-witness", "canonical-min", "count")
@@ -93,8 +93,10 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.node_budget is not None and self.node_budget <= 0:
-            raise ValueError(f"node budget must be positive, got {self.node_budget}")
+        if self.node_budget is not None:
+            _require_int(self.node_budget, "node budget")
+            if self.node_budget <= 0:
+                raise ValueError(f"node budget must be positive, got {self.node_budget}")
 
 
 _DEFAULT_CONFIG = SolveConfig()
@@ -334,8 +336,7 @@ def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:
     form, the first witness the ordered search finds *is* that minimum.  The
     other modes search a regular graph in connected order.
     """
-    if k < 2:
-        raise ValueError(f"palette size must be at least 2, got {k}")
+    _require_int(k, "palette size", 2)
     cfg = cfg or _DEFAULT_CONFIG
     rule = _screen(g.adjacency, g.m, k)
     if rule is not None:
@@ -369,8 +370,7 @@ _CAP_BITS = 24
 def _enumerate_balanced(g: Graph, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (assignments tried so far, assignment) for every balanced one,
     enumerating all k^n in lexicographic order (vertex 0 varies slowest)."""
-    if k < 2:
-        raise ValueError(f"palette size must be at least 2, got {k}")
+    _require_int(k, "palette size", 2)
     if k**g.n > 2**_CAP_BITS:
         total_bits = g.n * max(1, (k - 1).bit_length())
         raise ValueError(

@@ -6,11 +6,11 @@ survives the gluing untouched; for dependent S there is an arithmetic
 congruence every balanced union must satisfy, and for cycles the dependent
 sets that work are characterized exactly ("ideal" sets below).
 
-``UnionSpec`` checks every glue set.  The theorem is chosen in one place,
-the ``nbcolor union`` command, from ``UnionSpec.inside_edges``: independent
-sets go to :func:`union_nbc_independent` (through ``_independent_union``,
-which also returns the union it builds), dependent sets in a cycle to
-:func:`cycle_union_nbc`, whether the base is a graph file or ``--cycle M``.
+``UnionSpec`` checks every glue set.  The ``nbcolor union`` command alone
+picks the theorem, from ``UnionSpec.inside_edges``: independent sets go to
+:func:`union_nbc_independent` (through ``_independent_union``, which also
+returns the union it builds), dependent sets to :func:`cycle_union_nbc` under
+``--cycle M``; with a graph file and ``--coloring`` they are refused.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .balance import Coloring, Refusal, _balanced_input, _balanced_output, cyclic_shift
+from .balance import (
+    Coloring, Refusal, _balanced_input, _balanced_output, _require_int, cyclic_shift
+)
 from .families import cycle_nbc
 from .graph import Graph, cycle_graph
 
@@ -146,8 +148,7 @@ class CongruenceReport:
 
 def union_congruence(g: Graph, s: frozenset[int] | set[int], k: int) -> CongruenceReport:
     """Compute the dependent-set congruence data for gluing along S."""
-    if k < 2:
-        raise ValueError(f"palette size must be at least 2, got {k}")
+    _require_int(k, "palette size", 2)
     s = frozenset(s)
     for v in s:
         if not 0 <= v < g.n:

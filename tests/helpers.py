@@ -6,6 +6,8 @@ solver is a ~40-line DPLL.  They exist so the package can be tested against
 code that shares none of its logic.
 """
 
+import itertools
+import math
 from collections import Counter
 
 from nbcolor import Graph, to_cnf
@@ -108,3 +110,30 @@ def petersen():
 def random_graph(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)
+
+
+def compiled_count(values, k):
+    """Balanced k-colorings of the equal-sum-subsets graph compiled from
+    ``values``, in closed form, without building the graph.
+
+    With S = sum(values), the count is k! * ((k-1)!)^|T| * (k!)^S * E, where
+    E counts the maps from elements to the k colors under which every color's
+    elements sum to S/k (0 when k does not divide S).  A support sees its
+    house's k-1 bases and one index, so those form a rainbow: every index of a
+    house takes the one color its bases miss, in (k-1)! ways per house.  An
+    index then needs its k supports and the k distributive vertices to hold
+    two of each color, which makes both rainbows (k! ways each), and balance
+    at a distributive vertex is the equal-sum condition on the house colors.
+    """
+    total = sum(values)
+    if total % k:
+        return 0
+    share = total // k
+    equal_sum_maps = 0
+    for assignment in itertools.product(range(k), repeat=len(values)):
+        sums = [0] * k
+        for value, color in zip(values, assignment):
+            sums[color] += value
+        equal_sum_maps += all(s == share for s in sums)
+    rainbows = math.factorial(k) * math.factorial(k - 1) ** len(values)
+    return rainbows * math.factorial(k) ** total * equal_sum_maps

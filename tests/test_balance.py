@@ -16,6 +16,7 @@ from nbcolor import (
     Coloring,
     EssInstance,
     Graph,
+    Refusal,
     check_necessary,
     complete_graph,
     complete_multipartite_graph,
@@ -47,6 +48,17 @@ def test_coloring_validation():
         Coloring(2, (0, 1))  # colors are 1-based
     with pytest.raises(ValueError):
         Coloring(2, (1, 3))  # above palette
+
+
+def test_coloring_stores_a_list_as_a_tuple():
+    c = Coloring(2, [1, 2, 2])
+    assert c.colors == (1, 2, 2)
+    assert c == Coloring(2, (1, 2, 2))
+
+
+def test_refusal_str_names_rule_and_detail():
+    refusal = Refusal("regular-size", "C_6 has 6 edges")
+    assert str(refusal) == "refused (regular-size): C_6 has 6 edges"
 
 
 def test_coloring_class_sizes_and_used():
@@ -350,6 +362,12 @@ def test_cyclic_shift_and_permute_preserve_balance():
 def test_cyclic_shift_rejects_out_of_range():
     with pytest.raises(ValueError):
         cyclic_shift(C8_COLORING, 2)
+
+
+def test_permute_colors_accepts_a_sequence():
+    c = Coloring(3, (1, 2, 3, 3))
+    assert permute_colors(c, [2, 3, 1]) == permute_colors(c, {1: 2, 2: 3, 3: 1})
+    assert permute_colors(c, (2, 3, 1)).colors == (2, 3, 1, 1)
 
 
 def test_permute_colors_requires_bijection():

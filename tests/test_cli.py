@@ -69,8 +69,8 @@ def test_construct_then_verify_pipeline(tmp_path, capsys):
     assert run(["construct", "cycle", "8", "-k", "2", "-o", str(prefix)]) == 0
     graph_file = str(prefix) + ".graph"
     coloring_file = str(prefix) + ".coloring"
-    g = graph_from_text(open(graph_file).read())
-    c = coloring_from_text(open(coloring_file).read())
+    g = graph_from_text(Path(graph_file).read_text())
+    c = coloring_from_text(Path(coloring_file).read_text())
     assert is_nbkc(g, c).balanced
 
     assert run(["verify", graph_file, coloring_file]) == 0

@@ -190,6 +190,27 @@ def test_equality_and_hash():
     assert a != c
 
 
+def test_graph_is_not_equal_to_other_types():
+    g = Graph(3, [(0, 1)])
+    assert g != object()
+    assert g != (3, ((0, 1),))
+
+
+def test_has_edge_is_false_outside_the_vertex_range():
+    g = Graph(3, [(0, 1), (1, 2)])
+    assert not g.has_edge(1, 3)
+    assert not g.has_edge(-1, 0)
+
+
+def test_iteration_yields_the_vertices():
+    assert list(Graph(3, [(0, 1)])) == [0, 1, 2]
+    assert list(Graph(0)) == []
+
+
+def test_repr_names_order_and_size():
+    assert repr(cycle_graph(5)) == "Graph(n=5, m=5)"
+
+
 def test_is_regular():
     assert cycle_graph(5).is_regular()
     assert complete_graph(4).is_regular()

@@ -15,17 +15,25 @@ from nbcolor import (
     SolveConfig,
     VertexPairIndex,
     check_necessary,
+    circulant_residue_nbc,
     complete_graph_nbc,
     complete_multipartite_graph,
     complete_multipartite_nbc,
     count_colorings,
     cycle_graph,
     cycle_nbc,
+    cyclic_shift,
+    decode_from_roles,
+    divisor_recolor,
     embed_in_nbkc,
     flawed_gadget,
+    hamming_nbc,
     house,
+    hypercube_nbc,
     induced_subgraph,
+    reduce_ess_to_nbc,
     signed_color_value,
+    solve,
     to_cnf,
     union_congruence,
     vertex_addition,
@@ -33,12 +41,18 @@ from nbcolor import (
 )
 
 C4 = cycle_graph(4)
+C4_COLORING = Coloring(2, (1, 1, 2, 2))
 H23 = HammingSpec(2, 3)
 
 
 def _vertex_addition_isolated():
     g = Graph(5, C4.edges)  # C4 plus the isolated vertex 4
     return vertex_addition(g, Coloring(2, (1, 1, 2, 2, 1)), (0, 2), (1, 3))
+
+
+def _decode_short_coloring():
+    rinst = reduce_ess_to_nbc(EssInstance((1, 1), 2))
+    return decode_from_roles(rinst.graph, rinst.roles(), C4_COLORING)
 
 
 def case(name, message, call):
@@ -49,6 +63,16 @@ CASES = [
     # families
     case("circulant-connection", "connections must be positive, got 0",
          lambda: CirculantSpec(8, (0, 2))),
+    case("circulant-float-n", "circulant order must be an integer, got 8.0",
+         lambda: CirculantSpec(8.0, (1, 2))),
+    case("circulant-float-connection", "connection must be an integer, got 1.0",
+         lambda: CirculantSpec(8, (1.0, 2))),
+    case("circulant-residue-float-k", "palette size must be an integer, got 2.5",
+         lambda: circulant_residue_nbc(CirculantSpec(8, (1, 2)), 2.5)),
+    case("hamming-float-k", "alphabet size must be an integer, got 2.0",
+         lambda: hamming_nbc(3, 2.0)),
+    case("hypercube-float-d", "word length must be an integer, got 3.0",
+         lambda: hypercube_nbc(3.0)),
     case("hamming-d", "word length must be at least 1, got 0",
          lambda: HammingSpec(0, 2)),
     case("hamming-k", "alphabet size must be at least 2, got 1",
@@ -61,10 +85,14 @@ CASES = [
          lambda: H23.word_of(9)),
     case("multipartite-nbc-k", "palette size must be at least 2, got 1",
          lambda: complete_multipartite_nbc((2, 2), 1)),
+    case("multipartite-nbc-float-part", "part size must be an integer, got 3.0",
+         lambda: complete_multipartite_nbc((3.0, 2), 2)),
     case("complete-nbc-n", "need at least 2 vertices for a complete graph, got 1",
          lambda: complete_graph_nbc(1, 2)),
     case("complete-nbc-k", "palette size must be at least 2, got 1",
          lambda: complete_graph_nbc(4, 1)),
+    case("complete-nbc-float-n", "vertex count must be an integer, got 4.0",
+         lambda: complete_graph_nbc(4.0, 3)),
     # graph
     case("neighbors-range", r"vertex 4 outside 0\.\.3",
          lambda: C4.neighbors(4)),
@@ -79,6 +107,8 @@ CASES = [
          lambda: VertexPairIndex(2, 3).pair(6)),
     case("embed-k", "palette size must be at least 2, got 1",
          lambda: embed_in_nbkc(C4, 1)),
+    case("embed-float-k", "palette size must be an integer, got 2.0",
+         lambda: embed_in_nbkc(C4, 2.0)),
     case("embed-empty", "cannot embed the empty graph",
          lambda: embed_in_nbkc(Graph(0), 2)),
     case("vertex-addition-k", "palette size must be at least 2, got 1",
@@ -98,23 +128,43 @@ CASES = [
          lambda: house(2.5, 3)),
     case("house-float-n", "n must be an integer, got 3.0",
          lambda: house(2, 3.0)),
+    case("house-k", "k must be at least 2, got 1",
+         lambda: house(1, 3)),
+    case("house-n", "n must be at least 1, got 0",
+         lambda: house(2, 0)),
     case("flawed-empty", "the multiset must be nonempty",
          lambda: flawed_gadget(())),
     case("flawed-nonpositive", "all elements must be positive integers",
          lambda: flawed_gadget((2, 0))),
     case("flawed-float-element", "element must be an integer, got 1.5",
          lambda: flawed_gadget((1.5, 2))),
+    case("decode-roles-length", "coloring covers 4 vertices, graph has",
+         _decode_short_coloring),
     # solver
     case("solve-budget", "node budget must be positive, got 0",
          lambda: SolveConfig(node_budget=0)),
+    case("solve-float-budget", "node budget must be an integer, got 100.5",
+         lambda: SolveConfig(node_budget=100.5)),
+    case("solve-fractional-k", "palette size must be an integer, got 2.5",
+         lambda: solve(C4, 2.5)),
+    case("solve-float-k", "palette size must be an integer, got 2.0",
+         lambda: solve(C4, 2.0)),
     case("count-k", "palette size must be at least 2, got 1",
          lambda: count_colorings(C4, 1)),
+    case("count-float-k", "palette size must be an integer, got 2.0",
+         lambda: count_colorings(C4, 2.0)),
     # unions
     case("congruence-k", "palette size must be at least 2, got 1",
          lambda: union_congruence(C4, {0, 1}, 1)),
+    case("congruence-float-k", "palette size must be an integer, got 2.0",
+         lambda: union_congruence(C4, {0, 1}, 2.0)),
     case("congruence-glue", r"glue vertex 9 outside 0\.\.3",
          lambda: union_congruence(C4, {0, 9}, 2)),
     # cnf
+    case("cnf-float-k", "palette size must be an integer, got 2.0",
+         lambda: to_cnf(C4, 2.0)),
+    case("cnf-fractional-k", "palette size must be an integer, got 2.5",
+         lambda: to_cnf(C4, 2.5)),
     case("cnf-var-vertex", r"vertex 4 outside 0\.\.3",
          lambda: to_cnf(C4, 2).var(4, 1)),
     case("cnf-var-color", r"color 3 outside 1\.\.2",
@@ -122,10 +172,24 @@ CASES = [
     # balance
     case("signed-value", r"color 0 outside palette 1\.\.3",
          lambda: signed_color_value(0, 3)),
+    case("signed-value-float-color", "color must be an integer, got 1.5",
+         lambda: signed_color_value(1.5, 3)),
+    case("signed-value-float-k", "palette size must be an integer, got 2.5",
+         lambda: signed_color_value(1, 2.5)),
+    case("coloring-float-k", "palette size must be an integer, got 2.0",
+         lambda: Coloring(2.0, (1, 1, 2, 2))),
+    case("coloring-float-color", "color of vertex 0 must be an integer, got 1.0",
+         lambda: Coloring(2, (1.0, 1, 2, 2))),
+    case("shift-float", "shift must be an integer, got 1.0",
+         lambda: cyclic_shift(C4_COLORING, 1.0)),
+    case("recolor-float", "target palette must be an integer, got 2.0",
+         lambda: divisor_recolor(Coloring(4, (1, 2, 3, 4)), 2.0)),
     case("weight-length", "coloring covers 2 vertices, graph has 4",
          lambda: weight(C4, Coloring(2, (1, 2)), 0)),
     case("necessary-k", "palette size must be at least 1, got 0",
          lambda: check_necessary(C4, 0)),
+    case("necessary-float-k", "palette size must be an integer, got 2.5",
+         lambda: check_necessary(C4, 2.5)),
 ]
 
 

@@ -6,14 +6,16 @@ import random
 
 import pytest
 
-from helpers import naive_balanced, same_color_witness
+from helpers import compiled_count, naive_balanced, same_color_witness
 from nbcolor import (
     Coloring,
     EssInstance,
     Graph,
     Refusal,
+    SolveConfig,
     UnbalancedColoring,
     brute_force,
+    count_colorings,
     decode,
     decode_from_roles,
     ess_brute_force,
@@ -277,6 +279,54 @@ def test_reduction_agrees_with_direct_search(values, k, expect_sat):
         assert sorted(v for part in subsets for v in part) == sorted(values)
 
 
+# The 922 instances of acceptance criterion 06.
+CRITERION_06 = [
+    (values, k)
+    for size in range(1, 6)
+    for values in itertools.combinations_with_replacement(range(1, 7), size)
+    for k in (2, 3)
+]
+
+
+def test_compiled_count_matches_enumeration():
+    enumerated = 0
+    for values, k in CRITERION_06:
+        g = reduce_ess_to_nbc(EssInstance(values, k)).graph
+        if k**g.n <= 2**18:
+            assert count_colorings(g, k) == compiled_count(values, k), (values, k)
+            enumerated += 1
+    assert enumerated == 13
+
+
+def test_compiled_count_matches_count_mode_on_criterion_06():
+    """Every criterion-06 count that finishes within the budget is exact; the
+    floor on how many finish may only rise."""
+    cfg = SolveConfig(mode="count", node_budget=20_000)
+    answered = 0
+    for values, k in CRITERION_06:
+        out = solve(reduce_ess_to_nbc(EssInstance(values, k)).graph, k, cfg)
+        if out.status != "BUDGET_EXCEEDED":
+            assert out.count == compiled_count(values, k), (values, k)
+            answered += 1
+    assert answered >= 777
+
+
+def test_compiled_count_matches_count_mode_on_random_instances():
+    rng = random.Random(2203)
+    cfg = SolveConfig(mode="count", node_budget=20_000)
+    answered = nonzero = 0
+    for _ in range(60):
+        k = rng.choice((2, 3, 4))
+        values = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        values.append(k - sum(values) % k)  # so that k divides the total
+        out = solve(reduce_ess_to_nbc(EssInstance(tuple(values), k)).graph, k, cfg)
+        if out.status != "BUDGET_EXCEEDED":
+            assert out.count == compiled_count(values, k), (values, k)
+            answered += 1
+            nonzero += out.count > 0
+    assert answered >= 55 and nonzero >= 18
+
+
 def test_decode_from_roles_matches_trusted_decode():
     inst = EssInstance((1, 2, 3), 2)
     rinst = reduce_ess_to_nbc(inst)
@@ -331,6 +381,12 @@ def _lie_two_index_colors(rinst, roles, colors):
     roles[i], roles[s] = roles[s], roles[i]
 
 
+def _lie_one_distributive(rinst, roles, colors):
+    """One of the two distributive vertices relabeled as a base."""
+    v = next(v for v, (role, _) in roles.items() if role == "distributive")
+    roles[v] = ("base", None)
+
+
 def _lie_short_house(rinst, roles, colors):
     """The element-2 house loses an index vertex and claims element 1."""
     two = rinst.houses[2]
@@ -345,6 +401,7 @@ def _lie_short_house(rinst, roles, colors):
         (_lie_no_index, "has no index vertices"),
         (_lie_two_index_colors, "carry colors"),
         (_lie_short_house, r"decoded subset sums \[2, 1\] differ"),
+        (_lie_one_distributive, "lists 1 distributive vertices; need at least 2"),
     ],
 )
 def test_decode_from_roles_refuses_a_lying_sidecar(lie, reason):
