@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .graph import Graph
-
-
-def _require_int(value: object, what: str, least: int | None = None) -> None:
-    """Raise ValueError unless ``value`` is an int, and at least ``least`` if given."""
-    if not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{what} must be at least {least}, got {value}")
+from .graph import Graph, _require_int
 
 
 @dataclass(frozen=True)
@@ -119,20 +111,29 @@ def signed_color_value(color: int, k: int) -> int:
     return color - t - 1 if color <= t else color - t
 
 
+def _require_fit(g: Graph, c: Coloring, prefix: str = "") -> None:
+    """Raise ValueError unless ``c`` colors exactly the vertices of ``g``.
+
+    ``prefix`` names the coloring in the message, e.g. ``"base "``.
+    """
+    if len(c.colors) != g.n:
+        raise ValueError(
+            f"{prefix}coloring covers {len(c.colors)} vertices, graph has {g.n}"
+        )
+
+
 def weight(g: Graph, c: Coloring, v: int) -> int:
     """Signed neighborhood weight of v: sum of signed values of its neighbors.
 
     Zero weight is necessary for balance at v but not sufficient once k >= 3,
     so this is a diagnostic, never a substitute for exact counting.
     """
-    if len(c.colors) != g.n:
-        raise ValueError(f"coloring covers {len(c.colors)} vertices, graph has {g.n}")
+    _require_fit(g, c)
     return sum(signed_color_value(c.colors[u], c.k) for u in g.neighbors(v))
 
 
 def _verify(g: Graph, c: Coloring, closed: bool) -> BalanceReport:
-    if len(c.colors) != g.n:
-        raise ValueError(f"coloring covers {len(c.colors)} vertices, graph has {g.n}")
+    _require_fit(g, c)
     k, colors = c.k, c.colors
     values = [signed_color_value(color, k) for color in range(1, k + 1)]
     violations: list[tuple[int, tuple[int, ...]]] = []
@@ -234,10 +235,7 @@ def _screen(adj: Sequence[Sequence[int]], m: int, k: int) -> str | None:
 
 def _balanced_input(g: Graph, c: Coloring, name: str) -> Coloring:
     """Return a caller's coloring of g if it is balanced; else raise ValueError."""
-    if len(c.colors) != g.n:
-        raise ValueError(
-            f"{name} coloring covers {len(c.colors)} vertices, graph has {g.n}"
-        )
+    _require_fit(g, c, f"{name} ")
     if not _balanced(g.adjacency, c.colors, c.k):
         raise ValueError(f"{name} coloring is not balanced")
     return c

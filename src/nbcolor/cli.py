@@ -24,17 +24,22 @@ def _read_graph(path: str) -> Graph:
     return io.graph_from_text(Path(path).read_text())
 
 
-def _read_coloring(path: str) -> Coloring:
-    """Read a coloring file whose palette is no larger than its vertex count.
+def _require_palette_fits(path: str, k: int, n: int, vertices: str) -> None:
+    """Raise ValueError unless the palette size k is at most the n ``vertices``.
 
-    On a graph with an edge, a balanced coloring uses every color, so k <= n;
-    the bound keeps a ``k`` header from sizing the verifier's k-by-k report.
+    On a graph with an edge, a balanced coloring uses every color, so k <= n.
+    The bound keeps a ``k`` header from sizing the verifier's k-by-k report,
+    ``solve`` from writing a witness that ``verify`` refuses to read, and
+    ``export-cnf`` from writing n*k selectors for an edgeless graph.
     """
+    if k > n:
+        raise ValueError(f"{path}: palette size {k} exceeds the {n} {vertices}")
+
+
+def _read_coloring(path: str) -> Coloring:
+    """Read a coloring file whose palette is no larger than its vertex count."""
     c = io.coloring_from_text(Path(path).read_text())
-    if c.k > len(c.colors):
-        raise ValueError(
-            f"{path}: palette size {c.k} exceeds the {len(c.colors)} colored vertices"
-        )
+    _require_palette_fits(path, c.k, len(c.colors), "colored vertices")
     return c
 
 
@@ -191,11 +196,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    if args.k > g.n:
-        # _read_coloring's bound: a witness must be a coloring verify reads back.
-        raise ValueError(
-            f"{args.graph}: palette size {args.k} exceeds the {g.n} vertices"
-        )
+    _require_palette_fits(args.graph, args.k, g.n, "vertices")
     cfg = solver.SolveConfig(mode=args.mode, node_budget=args.budget)
     outcome = solver.solve(g, args.k, cfg)
     if args.output and outcome.witness is not None:
@@ -366,6 +367,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 def _cmd_export_cnf(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
+    _require_palette_fits(args.graph, args.k, g.n, "vertices")
     # Built before the file is opened, so a refused input writes no file.
     doc = cnf.to_cnf(g, args.k)
     if args.output:

@@ -26,8 +26,8 @@ from functools import cached_property
 from io import StringIO
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .balance import Coloring, _require_int
-from .graph import Graph
+from .balance import Coloring
+from .graph import Graph, _require_int, _require_vertex
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class CnfDocument:
     )
 
     def var(self, v: int, c: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
+        _require_vertex(v, self.n)
+        _require_int(c, "color")
         if not 1 <= c <= self.k:
             raise ValueError(f"color {c} outside 1..{self.k}")
         return v * self.k + c

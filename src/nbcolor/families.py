@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .balance import Coloring, Refusal, _balanced_output, _require_int
-from .graph import Graph, complete_multipartite_graph, cycle_graph
+from .balance import Coloring, Refusal, _balanced_output
+from .graph import (
+    Graph, _require_int, _require_vertex, complete_multipartite_graph, cycle_graph
+)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +172,14 @@ class HammingSpec:
             raise ValueError(f"word length {len(word)} != d={self.d}")
         idx = 0
         for a in word:
+            _require_int(a, "letter")
             if not 1 <= a <= self.k:
                 raise ValueError(f"letter {a} outside 1..{self.k}")
             idx = idx * self.k + (a - 1)
         return idx
 
     def word_of(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.n:
-            raise ValueError(f"index {index} outside 0..{self.n - 1}")
+        _require_vertex(index, self.n, "index")
         letters = []
         for _ in range(self.d):
             letters.append(index % self.k + 1)

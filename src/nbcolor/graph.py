@@ -10,6 +10,20 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
+def _require_int(value: object, what: str, least: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an int, and at least ``least`` if given."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+
+
+def _require_vertex(v: object, n: int, what: str = "vertex") -> None:
+    """Raise ValueError unless ``v`` is an int in 0..n-1."""
+    if not (isinstance(v, int) and 0 <= v < n):
+        raise ValueError(f"{what} {v} outside 0..{n - 1}")
+
+
 class Graph:
     """A simple undirected graph.
 
@@ -30,7 +44,8 @@ class Graph:
     __slots__ = ("_n", "_edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if n < 0:
+        if not (isinstance(n, int) and n >= 0):
+            _require_int(n, "vertex count")
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         # A dict dedupes in input order, and sorting input that is already in
         # order (the builders' and most files') is one linear pass.
@@ -95,8 +110,7 @@ class Graph:
         return self._adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self._n:
-            raise ValueError(f"vertex {v} outside 0..{self._n - 1}")
+        _require_vertex(v, self._n)
         return self._adj[v]
 
     def degree(self, v: int) -> int:
@@ -139,8 +153,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     """
     members = sorted(set(s))
     for v in members:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+        _require_vertex(v, g.n)
     position = {v: i for i, v in enumerate(members)}
     member_set = set(members)
     edges = [
@@ -152,18 +165,22 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 
 
 def cycle_graph(m: int) -> Graph:
+    _require_int(m, "cycle length")
     if m < 3:
         raise ValueError(f"a cycle needs at least 3 vertices, got {m}")
     return Graph(m, [(i, (i + 1) % m) for i in range(m)])
 
 
 def complete_graph(n: int) -> Graph:
+    _require_int(n, "vertex count")
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def complete_multipartite_graph(part_sizes: Iterable[int]) -> Graph:
     """Complete multipartite graph; part ``i`` occupies a consecutive index block."""
     sizes = list(part_sizes)
+    for s in sizes:
+        _require_int(s, "part size")
     if any(s < 1 for s in sizes):
         raise ValueError(f"part sizes must be positive, got {sizes}")
     starts = [0]

@@ -19,7 +19,7 @@ import dataclasses
 import json
 from typing import Iterator, Mapping
 
-from .balance import Coloring
+from .balance import Coloring, _require_fit
 from .graph import Graph
 
 
@@ -266,8 +266,8 @@ def to_dot(
     palette; larger palettes fall back to numeric labels so the output stays
     legible.  Role labels, when given, select node shapes.
     """
-    if c is not None and len(c.colors) != g.n:
-        raise ValueError(f"coloring covers {len(c.colors)} vertices, graph has {g.n}")
+    if c is not None:
+        _require_fit(g, c)
     lines = ["graph nbc {"]
     use_fills = c is not None and c.k <= len(_DOT_FILLS)
     if use_fills:

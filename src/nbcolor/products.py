@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balance import Coloring, Refusal, _balanced_input, _balanced_output, _require_int
-from .graph import Graph
+from .balance import Coloring, Refusal, _balanced_input, _balanced_output
+from .graph import Graph, _require_int, _require_vertex
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,19 @@ class VertexPairIndex:
     g_order: int
     h_order: int
 
+    def __post_init__(self) -> None:
+        _require_int(self.g_order, "g_order")
+        _require_int(self.h_order, "h_order")
+
     def index(self, u: int, v: int) -> int:
+        _require_int(u, "first coordinate")
+        _require_int(v, "second coordinate")
         if not (0 <= u < self.g_order and 0 <= v < self.h_order):
             raise ValueError(f"pair ({u}, {v}) outside {self.g_order}x{self.h_order}")
         return u * self.h_order + v
 
     def pair(self, idx: int) -> tuple[int, int]:
+        _require_int(idx, "index")
         if not 0 <= idx < self.g_order * self.h_order:
             raise ValueError(f"index {idx} outside the product vertex range")
         return divmod(idx, self.h_order)
@@ -291,8 +298,7 @@ def vertex_addition(
     if len(set(chosen)) != 2 * k:
         raise ValueError(f"the 2k chosen vertices must be distinct: {chosen}")
     for x in chosen:
-        if not 0 <= x < g.n:
-            raise ValueError(f"vertex {x} outside 0..{g.n - 1}")
+        _require_vertex(x, g.n)
     for i in range(k):
         if c.colors[u_list[i]] != c.colors[v_list[i]]:
             return Refusal(

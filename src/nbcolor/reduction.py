@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from itertools import chain, product, repeat
 
 from .balance import (
-    BalanceReport, Coloring, _balanced, _balanced_output, _require_int, is_nbkc
+    BalanceReport, Coloring, _balanced, _balanced_output, _require_fit, is_nbkc
 )
-from .graph import Graph
+from .graph import Graph, _require_int
 
 
 @dataclass(frozen=True)
@@ -256,8 +256,7 @@ def decode_from_roles(
     index-vertex count (cross-checked against the sidecar's element labels),
     and any inconsistency raises ``ValueError``.
     """
-    if len(c.colors) != g.n:
-        raise ValueError(f"coloring covers {len(c.colors)} vertices, graph has {g.n}")
+    _require_fit(g, c)
     adj = g.adjacency
     if not _balanced(adj, c.colors, c.k):
         raise UnbalancedColoring(is_nbkc(g, c))

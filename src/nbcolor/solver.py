@@ -68,8 +68,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from .balance import Coloring, _balanced, _balanced_output, _require_int, _screen
-from .graph import Graph
+from .balance import Coloring, _balanced, _balanced_output, _screen
+from .graph import Graph, _require_int
 
 _MODES = ("first-witness", "canonical-min", "count")
 

@@ -19,11 +19,9 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .balance import (
-    Coloring, Refusal, _balanced_input, _balanced_output, _require_int, cyclic_shift
-)
+from .balance import Coloring, Refusal, _balanced_input, _balanced_output, cyclic_shift
 from .families import cycle_nbc
-from .graph import Graph, cycle_graph
+from .graph import Graph, _require_int, _require_vertex, cycle_graph
 
 
 @dataclass(frozen=True)
@@ -41,13 +39,13 @@ class UnionSpec:
     def __post_init__(self) -> None:
         glue = frozenset(self.glue)
         object.__setattr__(self, "glue", glue)
+        _require_int(self.copies, "copy count")
         if self.copies < 1:
             raise ValueError(f"need at least one copy, got {self.copies}")
         if not glue:
             raise ValueError("glue set must be nonempty")
         for v in glue:
-            if not 0 <= v < self.base.n:
-                raise ValueError(f"glue vertex {v} outside 0..{self.base.n - 1}")
+            _require_vertex(v, self.base.n, "glue vertex")
         if len(glue) == self.base.n:
             raise ValueError("glue set must be a proper subset of the vertices")
 
@@ -151,8 +149,7 @@ def union_congruence(g: Graph, s: frozenset[int] | set[int], k: int) -> Congruen
     _require_int(k, "palette size", 2)
     s = frozenset(s)
     for v in s:
-        if not 0 <= v < g.n:
-            raise ValueError(f"glue vertex {v} outside 0..{g.n - 1}")
+        _require_vertex(v, g.n, "glue vertex")
     inside = _inside_edges(g, s)
     if not inside:
         raise ValueError(

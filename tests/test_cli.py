@@ -832,6 +832,19 @@ def test_export_cnf_refusal_writes_no_file(tmp_path, c8, capsys):
     assert "palette size must be at least 2" in capsys.readouterr().err
 
 
+def test_export_cnf_refuses_a_palette_above_the_vertex_count(tmp_path, capsys):
+    """The bound ``solve`` applies: an edgeless graph would otherwise pass
+    every screen and export n*k selectors for any k."""
+    gf = tmp_path / "three.graph"
+    gf.write_text("p 3 0\n")
+    out = tmp_path / "f.cnf"
+    assert run(["export-cnf", str(gf), "-k", "4", "-o", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {gf}: palette size 4 exceeds the 3 vertices\n"
+
+
 # ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------

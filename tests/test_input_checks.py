@@ -13,9 +13,11 @@ from nbcolor import (
     Graph,
     HammingSpec,
     SolveConfig,
+    UnionSpec,
     VertexPairIndex,
     check_necessary,
     circulant_residue_nbc,
+    complete_graph,
     complete_graph_nbc,
     complete_multipartite_graph,
     complete_multipartite_nbc,
@@ -190,6 +192,50 @@ CASES = [
          lambda: check_necessary(C4, 0)),
     case("necessary-float-k", "palette size must be an integer, got 2.5",
          lambda: check_necessary(C4, 2.5)),
+]
+
+
+# A float vertex count, part size, copy count, coordinate or vertex index is
+# malformed input too: it must neither crash on arithmetic nor yield floats.
+CASES += [
+    case("graph-float-n", "vertex count must be an integer, got 2.5",
+         lambda: Graph(2.5)),
+    case("cycle-float-m", "cycle length must be an integer, got 8.0",
+         lambda: cycle_graph(8.0)),
+    case("complete-float-n", "vertex count must be an integer, got 3.0",
+         lambda: complete_graph(3.0)),
+    case("multipartite-float-part", "part size must be an integer, got 2.0",
+         lambda: complete_multipartite_graph([2.0, 2])),
+    case("neighbors-float", r"vertex 1.0 outside 0\.\.3",
+         lambda: C4.neighbors(1.0)),
+    case("induced-float", r"vertex 1.0 outside 0\.\.3",
+         lambda: induced_subgraph(C4, [0, 1.0])),
+    case("union-float-copies", "copy count must be an integer, got 2.0",
+         lambda: UnionSpec(C4, {0}, 2.0)),
+    case("union-float-glue", r"glue vertex 1.0 outside 0\.\.3",
+         lambda: UnionSpec(C4, {1.0}, 2)),
+    case("congruence-float-glue", r"glue vertex 1.0 outside 0\.\.3",
+         lambda: union_congruence(C4, {0, 1.0}, 2)),
+    case("vertex-addition-float", r"vertex 3.0 outside 0\.\.7",
+         lambda: vertex_addition(*cycle_nbc(8), (0, 2), (1, 3.0))),
+    case("cnf-var-float-vertex", r"vertex 1.0 outside 0\.\.3",
+         lambda: to_cnf(C4, 2).var(1.0, 1)),
+    case("cnf-var-float-color", "color must be an integer, got 1.0",
+         lambda: to_cnf(C4, 2).var(1, 1.0)),
+    case("word-of-float", r"index 1.0 outside 0\.\.8",
+         lambda: H23.word_of(1.0)),
+    case("index-of-float-letter", "letter must be an integer, got 1.0",
+         lambda: H23.index_of((1.0, 2))),
+    case("pair-index-float-g-order", "g_order must be an integer, got 2.0",
+         lambda: VertexPairIndex(2.0, 2)),
+    case("pair-index-float-h-order", "h_order must be an integer, got 2.0",
+         lambda: VertexPairIndex(2, 2.0)),
+    case("pair-index-float-u", "first coordinate must be an integer, got 0.0",
+         lambda: VertexPairIndex(2, 2).index(0.0, 1)),
+    case("pair-index-float-v", "second coordinate must be an integer, got 1.0",
+         lambda: VertexPairIndex(2, 2).index(0, 1.0)),
+    case("pair-of-float-index", "index must be an integer, got 1.0",
+         lambda: VertexPairIndex(2, 2).pair(1.0)),
 ]
 
 
