@@ -11,15 +11,13 @@ preserve balance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .graph import Graph, _require_int
+from .graph import Graph, _Record, _require_int, _setfield
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Record):
     """An assignment of colors ``1..k`` to the vertices of a graph.
 
     ``colors[v]`` is the color of vertex ``v``.  ``k`` is the palette size;
@@ -28,19 +26,22 @@ class Coloring:
     neighbors, which the verifier reports rather than rejects).
     """
 
+    __slots__ = _fields = ("k", "colors")
     k: int
     colors: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _require_int(self.k, "palette size", 1)
-        if not isinstance(self.colors, tuple):
-            object.__setattr__(self, "colors", tuple(self.colors))
-        for v, c in enumerate(self.colors):
-            if not (isinstance(c, int) and 1 <= c <= self.k):
+    def __init__(self, k: int, colors: Sequence[int]) -> None:
+        _require_int(k, "palette size", 1)
+        if not isinstance(colors, tuple):
+            colors = tuple(colors)
+        for v, c in enumerate(colors):
+            if not (isinstance(c, int) and 1 <= c <= k):
                 _require_int(c, f"color of vertex {v}")
                 raise ValueError(
-                    f"vertex {v} has color {c}, outside the palette 1..{self.k}"
+                    f"vertex {v} has color {c}, outside the palette 1..{k}"
                 )
+        _setfield(self, "k", k)
+        _setfield(self, "colors", colors)
 
     def __len__(self) -> int:
         return len(self.colors)
@@ -55,8 +56,7 @@ class Coloring:
         return tuple(sizes)
 
 
-@dataclass(frozen=True)
-class Refusal:
+class Refusal(_Record):
     """A constructive operation declining because a hypothesis fails.
 
     ``rule`` is a stable machine-readable identifier; ``detail`` explains the
@@ -65,15 +65,19 @@ class Refusal:
     malformed input raises ``ValueError``.
     """
 
+    __slots__ = _fields = ("rule", "detail")
     rule: str
     detail: str
+
+    def __init__(self, rule: str, detail: str) -> None:
+        _setfield(self, "rule", rule)
+        _setfield(self, "detail", detail)
 
     def __str__(self) -> str:
         return f"refused ({self.rule}): {self.detail}"
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(_Record):
     """Outcome of exact balance verification.
 
     ``violations`` lists, for each unbalanced vertex, the per-color neighbor
@@ -83,6 +87,10 @@ class BalanceReport:
     ``weights[v]`` is the signed neighborhood weight diagnostic.
     """
 
+    __slots__ = _fields = (
+        "balanced", "k", "closed", "violations", "class_sizes", "edge_class_counts",
+        "weights", "unused_colors",
+    )
     balanced: bool
     k: int
     closed: bool
@@ -91,6 +99,26 @@ class BalanceReport:
     edge_class_counts: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
     unused_colors: tuple[int, ...]
+
+    def __init__(
+        self,
+        balanced: bool,
+        k: int,
+        closed: bool,
+        violations: tuple[tuple[int, tuple[int, ...]], ...],
+        class_sizes: tuple[int, ...],
+        edge_class_counts: tuple[tuple[int, ...], ...],
+        weights: tuple[int, ...],
+        unused_colors: tuple[int, ...],
+    ) -> None:
+        _setfield(self, "balanced", balanced)
+        _setfield(self, "k", k)
+        _setfield(self, "closed", closed)
+        _setfield(self, "violations", violations)
+        _setfield(self, "class_sizes", class_sizes)
+        _setfield(self, "edge_class_counts", edge_class_counts)
+        _setfield(self, "weights", weights)
+        _setfield(self, "unused_colors", unused_colors)
 
 
 def signed_color_value(color: int, k: int) -> int:
@@ -252,19 +280,30 @@ def _balanced_output(g: Graph, c: Coloring, what: str) -> Coloring:
     return c
 
 
-@dataclass(frozen=True)
-class RegularityChecks:
+class RegularityChecks(_Record):
     """Sub-checks that apply only to r-regular graphs with r >= 1."""
 
+    __slots__ = _fields = (
+        "degree", "order_residue", "size_residue", "order_ok", "size_ok",
+    )
     degree: int
     order_residue: int  # n mod k
     size_residue: int  # |E| mod k^2
     order_ok: bool
     size_ok: bool
 
+    def __init__(
+        self, degree: int, order_residue: int, size_residue: int, order_ok: bool,
+        size_ok: bool,
+    ) -> None:
+        _setfield(self, "degree", degree)
+        _setfield(self, "order_residue", order_residue)
+        _setfield(self, "size_residue", size_residue)
+        _setfield(self, "order_ok", order_ok)
+        _setfield(self, "size_ok", size_ok)
 
-@dataclass(frozen=True)
-class NecessityReport:
+
+class NecessityReport(_Record):
     """Outcome of the arithmetic screening for k-balanceability.
 
     ``verdict`` is ``"possibly-colorable"`` or ``"provably-uncolorable"``;
@@ -273,6 +312,10 @@ class NecessityReport:
     and still admit no balanced coloring.
     """
 
+    __slots__ = _fields = (
+        "k", "degree_ok", "degree_offender", "order_ok", "order_detail", "regularity",
+        "verdict", "failed_rule",
+    )
     k: int
     degree_ok: bool
     degree_offender: int | None  # first vertex whose degree is not divisible by k
@@ -281,6 +324,26 @@ class NecessityReport:
     regularity: RegularityChecks | None
     verdict: str
     failed_rule: str | None
+
+    def __init__(
+        self,
+        k: int,
+        degree_ok: bool,
+        degree_offender: int | None,
+        order_ok: bool,
+        order_detail: str,
+        regularity: RegularityChecks | None,
+        verdict: str,
+        failed_rule: str | None,
+    ) -> None:
+        _setfield(self, "k", k)
+        _setfield(self, "degree_ok", degree_ok)
+        _setfield(self, "degree_offender", degree_offender)
+        _setfield(self, "order_ok", order_ok)
+        _setfield(self, "order_detail", order_detail)
+        _setfield(self, "regularity", regularity)
+        _setfield(self, "verdict", verdict)
+        _setfield(self, "failed_rule", failed_rule)
 
     @property
     def possibly_colorable(self) -> bool:

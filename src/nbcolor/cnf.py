@@ -21,17 +21,16 @@ memory for neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from io import StringIO
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .balance import Coloring
-from .graph import Graph, _require_int, _require_vertex
+from .graph import Graph, _Record, _require_int, _require_vertex, _setfield
 
 
-@dataclass(frozen=True)
-class _Template:
+class _Template(_Record):
     """Clauses over slots 1, 2, ...; a negative number is a negated slot.
 
     ``text`` is their DIMACS lines with a format field per slot (``{i}`` or
@@ -40,9 +39,17 @@ class _Template:
     trailing slots that are the constraint's own fresh variables.
     """
 
+    __slots__ = _fields = ("clauses", "text", "registers")
     clauses: tuple[tuple[int, ...], ...]
     text: str
     registers: int
+
+    def __init__(
+        self, clauses: tuple[tuple[int, ...], ...], text: str, registers: int
+    ) -> None:
+        _setfield(self, "clauses", clauses)
+        _setfield(self, "text", text)
+        _setfield(self, "registers", registers)
 
 
 def _template(clauses: list[tuple[int, ...]], registers: int = 0) -> _Template:
@@ -58,8 +65,7 @@ def _template(clauses: list[tuple[int, ...]], registers: int = 0) -> _Template:
 _EMPTY = _template([()])
 
 
-@dataclass(frozen=True)
-class CnfDocument:
+class CnfDocument(_Record):
     """A propositional encoding of one balanced-coloring instance.
 
     ``clauses`` hold signed DIMACS-style literals.  ``var(v, c)`` maps a
@@ -67,18 +73,51 @@ class CnfDocument:
     live above ``n * k``.  The clauses expand from ``graph``, the
     exactly-one template and one counter template per degree (``counters``);
     a refused instance has no graph and the single empty clause.
+
+    The repr leaves out the graph and the templates, and equality ignores the
+    templates, which follow from the graph and k.  No ``__slots__``: the
+    ``clauses`` cache lives in the instance dict.
     """
 
+    _fields = (
+        "n", "k", "num_vars", "num_clauses", "comments",
+        "graph", "exactly_one", "counters",
+    )
+    _key = attrgetter(*_fields[:6])  # equality and hash skip the templates
     n: int
     k: int
     num_vars: int
     num_clauses: int
     comments: tuple[str, ...]
-    graph: Graph | None = field(default=None, repr=False)
-    exactly_one: _Template | None = field(default=None, repr=False, compare=False)
-    counters: Mapping[int, _Template] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    graph: Graph | None
+    exactly_one: _Template | None
+    counters: Mapping[int, _Template]
+
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        num_vars: int,
+        num_clauses: int,
+        comments: tuple[str, ...],
+        graph: Graph | None = None,
+        exactly_one: _Template | None = None,
+        counters: Mapping[int, _Template] | None = None,
+    ) -> None:
+        _setfield(self, "n", n)
+        _setfield(self, "k", k)
+        _setfield(self, "num_vars", num_vars)
+        _setfield(self, "num_clauses", num_clauses)
+        _setfield(self, "comments", comments)
+        _setfield(self, "graph", graph)
+        _setfield(self, "exactly_one", exactly_one)
+        _setfield(self, "counters", {} if counters is None else counters)
+
+    def __repr__(self) -> str:
+        return (
+            f"CnfDocument(n={self.n!r}, k={self.k!r}, num_vars={self.num_vars!r}, "
+            f"num_clauses={self.num_clauses!r}, comments={self.comments!r})"
+        )
 
     def var(self, v: int, c: int) -> int:
         _require_vertex(v, self.n)

@@ -10,11 +10,12 @@ coloring handed back has passed the package's balance check, also under
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Iterable
 
 from .balance import Coloring, Refusal, _balanced_output
 from .graph import (
-    Graph, _require_int, _require_vertex, complete_multipartite_graph, cycle_graph
+    Graph, _Record, _require_int, _require_vertex, _setfield,
+    complete_multipartite_graph, cycle_graph,
 )
 
 
@@ -23,23 +24,22 @@ from .graph import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
+class CirculantSpec(_Record):
     """A circulant graph C_n(a_1, ..., a_s) with strictly increasing connections.
 
     Vertex v is adjacent to v ± a_i (mod n) for each connection a_i.  We
     require 1 <= a_1 < ... < a_s < n/2 so the graph is simple and 2s-regular.
     """
 
+    __slots__ = _fields = ("n", "connections")
     n: int
     connections: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _require_int(self.n, "circulant order")
-        if self.n < 3:
-            raise ValueError(f"circulant needs at least 3 vertices, got {self.n}")
-        conns = tuple(self.connections)
-        object.__setattr__(self, "connections", conns)
+    def __init__(self, n: int, connections: Iterable[int]) -> None:
+        _require_int(n, "circulant order")
+        if n < 3:
+            raise ValueError(f"circulant needs at least 3 vertices, got {n}")
+        conns = tuple(connections)
         if not conns:
             raise ValueError("at least one connection is required")
         for i, a in enumerate(conns):
@@ -48,10 +48,10 @@ class CirculantSpec:
                 raise ValueError(f"connections must be positive, got {a}")
             if i > 0 and conns[i - 1] >= a:
                 raise ValueError(f"connections must be strictly increasing: {conns}")
-        if conns[-1] * 2 >= self.n:
-            raise ValueError(
-                f"largest connection {conns[-1]} must be < n/2 = {self.n / 2}"
-            )
+        if conns[-1] * 2 >= n:
+            raise ValueError(f"largest connection {conns[-1]} must be < n/2 = {n / 2}")
+        _setfield(self, "n", n)
+        _setfield(self, "connections", conns)
 
     @property
     def arity(self) -> int:
@@ -147,8 +147,7 @@ def _residue_coloring(spec: CirculantSpec, k: int) -> tuple[Graph, Coloring]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HammingSpec:
+class HammingSpec(_Record):
     """The Hamming graph H(d, k): words of length d over {1..k}, adjacency
     = differ in exactly one coordinate.  d(k-1)-regular on k^d vertices.
 
@@ -156,12 +155,15 @@ class HammingSpec:
     significant, so index 0 is (1,...,1) and index k^d - 1 is (k,...,k).
     """
 
+    __slots__ = _fields = ("d", "k")
     d: int
     k: int
 
-    def __post_init__(self) -> None:
-        _require_int(self.d, "word length", 1)
-        _require_int(self.k, "alphabet size", 2)
+    def __init__(self, d: int, k: int) -> None:
+        _require_int(d, "word length", 1)
+        _require_int(k, "alphabet size", 2)
+        _setfield(self, "d", d)
+        _setfield(self, "k", k)
 
     @property
     def n(self) -> int:

@@ -7,6 +7,7 @@ deterministic iteration order everywhere.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
@@ -22,6 +23,57 @@ def _require_vertex(v: object, n: int, what: str = "vertex") -> None:
     """Raise ValueError unless ``v`` is an int in 0..n-1."""
     if not (isinstance(v, int) and 0 <= v < n):
         raise ValueError(f"{what} {v} outside 0..{n - 1}")
+
+
+# A record's __init__ stores its fields through this, past its own __setattr__.
+_setfield = object.__setattr__
+
+
+class _Record:
+    """Base of the package's value records, immutable like ``Graph``.
+
+    A subclass names its two or more fields once, in constructor order, in
+    ``_fields`` (usually also its ``__slots__``), and its explicit
+    ``__init__`` checks its arguments and stores each field with
+    ``_setfield``.  Equality, hash, repr and pickling work over ``_fields``;
+    a subclass may narrow what equality and hash compare by setting ``_key``
+    to an ``attrgetter`` of its own.  Records of different classes never
+    compare equal.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    # Each reads its tuple of field values off the record given as argument.
+    _values: attrgetter
+    _key: attrgetter
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:  # else both are inherited with the fields
+            cls._values = attrgetter(*cls._fields)
+            if "_key" not in cls.__dict__:
+                cls._key = cls._values
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values(self)
 
 
 class Graph:
@@ -61,17 +113,20 @@ class Graph:
         # A vertex gets a list at its first edge; isolated vertices share the
         # empty tuple, so a graph of n vertices and no edges costs one slot each.
         adj: list = [()] * n
-        for u, v in self._edges:  # in edge order, every list grows ascending
-            nb = adj[u]
-            if nb:
-                nb.append(v)
-            else:
-                adj[u] = [v]
-            nb = adj[v]
-            if nb:
-                nb.append(u)
-            else:
-                adj[v] = [u]
+        try:
+            for u, v in self._edges:  # in edge order, every list grows ascending
+                nb = adj[u]
+                if nb:
+                    nb.append(v)
+                else:
+                    adj[u] = [v]
+                nb = adj[v]
+                if nb:
+                    nb.append(u)
+                else:
+                    adj[v] = [u]
+        except TypeError:  # a float endpoint passes the range test, indexes nothing
+            raise ValueError(f"edge ({u}, {v}) has a non-integer endpoint") from None
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     @classmethod
@@ -120,6 +175,8 @@ class Graph:
         return tuple(map(len, self._adj))
 
     def has_edge(self, u: int, v: int) -> bool:
+        _require_int(u, "vertex")
+        _require_int(v, "vertex")
         # Membership in the sorted neighbor tuple is fine at these sizes and
         # avoids carrying a side set around.
         if not (0 <= u < self._n and 0 <= v < self._n):

@@ -15,12 +15,10 @@ Formats:
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from typing import Iterator, Mapping
 
 from .balance import Coloring, _require_fit
-from .graph import Graph
+from .graph import Graph, _Record
 
 
 class ParseError(ValueError):
@@ -297,9 +295,22 @@ def to_dot(
 # ---------------------------------------------------------------------------
 
 
+def _plain(value: object) -> object:
+    """``value`` with each record made a dict of its fields and each tuple a list."""
+    if isinstance(value, _Record):
+        return {name: _plain(getattr(value, name)) for name in value._fields}
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
 def report_to_json(report: object) -> str:
-    """Serialize any of the package's report dataclasses to stable JSON."""
-    return json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+    """Serialize any of the package's report records to stable JSON."""
+    import json  # only --format json needs it; text commands start without it
+
+    return json.dumps(_plain(report), indent=2, sort_keys=True)
 
 
 __all__ = [

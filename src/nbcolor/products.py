@@ -16,22 +16,22 @@ check, also under ``python -O``; one that fails raises ``AssertionError``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .balance import Coloring, Refusal, _balanced_input, _balanced_output
-from .graph import Graph, _require_int, _require_vertex
+from .graph import Graph, _Record, _require_int, _require_vertex, _setfield
 
 
-@dataclass(frozen=True)
-class VertexPairIndex:
+class VertexPairIndex(_Record):
     """Bijection between product vertices and factor coordinate pairs."""
 
+    __slots__ = _fields = ("g_order", "h_order")
     g_order: int
     h_order: int
 
-    def __post_init__(self) -> None:
-        _require_int(self.g_order, "g_order")
-        _require_int(self.h_order, "h_order")
+    def __init__(self, g_order: int, h_order: int) -> None:
+        _require_int(g_order, "g_order")
+        _require_int(h_order, "h_order")
+        _setfield(self, "g_order", g_order)
+        _setfield(self, "h_order", h_order)
 
     def index(self, u: int, v: int) -> int:
         _require_int(u, "first coordinate")

@@ -20,36 +20,37 @@ numeric-vertex split the argument relied on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product, repeat
+from typing import Iterable
 
 from .balance import (
     BalanceReport, Coloring, _balanced, _balanced_output, _require_fit, is_nbkc
 )
-from .graph import Graph, _require_int
+from .graph import Graph, _Record, _require_int, _setfield
 
 
-@dataclass(frozen=True)
-class EssInstance:
+class EssInstance(_Record):
     """A k-equal-sum-subsets question: split T into k parts of equal sum.
 
     An instance whose total is not divisible by k is representable — it is
     simply unsatisfiable — so divisibility is reported, not enforced.
     """
 
+    __slots__ = _fields = ("values", "k")
     values: tuple[int, ...]
     k: int
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: Iterable[int], k: int) -> None:
+        values = tuple(values)
         if not values:
             raise ValueError("the multiset must be nonempty")
         for a in values:
             _require_int(a, "element")
-        _require_int(self.k, "subset count", 2)
+        _require_int(k, "subset count", 2)
         if any(a < 1 for a in values):
             raise ValueError(f"all elements must be positive integers: {values}")
+        _setfield(self, "values", values)
+        _setfield(self, "k", k)
 
     @property
     def total(self) -> int:
@@ -103,16 +104,32 @@ def _house_tables(
     return edges, rows
 
 
-@dataclass(frozen=True)
-class HouseGadget:
+class HouseGadget(_Record):
     """An isolated (k, n)-house as ``_house_layout`` lays it out at offset 0."""
 
+    __slots__ = _fields = ("k", "n", "graph", "bases", "supports", "indexes")
     k: int
     n: int
     graph: Graph
     bases: tuple[int, ...]
     supports: tuple[int, ...]
     indexes: tuple[int, ...]
+
+    def __init__(
+        self,
+        k: int,
+        n: int,
+        graph: Graph,
+        bases: tuple[int, ...],
+        supports: tuple[int, ...],
+        indexes: tuple[int, ...],
+    ) -> None:
+        _setfield(self, "k", k)
+        _setfield(self, "n", n)
+        _setfield(self, "graph", graph)
+        _setfield(self, "bases", bases)
+        _setfield(self, "supports", supports)
+        _setfield(self, "indexes", indexes)
 
 
 def house(k: int, n: int) -> HouseGadget:
@@ -145,13 +162,18 @@ def house_scheme_coloring(gadget: HouseGadget) -> Coloring:
     return _balanced_output(gadget.graph, Coloring(k, tuple(colors)), what)
 
 
-@dataclass(frozen=True)
-class HousePlacement:
+class HousePlacement(_Record):
     """One compiled house; its vertices are read off ``_house_layout``."""
 
+    __slots__ = _fields = ("element", "k", "offset")
     element: int
     k: int
     offset: int
+
+    def __init__(self, element: int, k: int, offset: int) -> None:
+        _setfield(self, "element", element)
+        _setfield(self, "k", k)
+        _setfield(self, "offset", offset)
 
     def bases(self) -> tuple[int, ...]:
         return tuple(_house_layout(self.k, self.element, self.offset)[0])
@@ -163,28 +185,49 @@ class HousePlacement:
         return tuple(_house_layout(self.k, self.element, self.offset)[2])
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
+class ReductionInstance(_Record):
     """A compiled equal-sum-subsets question.
 
     ``houses[i]`` hosts element ``instance.values[i]``; ``distributive`` are
     the k vertices adjacent to every index vertex of every house.
     """
 
+    _fields = ("instance", "graph", "houses", "distributive")
+    __slots__ = (*_fields, "_roles")  # _roles: the role table, built on first use
     instance: EssInstance
     graph: Graph
     houses: tuple[HousePlacement, ...]
     distributive: tuple[int, ...]
 
+    def __init__(
+        self,
+        instance: EssInstance,
+        graph: Graph,
+        houses: tuple[HousePlacement, ...],
+        distributive: tuple[int, ...],
+    ) -> None:
+        _setfield(self, "instance", instance)
+        _setfield(self, "graph", graph)
+        _setfield(self, "houses", houses)
+        _setfield(self, "distributive", distributive)
+        _setfield(self, "_roles", None)
+
+    def _role_table(self) -> dict[int, tuple[str, int | None]]:
+        """The role table, built on first use and shared: callers only read it."""
+        table = self._roles
+        if table is None:
+            table = {}
+            for p in self.houses:
+                layout = _house_layout(p.k, p.element, p.offset)
+                for role, labels in zip(("base", "support", "index"), layout):
+                    table.update(dict.fromkeys(labels, (role, p.element)))
+            table.update(dict.fromkeys(self.distributive, ("distributive", None)))
+            _setfield(self, "_roles", table)
+        return table
+
     def roles(self) -> dict[int, tuple[str, int | None]]:
         """Vertex -> (role, element) table; distributive vertices carry None."""
-        table: dict[int, tuple[str, int | None]] = {}
-        for p in self.houses:
-            layout = _house_layout(p.k, p.element, p.offset)
-            for role, labels in zip(("base", "support", "index"), layout):
-                table.update(dict.fromkeys(labels, (role, p.element)))
-        table.update(dict.fromkeys(self.distributive, ("distributive", None)))
-        return table
+        return dict(self._role_table())
 
 
 def reduce_ess_to_nbc(inst: EssInstance) -> ReductionInstance:
@@ -228,7 +271,7 @@ def decode(rinst: ReductionInstance, c: Coloring) -> tuple[tuple[int, ...], ...]
     joins subset i when its house's index vertices carry color i, and a
     coloring that is unbalanced or does not fit raises ``ValueError``.
     """
-    return decode_from_roles(rinst.graph, rinst.roles(), c)
+    return decode_from_roles(rinst.graph, rinst._role_table(), c)
 
 
 class UnbalancedColoring(ValueError):
@@ -353,8 +396,7 @@ def ess_brute_force(inst: EssInstance) -> tuple[tuple[int, ...], ...] | None:
     return None
 
 
-@dataclass(frozen=True)
-class FlawedGadget:
+class FlawedGadget(_Record):
     """The appendix regression artifact: a 2-coloring gadget that leaks.
 
     ``v1, v2`` form the side A every numeric vertex attaches to; ``u1, u2``
@@ -363,6 +405,7 @@ class FlawedGadget:
     split by two, which is exactly what the regression test exhibits.
     """
 
+    __slots__ = _fields = ("graph", "v1", "v2", "u1", "u2", "packs")
     graph: Graph
     v1: int
     v2: int
@@ -370,6 +413,22 @@ class FlawedGadget:
     u2: int
     packs: tuple[tuple[int, tuple[int, ...], tuple[int, ...], int], ...]
     # each pack: (element, supports, numerics, base)
+
+    def __init__(
+        self,
+        graph: Graph,
+        v1: int,
+        v2: int,
+        u1: int,
+        u2: int,
+        packs: tuple[tuple[int, tuple[int, ...], tuple[int, ...], int], ...],
+    ) -> None:
+        _setfield(self, "graph", graph)
+        _setfield(self, "v1", v1)
+        _setfield(self, "v2", v2)
+        _setfield(self, "u1", u1)
+        _setfield(self, "u2", u2)
+        _setfield(self, "packs", packs)
 
     def roles(self) -> dict[int, tuple[str, int | None]]:
         table: dict[int, tuple[str, int | None]] = {

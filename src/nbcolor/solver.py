@@ -64,18 +64,16 @@ two can legitimately cross-check each other's search.  The tests' recount
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
 from .balance import Coloring, _balanced, _balanced_output, _screen
-from .graph import Graph, _require_int
+from .graph import Graph, _Record, _require_int, _setfield
 
 _MODES = ("first-witness", "canonical-min", "count")
 
 
-@dataclass(frozen=True)
-class SolveConfig:
+class SolveConfig(_Record):
     """Search configuration.
 
     ``mode`` selects what to produce: any witness, the canonical
@@ -87,23 +85,27 @@ class SolveConfig:
     assignments made before giving up.
     """
 
-    mode: str = "first-witness"
-    node_budget: int | None = None
+    __slots__ = _fields = ("mode", "node_budget")
+    mode: str
+    node_budget: int | None
 
-    def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.node_budget is not None:
-            _require_int(self.node_budget, "node budget")
-            if self.node_budget <= 0:
-                raise ValueError(f"node budget must be positive, got {self.node_budget}")
+    def __init__(
+        self, mode: str = "first-witness", node_budget: int | None = None
+    ) -> None:
+        if mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        if node_budget is not None:
+            _require_int(node_budget, "node budget")
+            if node_budget <= 0:
+                raise ValueError(f"node budget must be positive, got {node_budget}")
+        _setfield(self, "mode", mode)
+        _setfield(self, "node_budget", node_budget)
 
 
 _DEFAULT_CONFIG = SolveConfig()
 
 
-@dataclass
-class SolveOutcome:
+class SolveOutcome(_Record):
     """Result of a solve or brute-force run.
 
     ``status`` is SAT, UNSAT, or BUDGET_EXCEEDED.  ``witness`` is present
@@ -116,13 +118,34 @@ class SolveOutcome:
     checking, and ``deficit`` assignments that left some uncolored vertex
     without a feasible color.  When the necessity gate refuses, the only key
     is the failed screen's rule name (for example ``regular-size``).
+
+    The one mutable record: the solver fills it in after the search, so its
+    fields take assignment and it has no hash.
     """
 
+    __slots__ = _fields = ("status", "witness", "count", "nodes_explored", "pruned_by")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
     status: str
-    witness: Coloring | None = None
-    count: int | None = None
-    nodes_explored: int = 0
-    pruned_by: dict[str, int] = field(default_factory=dict)
+    witness: Coloring | None
+    count: int | None
+    nodes_explored: int
+    pruned_by: dict[str, int]
+
+    def __init__(
+        self,
+        status: str,
+        witness: Coloring | None = None,
+        count: int | None = None,
+        nodes_explored: int = 0,
+        pruned_by: dict[str, int] | None = None,
+    ) -> None:
+        self.status = status
+        self.witness = witness
+        self.count = count
+        self.nodes_explored = nodes_explored
+        self.pruned_by = {} if pruned_by is None else pruned_by
 
 
 def _search(

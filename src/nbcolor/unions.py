@@ -16,38 +16,40 @@ returns the union it builds), dependent sets to :func:`cycle_union_nbc` under
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
+from typing import Iterable
 
 from .balance import Coloring, Refusal, _balanced_input, _balanced_output, cyclic_shift
 from .families import cycle_nbc
-from .graph import Graph, _require_int, _require_vertex, cycle_graph
+from .graph import Graph, _Record, _require_int, _require_vertex, _setfield, cycle_graph
 
 
-@dataclass(frozen=True)
-class UnionSpec:
+class UnionSpec(_Record):
     """n copies of ``base`` glued along the vertex set ``glue``.
 
     ``glue`` must be a nonempty proper subset of the base's vertices;
     ``copies`` must be at least 1.
     """
 
+    __slots__ = _fields = ("base", "glue", "copies")
     base: Graph
     glue: frozenset[int]
     copies: int
 
-    def __post_init__(self) -> None:
-        glue = frozenset(self.glue)
-        object.__setattr__(self, "glue", glue)
-        _require_int(self.copies, "copy count")
-        if self.copies < 1:
-            raise ValueError(f"need at least one copy, got {self.copies}")
+    def __init__(self, base: Graph, glue: Iterable[int], copies: int) -> None:
+        glue = frozenset(glue)
+        _require_int(copies, "copy count")
+        if copies < 1:
+            raise ValueError(f"need at least one copy, got {copies}")
         if not glue:
             raise ValueError("glue set must be nonempty")
         for v in glue:
-            _require_vertex(v, self.base.n, "glue vertex")
-        if len(glue) == self.base.n:
+            _require_vertex(v, base.n, "glue vertex")
+        if len(glue) == base.n:
             raise ValueError("glue set must be a proper subset of the vertices")
+        _setfield(self, "base", base)
+        _setfield(self, "glue", glue)
+        _setfield(self, "copies", copies)
 
     @property
     def inside_edges(self) -> list[tuple[int, int]]:
@@ -123,8 +125,7 @@ def _independent_union(spec: UnionSpec, c: Coloring) -> tuple[Graph, Coloring]:
     return union, _balanced_output(union, out, "independent-set union")
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(_Record):
     """Necessary congruence on the copy count for balanced dependent unions.
 
     ``q`` lists the degrees of the glued vertices inside the induced glue
@@ -133,12 +134,23 @@ class CongruenceReport:
     and M = k²/gcd(p, k²).  The condition is necessary, not sufficient.
     """
 
+    __slots__ = _fields = ("k", "q", "p", "L", "M", "modulus")
     k: int
     q: tuple[int, ...]
     p: int
     L: int
     M: int
     modulus: int
+
+    def __init__(
+        self, k: int, q: tuple[int, ...], p: int, L: int, M: int, modulus: int
+    ) -> None:
+        _setfield(self, "k", k)
+        _setfield(self, "q", q)
+        _setfield(self, "p", p)
+        _setfield(self, "L", L)
+        _setfield(self, "M", M)
+        _setfield(self, "modulus", modulus)
 
     def admissible(self, n: int) -> bool:
         return n % self.modulus == 1 % self.modulus

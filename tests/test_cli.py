@@ -586,6 +586,34 @@ def test_union_congruence_json(c8, capsys):
     assert blob["q"] == [1, 1]
 
 
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    [
+        ("verify {c8} {c8c}", 0,
+         "6b5d029406335ee5eeae110c1b70f5d90e9399f10ba081737255a8172b5bedff"),
+        ("analyze {k4} -k 2", 1,
+         "aa8eb18941909ab6d36e49c71594f7436dbe275fd42f2f6db2edb37273bc348e"),
+        ("analyze {c8} -k 2", 0,
+         "746f628ea3924fa3e52f4afadfe455e797b2af1e63de74ae0f57d72d879d3d45"),
+        ("solve {c8} -k 2", 0,
+         "861f0d598ce891312d5d36bd3b485de92b5665af0cd09c39f48d2531fbd128e4"),
+        ("solve {c8} -k 2 --mode count", 0,
+         "04669c2876d0bca555bae96936158cd00cd795e43c2475fbddb8044594c69b46"),
+        ("union {c8} --set 0,1 --congruence -k 2", 0,
+         "15ebc32c0f6ded36c8caab26332532cc5fb6625537c9b107ea972d64175d2141"),
+    ],
+)
+def test_json_stdout_is_pinned(tmp_path, capsys, c8, k4, argv, code, digest):
+    """Each command's ``--format json`` stdout, pinned by sha256: harnesses
+    parse it."""
+    c8c = tmp_path / "c8.coloring"
+    c8c.write_text(coloring_to_text(cycle_nbc(8)[1]))
+    argv = argv.format(c8=c8, c8c=c8c, k4=k4).split()
+    assert run([*argv, "--format", "json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_union_plain_route_with_coloring(tmp_path, capsys):
     run(["construct", "cycle", "8", "-k", "2", "-o", str(tmp_path / "base")])
     code = run(

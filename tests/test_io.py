@@ -1,5 +1,6 @@
 """Text formats: edge lists, colorings, role sidecars, DOT, JSON reports."""
 
+import hashlib
 import json
 import random
 import re
@@ -13,9 +14,13 @@ from nbcolor import (
     Coloring,
     Graph,
     ParseError,
+    SolveConfig,
     check_necessary,
     coloring_from_text,
     coloring_to_text,
+    complete_graph,
+    complete_multipartite_graph,
+    cycle_graph,
     cycle_nbc,
     graph_from_text,
     graph_to_text,
@@ -23,7 +28,9 @@ from nbcolor import (
     report_to_json,
     roles_from_text,
     roles_to_text,
+    solve,
     to_dot,
+    union_congruence,
 )
 
 
@@ -222,7 +229,7 @@ def test_dot_without_coloring_has_no_fills():
 
 
 def test_dot_roles_become_shapes():
-    from nbcolor import EssInstance, reduce_ess_to_nbc, solve
+    from nbcolor import EssInstance, reduce_ess_to_nbc
 
     rinst = reduce_ess_to_nbc(EssInstance((1, 1), 2))
     out = solve(rinst.graph, 2)
@@ -259,12 +266,46 @@ def test_balance_report_to_json():
 
 
 def test_necessity_report_to_json():
-    from nbcolor import complete_graph
-
     blob = json.loads(report_to_json(check_necessary(complete_graph(4), 2)))
     assert blob["verdict"] == "provably-uncolorable"
     assert blob["failed_rule"] == "degree-divisibility"
     assert blob["regularity"]["degree"] == 3
+
+
+def pin(name, build, digest):
+    return pytest.param(build, digest, id=name)
+
+
+C8, C8_COLORING = cycle_nbc(8)
+
+JSON_PINS = [
+    pin("balance-balanced", lambda: is_nbkc(C8, C8_COLORING),
+        "2dc2ba056d74438102fc03257743ced306f118319e60e8709d3004dd0403715b"),
+    pin("balance-unbalanced",
+        lambda: is_nbkc(cycle_graph(6), Coloring(3, (1, 1, 2, 2, 1, 1))),
+        "c4df8c894858f6cae61188399ea5cd5d51889d1442501f66aed0b5a7a6dd4a9d"),
+    pin("necessity-with-regularity", lambda: check_necessary(complete_graph(4), 2),
+        "81fd3c0906c58e3ea36fd89edbdecb9b01c11e0ff21a0a81551c2bff44272c5e"),
+    pin("necessity-without-regularity",
+        lambda: check_necessary(complete_multipartite_graph((1, 2)), 2),
+        "fd263176bdf68f010a02fc9c635efb00cf912189e5a6299530712b033238c041"),
+    pin("solve-sat-witness", lambda: solve(C8, 2),
+        "bb1a6616ce734f182272cd1a6c8cbc9d79b3e0e21841f7ad6c9f7830c8feb227"),
+    pin("solve-count", lambda: solve(C8, 2, SolveConfig(mode="count")),
+        "453654befd36eb7ac4789bab22d9bff2c28765cd9d3e3f0b8e68fb92285f2c81"),
+    pin("solve-budget-exceeded",
+        lambda: solve(cycle_graph(24), 2, SolveConfig(node_budget=3)),
+        "f9e5432abc88dddda91f7454f0997f9218870056777a3477ffd6bc30459967b8"),
+    pin("congruence", lambda: union_congruence(C8, {0, 1}, 2),
+        "ce7939dd40a1d6bd9dcab21a9d207159f77f0d38f614b737dc36262c7cdabe00"),
+]
+
+
+@pytest.mark.parametrize("build,digest", JSON_PINS)
+def test_report_json_bytes_are_pinned(build, digest):
+    """Each report's JSON bytes, pinned by sha256: tools parse this output."""
+    text = report_to_json(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("indent,column", [("  ", 3), ("\t", 2)], ids=["spaces", "tab"])

@@ -1,5 +1,6 @@
 """The package surface: public names, and submodules that load on first use."""
 
+import ast
 import json
 import os
 import pkgutil
@@ -15,15 +16,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(nbcolor.__path__))
 
 
-def run_fresh(code: str, *args: str) -> dict:
-    """Run ``code`` in a new interpreter on ``src/``; it prints one JSON value."""
+def run_fresh(code: str, *args: str, parse=json.loads):
+    """Run ``code`` in a new interpreter on ``src/``; its last line is one
+    value that ``parse`` reads (JSON by default)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c", code, *args], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return parse(done.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("name", nbcolor.__all__)
@@ -87,6 +89,31 @@ def test_verify_runs_only_the_modules_it_needs(c4_files):
     assert {"nbcolor.balance", "nbcolor.graph", "nbcolor.io"} <= set(ran["ran"])
     for idle in ("cnf", "families", "products", "unions", "reduction", "solver"):
         assert f"nbcolor.{idle}" not in ran["ran"]
+
+
+def test_text_commands_load_neither_dataclasses_nor_json(c4_files, tmp_path):
+    """Every command pays for each module it imports at start-up.  Text output
+    needs neither ``dataclasses`` (which imports ``inspect``) nor ``json``, which
+    only ``--format json`` loads.  The snapshot is printed with ``repr``, since
+    ``json`` must not be imported before it is taken."""
+    graph, coloring = c4_files
+    ran = run_fresh(
+        "import sys\n"
+        "from nbcolor.cli import run\n"
+        "g, c, out = sys.argv[1:]\n"
+        "codes = [run(['verify', g, c]), run(['solve', g, '-k', '2']),\n"
+        "         run(['construct', 'cycle', '8', '-k', '2', '-o', out]),\n"
+        "         run(['reduce', '--ess', '1,1', '-k', '2', '-o', out + '.ess'])]\n"
+        "loaded = sorted(sys.modules)\n"
+        "codes.append(run(['verify', g, c, '--format', 'json']))\n"
+        "print(repr((codes, loaded, 'json' in sys.modules)))",
+        graph, coloring, str(tmp_path / "c8"), parse=ast.literal_eval,
+    )
+    codes, loaded, json_after = ran
+    assert codes == [0, 0, 0, 0, 0]
+    for heavy in ("dataclasses", "inspect", "json"):
+        assert heavy not in loaded
+    assert json_after
 
 
 DECLARING = [m for m in nbcolor._EXPORTS if hasattr(getattr(nbcolor, m), "__all__")]

@@ -145,6 +145,27 @@ def test_reduction_roles_cover_graph():
     assert names == {"base", "support", "index", "distributive"}
 
 
+def test_decode_builds_the_role_table_once(monkeypatch):
+    """Decodes of one instance share its role table; ``roles()`` hands out copies."""
+    from nbcolor import reduction
+
+    rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
+    witness = solve(rinst.graph, 2).witness
+    layouts = []
+    layout = reduction._house_layout
+    monkeypatch.setattr(reduction, "_house_layout",
+                        lambda *args: layouts.append(args) or layout(*args))
+    first = decode(rinst, witness)
+    assert decode(rinst, witness) == first == ((1, 2), (3,))
+    assert len(layouts) == len(rinst.houses)
+    roles = rinst.roles()
+    assert roles is not rinst.roles()
+    roles.clear()
+    assert len(rinst.roles()) == rinst.graph.n
+    assert decode(rinst, witness) == first
+    assert len(layouts) == len(rinst.houses)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("values", [(1,), (2, 2), (3, 1, 3), (1, 2, 2, 4), (4, 4, 4, 1, 1)])
 def test_placements_are_shifted_isolated_houses(k, values):
