@@ -83,17 +83,23 @@ class Graph:
     duplicate edges are deduplicated silently.  Instances are immutable and
     hashable, and may be shared freely between threads.
 
-    ``adjacency`` is the same table that ``neighbors`` indexes: entry v is the
-    ascending tuple of v's neighbours.  Code that walks every vertex reads it
-    once instead of range-checking each vertex.
+    ``adjacency`` is the one stored table, and the one ``neighbors``
+    indexes: entry v is the ascending tuple of v's neighbours.  Code that
+    walks every vertex reads it once instead of range-checking each vertex.
+    ``m``, equality and hashing read the rows and the stored edge count;
+    ``edges`` is derived from the rows the first time it is read and cached,
+    so every later read returns the same tuple.  Two threads reading it
+    first at once may both derive it; the tuples are equal, so which one
+    stays cached does not matter.
 
-    The constructor validates and normalizes everything it is given.  The
-    private ``Graph._from_tables`` skips that for tables the package derives
-    itself (the compiled reduction instances): it trusts the caller that the
-    edges are already canonical and the rows match them.
+    The constructor validates and normalizes everything it is given, and
+    caches the sorted edges it builds the rows from.  The private
+    ``Graph._from_tables`` skips that for rows the package derives itself
+    (the compiled reduction instances): it trusts the caller that they are
+    canonical.
     """
 
-    __slots__ = ("_n", "_edges", "_adj")
+    __slots__ = ("_n", "_m", "_adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if not (isinstance(n, int) and n >= 0):
@@ -109,7 +115,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u} is not representable")
             normalized[(u, v) if u < v else (v, u)] = None
         self._n = n
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(normalized))
+        self._edges: tuple[tuple[int, int], ...] | None = tuple(sorted(normalized))
+        self._m = len(normalized)
         # A vertex gets a list at its first edge; isolated vertices share the
         # empty tuple, so a graph of n vertices and no edges costs one slot each.
         adj: list = [()] * n
@@ -130,21 +137,17 @@ class Graph:
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     @classmethod
-    def _from_tables(
-        cls,
-        n: int,
-        edges: tuple[tuple[int, int], ...],
-        adj: tuple[tuple[int, ...], ...],
-    ) -> Graph:
-        """A graph whose tables the caller guarantees are canonical.
+    def _from_tables(cls, n: int, adj: tuple[tuple[int, ...], ...]) -> Graph:
+        """A graph on the rows ``adj``, which the caller guarantees are canonical.
 
-        ``edges`` must be sorted (min, max) pairs with both ends in 0..n-1,
-        no self-loops and no duplicates; ``adj[v]`` must be v's neighbours in
-        ascending order, exactly as ``edges`` lists them.  Nothing is checked:
-        only builders that derive both tables from one layout may call this.
+        ``adj`` has n rows, and ``adj[v]`` is v's neighbours in ascending
+        order, with no v itself, no duplicates and every edge in both ends'
+        rows.  Nothing is checked, and the edges are left to be derived on
+        first read: only builders that derive the rows from one layout may
+        call this.
         """
         g = cls.__new__(cls)
-        g._n, g._edges, g._adj = n, edges, adj
+        g._n, g._m, g._adj, g._edges = n, sum(map(len, adj)) // 2, adj, None
         return g
 
     @property
@@ -153,12 +156,17 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return self._m
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (min, max) pairs in lexicographic order."""
-        return self._edges
+        edges = self._edges
+        if edges is None:  # each row's neighbours above its vertex, in order
+            edges = self._edges = tuple(
+                [(u, v) for u, row in enumerate(self._adj) for v in row if u < v]
+            )
+        return edges
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -193,10 +201,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._n == other._n and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self._n, self._edges))
+        return hash((self._n, self._adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"

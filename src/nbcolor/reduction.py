@@ -5,9 +5,9 @@ The compiler attaches one (k, a)-house per multiset element a plus k shared
 of the compiled graph, all of a house's index vertices to share one color —
 so each element effectively picks a subset — and balance at the distributive
 vertices forces the k subset sums equal.  ``_house_layout`` alone states the
-house layout; ``house`` and ``reduce_ess_to_nbc`` take their tables from it,
-the sorted edge tuple and the adjacency rows alike, and hand them to the
-graph without a second normalizing pass.
+house layout; ``house`` and ``reduce_ess_to_nbc`` take the graph's
+adjacency rows from it and hand them to the graph without a normalizing
+pass (the graph derives its edge tuple from them only if it is read).
 ``decode_from_roles`` validates a balanced coloring and its role table and
 reads the partition back out; ``ess_brute_force`` is the independent ground
 truth for the partition problem.
@@ -70,8 +70,8 @@ def _house_layout(k: int, n: int, offset: int = 0) -> tuple[range, range, range]
     has degree exactly k, which is what forces rainbow neighborhoods around
     supports and, from there, a single shared color on all indexes.
 
-    ``house`` and ``reduce_ess_to_nbc`` take their tables from these ranges,
-    the sorted edges and the adjacency rows alike, through ``_house_tables``.
+    ``house`` and ``reduce_ess_to_nbc`` take the adjacency rows, and only
+    them, from these ranges through ``_house_tables``.
     """
     bases = range(offset, offset + k - 1)
     supports = range(bases.stop, bases.stop + k * n)
@@ -81,27 +81,20 @@ def _house_layout(k: int, n: int, offset: int = 0) -> tuple[range, range, range]
 
 def _house_tables(
     k: int, bases: range, supports: range, indexes: range, hub: tuple[int, ...]
-) -> tuple[chain, chain]:
-    """The (edges, rows) of the house on ``_house_layout``'s ranges.
+) -> chain:
+    """The adjacency rows of the house on ``_house_layout``'s ranges.
 
     Every index is also adjacent to every ``hub`` vertex, and the hub lies
-    above the house.  ``edges`` yields (low, high) pairs in sorted order and
-    ``rows`` each house vertex's ascending neighbours in label order: the
-    k-1 bases share one row, as do the k supports of one index.
+    above the house.  The rows are each house vertex's ascending neighbours
+    in label order: the k-1 bases share one row, as do the k supports of one
+    index.  No edge list is made; the graph derives one if it is read.
     """
-    index_of_support = chain.from_iterable(map(repeat, indexes, repeat(k)))
-    edges = chain(
-        product(bases, supports),
-        zip(supports, index_of_support),
-        product(indexes, hub),
-    )
     support_rows = map(tuple(bases).__add__, zip(indexes))  # bases, then (i,)
-    rows = chain(
+    return chain(
         repeat(tuple(supports), len(bases)),
         chain.from_iterable(map(repeat, support_rows, repeat(k))),
         map(tuple.__add__, zip(*[iter(supports)] * k), repeat(hub)),
     )
-    return edges, rows
 
 
 class HouseGadget(_Record):
@@ -137,8 +130,8 @@ def house(k: int, n: int) -> HouseGadget:
     _require_int(k, "k", 2)
     _require_int(n, "n", 1)
     bases, supports, indexes = _house_layout(k, n)
-    edges, rows = _house_tables(k, bases, supports, indexes, ())
-    graph = Graph._from_tables(indexes.stop, tuple(edges), tuple(rows))
+    rows = _house_tables(k, bases, supports, indexes, ())
+    graph = Graph._from_tables(indexes.stop, tuple(rows))
     return HouseGadget(k=k, n=n, graph=graph, bases=tuple(bases),
                        supports=tuple(supports), indexes=tuple(indexes))
 
@@ -241,24 +234,21 @@ def reduce_ess_to_nbc(inst: EssInstance) -> ReductionInstance:
     n = sum((k + 1) * a + k - 1 for a in inst.values)
     distributive = tuple(range(n, n + k))
     placements: list[HousePlacement] = []
-    edges: list[tuple[int, int]] = []
     rows: list[tuple[int, ...]] = []
     all_indexes: list[int] = []
     offset = 0
     for a in inst.values:
         placements.append(HousePlacement(element=a, k=k, offset=offset))
         bases, supports, indexes = _house_layout(k, a, offset)
-        house_edges, house_rows = _house_tables(k, bases, supports, indexes, distributive)
-        edges.extend(house_edges)
-        rows.extend(house_rows)
+        rows.extend(_house_tables(k, bases, supports, indexes, distributive))
         all_indexes.extend(indexes)
         offset = indexes.stop
     # Houses occupy ascending label blocks below the distributive vertices,
-    # so the concatenated tables are already the sorted, canonical ones.
+    # so the concatenated rows are already the canonical ones.
     rows.extend(repeat(tuple(all_indexes), k))
     return ReductionInstance(
         instance=inst,
-        graph=Graph._from_tables(n + k, tuple(edges), tuple(rows)),
+        graph=Graph._from_tables(n + k, tuple(rows)),
         houses=tuple(placements),
         distributive=distributive,
     )
