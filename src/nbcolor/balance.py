@@ -11,7 +11,7 @@ preserve balance.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .graph import Graph, _Record, _require_int, _setfield
@@ -166,30 +166,27 @@ def _verify(g: Graph, c: Coloring, closed: bool) -> BalanceReport:
     values = [signed_color_value(color, k) for color in range(1, k + 1)]
     violations: list[tuple[int, tuple[int, ...]]] = []
     weights: list[int] = []
+    # Row i sums the counts of the vertices of color i+1: an edge between
+    # two colors lands once in each of their rows, a monochromatic edge
+    # twice on the diagonal.
+    edge_counts = [[0] * k for _ in range(k)]
     for v, nb in enumerate(g.adjacency):
         counts = [0] * k
         for u in nb:
             counts[colors[u] - 1] += 1
-        # The weight diagnostic stays over the open neighbourhood.
+        # The weight diagnostic and the edge classes stay over the open
+        # neighbourhood.
         weights.append(sum(map(mul, counts, values)))
+        own = colors[v] - 1
+        edge_counts[own] = list(map(add, edge_counts[own], counts))
         if closed:
-            counts[colors[v] - 1] += 1
-        total = sum(counts)
-        if total == 0:
-            continue  # empty neighborhood: vacuously balanced
-        share, rem = divmod(total, k)
-        if rem != 0 or any(x != share for x in counts):
+            counts[own] += 1
+        # An empty neighbourhood has share 0 in every color: vacuously balanced.
+        share, rem = divmod(len(nb) + closed, k)
+        if rem or counts.count(share) != k:
             violations.append((v, tuple(counts)))
-    edge_counts = [[0] * k for _ in range(k)]
-    for u, v in g.edges:
-        i, j = colors[u] - 1, colors[v] - 1
-        if i > j:
-            i, j = j, i
-        edge_counts[i][j] += 1
-    # Mirror below the diagonal so the matrix reads symmetrically.
     for i in range(k):
-        for j in range(i):
-            edge_counts[i][j] = edge_counts[j][i]
+        edge_counts[i][i] //= 2
     unused = tuple(sorted(set(range(1, k + 1)) - set(colors)))
     return BalanceReport(
         balanced=not violations,

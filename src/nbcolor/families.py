@@ -58,11 +58,13 @@ class CirculantSpec(_Record):
         return len(self.connections)
 
     def graph(self) -> Graph:
-        edges = []
-        for v in range(self.n):
-            for a in self.connections:
-                edges.append((v, (v + a) % self.n))
-        return Graph(self.n, edges)
+        n = self.n
+        # Connections below n/2 make the 2s offsets distinct mod n.
+        offsets = self.connections + tuple(n - a for a in self.connections)
+        rows = tuple(
+            tuple(sorted([(v + a) % n for a in offsets])) for v in range(n)
+        )
+        return Graph._from_tables(n, rows)
 
 
 def circulant_progression_nbc(spec: CirculantSpec) -> tuple[Graph, Coloring] | Refusal:
@@ -189,19 +191,22 @@ class HammingSpec(_Record):
         return tuple(reversed(letters))
 
     def graph(self) -> Graph:
-        # Raising the coordinate with place value w from digit a to b adds
-        # (b - a) * w to the index.  Place values taken in ascending order
-        # give every vertex its higher neighbours in ascending order, so the
-        # edges come out sorted.
-        k = self.k
-        places = [k**p for p in range(self.d)]
-        edges = [
-            (idx, other)
-            for idx in range(self.n)
-            for w in places
-            for other in range(idx + w, idx + (k - idx // w % k) * w, w)
-        ]
-        return Graph(self.n, edges)
+        # H(j + 1, k) from H(j, k), one new most significant coordinate with
+        # place value w = k^j: vertex lo + x, with lo = a * w, has the
+        # neighbours b * w + x for every digit b != a, around lo plus x's own
+        # neighbours.  The b < a ones lie below lo and the b > a ones above
+        # lo + w, so every row comes out ascending.
+        rows: list[tuple[int, ...]] = [()]
+        w = 1
+        for _ in range(self.d):
+            top = self.k * w
+            rows = [
+                (*range(x, lo, w), *map(lo.__add__, row), *range(lo + w + x, top, w))
+                for lo in range(0, top, w)
+                for x, row in enumerate(rows)
+            ]
+            w = top
+        return Graph._from_tables(w, tuple(rows))
 
 
 def hamming_nbc(d: int, k: int) -> tuple[Graph, Coloring, HammingSpec] | Refusal:

@@ -7,6 +7,7 @@ deterministic iteration order everywhere.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -23,6 +24,12 @@ def _require_vertex(v: object, n: int, what: str = "vertex") -> None:
     """Raise ValueError unless ``v`` is an int in 0..n-1."""
     if not (isinstance(v, int) and 0 <= v < n):
         raise ValueError(f"{what} {v} outside 0..{n - 1}")
+
+
+def _edge_pairs(adj: Iterable[Iterable[int]]) -> list[tuple[int, int]]:
+    """Every edge of the canonical rows ``adj`` once, as (u, v) with u < v,
+    in lexicographic order: each row's neighbours above its vertex."""
+    return [(u, v) for u, row in enumerate(adj) for v in row if u < v]
 
 
 # A record's __init__ stores its fields through this, past its own __setattr__.
@@ -86,17 +93,17 @@ class Graph:
     ``adjacency`` is the one stored table, and the one ``neighbors``
     indexes: entry v is the ascending tuple of v's neighbours.  Code that
     walks every vertex reads it once instead of range-checking each vertex.
-    ``m``, equality and hashing read the rows and the stored edge count;
-    ``edges`` is derived from the rows the first time it is read and cached,
-    so every later read returns the same tuple.  Two threads reading it
-    first at once may both derive it; the tuples are equal, so which one
-    stays cached does not matter.
+    A graph stores n, m and the rows only.  ``m``, equality and hashing read
+    the rows and the stored edge count; ``edges`` is derived from the rows
+    the first time it is read and cached, so every later read returns the
+    same tuple.  Two threads reading it first at once may both derive it;
+    the tuples are equal, so which one stays cached does not matter.
 
-    The constructor validates and normalizes everything it is given, and
-    caches the sorted edges it builds the rows from.  The private
-    ``Graph._from_tables`` skips that for rows the package derives itself
-    (the compiled reduction instances): it trusts the caller that they are
-    canonical.
+    The constructor is the one validating front door, for edge lists from
+    outside the package (parsed files, user code): it validates and
+    normalizes everything it is given and builds the rows from it.  The
+    package's own builders derive their rows from their structure and hand
+    them to the private ``Graph._from_tables``, which checks nothing.
     """
 
     __slots__ = ("_n", "_m", "_adj", "_edges")
@@ -115,13 +122,13 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u} is not representable")
             normalized[(u, v) if u < v else (v, u)] = None
         self._n = n
-        self._edges: tuple[tuple[int, int], ...] | None = tuple(sorted(normalized))
         self._m = len(normalized)
+        self._edges: tuple[tuple[int, int], ...] | None = None
         # A vertex gets a list at its first edge; isolated vertices share the
         # empty tuple, so a graph of n vertices and no edges costs one slot each.
         adj: list = [()] * n
         try:
-            for u, v in self._edges:  # in edge order, every list grows ascending
+            for u, v in sorted(normalized):  # in edge order, every list grows ascending
                 nb = adj[u]
                 if nb:
                     nb.append(v)
@@ -142,9 +149,10 @@ class Graph:
 
         ``adj`` has n rows, and ``adj[v]`` is v's neighbours in ascending
         order, with no v itself, no duplicates and every edge in both ends'
-        rows.  Nothing is checked, and the edges are left to be derived on
-        first read: only builders that derive the rows from one layout may
-        call this.
+        rows.  Nothing is checked.  Only a builder whose rows are derived
+        from parameters it has checked, or from the canonical rows of graphs
+        it was given, may call this; edge lists from anywhere else go
+        through the constructor.
         """
         g = cls.__new__(cls)
         g._n, g._m, g._adj, g._edges = n, sum(map(len, adj)) // 2, adj, None
@@ -162,10 +170,8 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (min, max) pairs in lexicographic order."""
         edges = self._edges
-        if edges is None:  # each row's neighbours above its vertex, in order
-            edges = self._edges = tuple(
-                [(u, v) for u, row in enumerate(self._adj) for v in row if u < v]
-            )
+        if edges is None:
+            edges = self._edges = tuple(_edge_pairs(self._adj))
         return edges
 
     @property
@@ -220,25 +226,27 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     for v in members:
         _require_vertex(v, g.n)
     position = {v: i for i, v in enumerate(members)}
-    member_set = set(members)
-    edges = [
-        (position[u], position[v])
-        for u, v in g.edges
-        if u in member_set and v in member_set
-    ]
-    return Graph(len(members), edges), tuple(members)
+    adj = g.adjacency
+    # Relabeling keeps the order, so each member's row stays ascending.
+    rows = tuple(
+        tuple([position[u] for u in adj[v] if u in position]) for v in members
+    )
+    return Graph._from_tables(len(members), rows), tuple(members)
 
 
 def cycle_graph(m: int) -> Graph:
     _require_int(m, "cycle length")
     if m < 3:
         raise ValueError(f"a cycle needs at least 3 vertices, got {m}")
-    return Graph(m, [(i, (i + 1) % m) for i in range(m)])
+    rows = [(v - 1, v + 1) for v in range(m)]
+    rows[0], rows[-1] = (1, m - 1), (0, m - 2)
+    return Graph._from_tables(m, tuple(rows))
 
 
 def complete_graph(n: int) -> Graph:
-    _require_int(n, "vertex count")
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    _require_int(n, "vertex count", 0)
+    full = tuple(range(n))
+    return Graph._from_tables(n, tuple([full[:v] + full[v + 1:] for v in range(n)]))
 
 
 def complete_multipartite_graph(part_sizes: Iterable[int]) -> Graph:
@@ -248,14 +256,9 @@ def complete_multipartite_graph(part_sizes: Iterable[int]) -> Graph:
         _require_int(s, "part size")
     if any(s < 1 for s in sizes):
         raise ValueError(f"part sizes must be positive, got {sizes}")
-    starts = [0]
-    for s in sizes:
-        starts.append(starts[-1] + s)
-    n = starts[-1]
-    edges = []
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            for u in range(starts[i], starts[i + 1]):
-                for v in range(starts[j], starts[j + 1]):
-                    edges.append((u, v))
-    return Graph(n, edges)
+    full = tuple(range(sum(sizes)))
+    rows: list[tuple[int, ...]] = []
+    for s in sizes:  # every vertex of a part has the one row: all other parts
+        start = len(rows)
+        rows += repeat(full[:start] + full[start + s:], s)
+    return Graph._from_tables(len(full), tuple(rows))

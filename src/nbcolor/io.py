@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from .balance import Coloring, _require_fit
-from .graph import Graph, _Record
+from .graph import Graph, _Record, _edge_pairs
 
 
 class ParseError(ValueError):
@@ -71,7 +71,7 @@ def _int_field(
 def graph_to_text(g: Graph, comments: tuple[str, ...] = ()) -> str:
     lines = [f"c {text}" for text in comments]
     lines.append(f"p {g.n} {g.m}")
-    for u, v in g.edges:
+    for u, v in _edge_pairs(g.adjacency):
         lines.append(f"e {u} {v}")
     return "\n".join(lines) + "\n"
 
@@ -284,7 +284,7 @@ def to_dot(
             attrs.append(f"shape={shape}")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {v}{suffix};")
-    for u, v in g.edges:
+    for u, v in _edge_pairs(g.adjacency):
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

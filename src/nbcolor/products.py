@@ -3,7 +3,9 @@
 The four standard graph products share one vertex indexing: the pair (u, v)
 with u from the first factor G and v from the second factor H maps to index
 ``u * |V(H)| + v``.  :class:`VertexPairIndex` packages that correspondence so
-callers can relate product vertices back to factor coordinates.
+callers can relate product vertices back to factor coordinates.  Every
+builder here makes the adjacency rows of its result from its factors' rows
+by index arithmetic; no edge list is made.
 
 Color-transfer rules turn balanced colorings of factors into balanced
 colorings of products, and small surgery operations (join, host embedding,
@@ -15,6 +17,8 @@ check, also under ``python -O``; one that fails raises ``AssertionError``
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .balance import Coloring, Refusal, _balanced_input, _balanced_output
 from .graph import Graph, _Record, _require_int, _require_vertex, _setfield
@@ -47,54 +51,47 @@ class VertexPairIndex(_Record):
         return divmod(idx, self.h_order)
 
 
-def _box_edges(g: Graph, h: Graph) -> list[tuple[int, int]]:
-    nh = h.n
-    edges = [(u * nh + a, u * nh + b) for u in range(g.n) for a, b in h.edges]
-    edges += [(a * nh + v, b * nh + v) for v in range(nh) for a, b in g.edges]
-    return edges
+def _product(g: Graph, h: Graph, within, across) -> Graph:
+    """The product of g and h in which (u, v) is adjacent to (u, y) for y in
+    ``within[v]`` and to (x, y) for x ~ u and y in ``across[v]``.
 
-
-def _tensor_edges(g: Graph, h: Graph) -> list[tuple[int, int]]:
+    Each of the two is, per v, an ascending set of H's vertices, and a
+    symmetric relation (y in within[v] iff v in within[y]); v is never in
+    within[v].  With (u, v) at index u * |V(H)| + v, a row lists the x < u
+    part, then the u part, then the x > u part, so it comes out canonical.
+    """
     nh = h.n
-    edges = []
-    for a, b in g.edges:
-        ra, rb = a * nh, b * nh  # indexes of (a, 0) and (b, 0)
-        for x, y in h.edges:
-            edges.append((ra + x, rb + y))
-            edges.append((ra + y, rb + x))
-    return edges
+    rows = []
+    for u, gu in enumerate(g.adjacency):
+        base, cut = u * nh, bisect_left(gu, u)
+        below, above = [x * nh for x in gu[:cut]], [x * nh for x in gu[cut:]]
+        rows += [
+            (*[x + y for x in below for y in ys], *map(base.__add__, hv),
+             *[x + y for x in above for y in ys])
+            for hv, ys in zip(within, across)
+        ]
+    return Graph._from_tables(g.n * nh, tuple(rows))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Box product: (u,v) ~ (u',v') iff u=u' and v~v', or v=v' and u~u'."""
-    return Graph(g.n * h.n, _box_edges(g, h))
+    return _product(g, h, h.adjacency, [(v,) for v in range(h.n)])
 
 
 def direct_product(g: Graph, h: Graph) -> Graph:
     """Tensor product: (u,v) ~ (u',v') iff u~u' and v~v'."""
-    return Graph(g.n * h.n, _tensor_edges(g, h))
+    return _product(g, h, [()] * h.n, h.adjacency)
 
 
 def strong_product(g: Graph, h: Graph) -> Graph:
-    """Strong product: edge union of the box and tensor products.
-
-    The two edge sets are disjoint: box edges agree in one coordinate,
-    tensor edges in neither.
-    """
-    return Graph(g.n * h.n, _box_edges(g, h) + _tensor_edges(g, h))
+    """Strong product: edge union of the box and tensor products."""
+    closed = [tuple(sorted((v, *hv))) for v, hv in enumerate(h.adjacency)]
+    return _product(g, h, h.adjacency, closed)
 
 
 def lexicographic_product(g: Graph, h: Graph) -> Graph:
     """Lexicographic product: (u,v) ~ (u',v') iff u~u', or u=u' and v~v'."""
-    nh = h.n
-    edges = [
-        (a * nh + x, b * nh + y)
-        for a, b in g.edges
-        for x in range(nh)
-        for y in range(nh)
-    ]
-    edges += [(u * nh + x, u * nh + y) for u in range(g.n) for x, y in h.edges]
-    return Graph(g.n * nh, edges)
+    return _product(g, h, h.adjacency, [range(h.n)] * h.n)
 
 
 _PRODUCT_BUILDERS = {
@@ -202,13 +199,11 @@ def join_graph(g: Graph, h: Graph) -> Graph:
 
     Vertices of g keep their labels; vertices of h are shifted by g.n.
     """
-    edges = list(g.edges)
-    for a, b in h.edges:
-        edges.append((a + g.n, b + g.n))
-    for u in range(g.n):
-        for v in range(h.n):
-            edges.append((u, v + g.n))
-    return Graph(g.n + h.n, edges)
+    gn = g.n
+    first, second = tuple(range(gn)), tuple(range(gn, gn + h.n))
+    rows = [gu + second for gu in g.adjacency]
+    rows += [first + tuple(map(gn.__add__, hv)) for hv in h.adjacency]
+    return Graph._from_tables(gn + h.n, tuple(rows))
 
 
 def join_nbc(
@@ -251,12 +246,10 @@ def embed_in_nbkc(
     if g.n == 0:
         raise ValueError("cannot embed the empty graph")
     n = g.n
-    edges = []
-    for u, v in g.edges:
-        for p in range(k):
-            for q in range(k):
-                edges.append((p * n + u, q * n + v))
-    host = Graph(k * n, edges)
+    # Copy p of u is adjacent to every copy of every neighbour of u, so all
+    # k copies of u share one row.
+    rows = [tuple([q + v for q in range(0, k * n, n) for v in gu]) for gu in g.adjacency]
+    host = Graph._from_tables(k * n, tuple(rows) * k)
     candidate = Coloring(k, tuple(1 + (idx // n) for idx in range(k * n)))
     _balanced_output(host, candidate, "host coloring")
     return host, candidate, tuple(range(n))
@@ -315,21 +308,20 @@ def vertex_addition(
         )
 
     n = g.n
-    w = n
-    edges = list(g.edges)
+    a_labels = tuple(range(n + 1, n + 2 * k - 1, 2))  # a_j = n + 2j - 1
+    b_labels = tuple(range(n + 2, n + 2 * k, 2))  # b_j = n + 2j
+    rows = list(g.adjacency)
+    for u in u_list:
+        rows[u] += (n, *a_labels)
+    for v in v_list:
+        rows[v] += (n, *b_labels)
+    rows.append(tuple(sorted(chosen)))  # the hub w = n
+    rows += [tuple(sorted(u_list)), tuple(sorted(v_list))] * (k - 1)
     new_colors = list(c.colors) + [1]
-    for x in chosen:
-        edges.append((x, w))
     for j in range(1, k):
-        a_j = n + 2 * j - 1
-        b_j = n + 2 * j
-        for u in u_list:
-            edges.append((u, a_j))
-        for v in v_list:
-            edges.append((v, b_j))
         new_colors.extend([j + 1, j + 1])
 
-    grown = Graph(n + 2 * k - 1, edges)
+    grown = Graph._from_tables(n + 2 * k - 1, tuple(rows))
     candidate = Coloring(k, tuple(new_colors))
     return grown, _balanced_output(grown, candidate, "vertex addition")
 

@@ -452,23 +452,21 @@ def flawed_gadget(values: tuple[int, ...] | list[int]) -> FlawedGadget:
     if any(a < 1 for a in values):
         raise ValueError(f"all elements must be positive integers: {values}")
     v1, v2, u1, u2 = 0, 1, 2, 3
-    edges = [(v1, u1), (v1, u2), (v2, u1), (v2, u2)]
+    rows: list[tuple[int, ...]] = [(), (), (v1, v2), (v1, v2)]  # v1's, v2's: below
     packs = []
     offset = 4
     for a in values:
         base = offset
         supports = tuple(range(offset + 1, offset + 1 + 2 * a))
         numerics = tuple(range(offset + 1 + 2 * a, offset + 1 + 3 * a))
-        for s in supports:
-            edges.append((base, s))
-        for t_pos, t in enumerate(numerics):
-            edges.append((t, supports[2 * t_pos]))
-            edges.append((t, supports[2 * t_pos + 1]))
-            edges.append((t, v1))
-            edges.append((t, v2))
+        rows.append(supports)
+        rows += [(base, numerics[pos // 2]) for pos in range(2 * a)]
+        rows += [(v1, v2, s, s + 1) for s in supports[::2]]
         packs.append((a, supports, numerics, base))
         offset += 1 + 3 * a
-    graph = Graph(offset, edges)
+    # v1 and v2 are adjacent to B and to every numeric vertex, in label order.
+    rows[v1] = rows[v2] = (u1, u2, *[t for p in packs for t in p[2]])
+    graph = Graph._from_tables(offset, tuple(rows))
     return FlawedGadget(
         graph=graph, v1=v1, v2=v2, u1=u1, u2=u2, packs=tuple(packs)
     )

@@ -58,7 +58,8 @@ class UnionSpec(_Record):
 
 
 def _inside_edges(g: Graph, s: frozenset[int]) -> list[tuple[int, int]]:
-    return [(u, v) for u, v in g.edges if u in s and v in s]
+    adj = g.adjacency
+    return [(u, v) for u in sorted(s) for v in adj[u] if u < v and v in s]
 
 
 def union_over_set(spec: UnionSpec) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
@@ -79,19 +80,27 @@ def union_over_set(spec: UnionSpec) -> tuple[Graph, tuple[tuple[int, ...], ...]]
     glue_index = {v: i for i, v in enumerate(glued)}
     free_index = {v: i for i, v in enumerate(free)}
     block = len(free)
-    maps = []
-    for j in range(n):
-        offset = len(glued) + j * block
-        table = tuple(
-            glue_index[v] if v in s else offset + free_index[v] for v in range(g.n)
-        )
-        maps.append(table)
-    edges = []
-    for table in maps:
-        for u, v in g.edges:
-            edges.append((table[u], table[v]))
-    union = Graph(len(glued) + n * block, edges)
-    return union, tuple(maps)
+    offsets = range(len(glued), len(glued) + n * block, block)
+    maps = tuple(
+        tuple(glue_index[v] if v in s else offset + free_index[v] for v in range(g.n))
+        for offset in offsets
+    )
+    # Each base row splits into its glued neighbours' union labels, the same
+    # in every copy and below every copy's block, and its free neighbours'
+    # places in a block.  Both parts keep the row's order, and copy j's block
+    # lies below copy j+1's, so every union row comes out ascending.  A glued
+    # vertex sees its glued neighbours once and its free ones in every copy.
+    adj = g.adjacency
+    inside = [tuple([glue_index[u] for u in adj[v] if u in s]) for v in range(g.n)]
+    outside = [[free_index[u] for u in adj[v] if u not in s] for v in range(g.n)]
+    rows = [
+        inside[v] + tuple([offset + x for offset in offsets for x in outside[v]])
+        for v in glued
+    ]
+    for offset in offsets:
+        rows += [inside[v] + tuple([offset + x for x in outside[v]]) for v in free]
+    union = Graph._from_tables(len(glued) + n * block, tuple(rows))
+    return union, maps
 
 
 def union_nbc_independent(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bowtie, naive_balanced, petersen, random_graph
+from helpers import bowtie, naive_balanced, naive_report, petersen, random_graph
 from nbcolor import (
     Coloring,
     EssInstance,
@@ -22,10 +22,13 @@ from nbcolor import (
     complete_multipartite_graph,
     cycle_graph,
     cyclic_shift,
+    cycle_nbc,
     divisor_recolor,
+    hamming_nbc,
     is_closed_nbkc,
     is_nbkc,
     permute_colors,
+    product_nbc,
     reduce_ess_to_nbc,
     signed_color_value,
     weight,
@@ -192,6 +195,32 @@ def test_verifier_agrees_with_naive_recount(data):
     assert _balanced(map(g.neighbors, range(n)), colors, k) == naive_balanced(g, colors, k)
     # The weight diagnostic is over the open neighbourhood in both variants.
     assert rep.weights == tuple(weight(g, Coloring(k, colors), v) for v in range(n))
+    assert rep == naive_report(g, colors, k, closed)
+
+
+def test_reports_match_an_edge_walk():
+    """Whole reports, open and closed, equal ``naive_report`` on builder
+    graphs and on random graphs with isolated vertices: under each graph's
+    balanced coloring if it has one, random colorings, and colorings that
+    leave colors unused."""
+    rng = random.Random(2602)
+    (g8, c8), (g4, c4) = cycle_nbc(8), cycle_nbc(4)
+    cases = [(g8, c8), hamming_nbc(3, 3)[:2], hamming_nbc(4, 2)[:2],
+             product_nbc("lexicographic", g8, g4, c8, c4)[:2]]
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(1, 15), rng.random())
+        cases.append((Graph(g.n + rng.randint(0, 3), g.edges), None))
+    checked = 0
+    for g, balanced in cases:
+        colorings = [balanced] if balanced else []
+        for k in (2, 3, 5):
+            colorings.append(Coloring(k, [rng.randint(1, k) for _ in range(g.n)]))
+            colorings.append(Coloring(k, [rng.randint(1, k - 1) for _ in range(g.n)]))
+        for c in colorings:
+            for closed, verify in ((False, is_nbkc), (True, is_closed_nbkc)):
+                assert verify(g, c) == naive_report(g, c.colors, c.k, closed)
+                checked += 1
+    assert checked == 2 * (4 * 7 + 20 * 6)
 
 
 # ---------------------------------------------------------------------------

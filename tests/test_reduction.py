@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import compiled_count, naive_balanced, same_color_witness
+from helpers import compiled_count, count_edge_reads, naive_balanced, same_color_witness
 from nbcolor import (
     Coloring,
     EssInstance,
@@ -308,14 +308,7 @@ def test_compiled_graphs_store_one_table(build):
 
 
 def test_compiled_edges_are_derived_on_first_read_only(monkeypatch):
-    reads = []
-    derive = Graph.edges.fget
-
-    def counted(g):
-        reads.append(g)
-        return derive(g)
-
-    monkeypatch.setattr(Graph, "edges", property(counted))
+    reads = count_edge_reads(monkeypatch)
     inst = EssInstance((1, 2, 3), 2)
     rinst = reduce_ess_to_nbc(inst)
     g = rinst.graph
