@@ -217,19 +217,29 @@ def _balanced(
 
     The one yes/no balance check: it stops at the first unbalanced vertex and
     builds no report.  ``_verify`` answers the same question at length.
+
+    A row that is the same object as the row before it is checked once.
+    Builders hand one row tuple to consecutive vertices with the same
+    neighbourhood (a part of a multipartite graph, the supports and the
+    distributive vertices of a reduction), and a tuple cannot change between
+    the two reads, so its verdict is the one just given.
     """
+    last = None
     for nb in adj:
-        if not nb:
+        if nb is last or not nb:
             continue
+        last = nb
         share, rem = divmod(len(nb), k)
         if rem:
             return False
+        # counts[0] is seeded with the share, so the row is balanced
+        # exactly when all k + 1 entries equal it.
         counts = [0] * (k + 1)
+        counts[0] = share
         for u in nb:
             counts[assignment[u]] += 1
-        for c in range(1, k + 1):
-            if counts[c] != share:
-                return False
+        if counts.count(share) <= k:
+            return False
     return True
 
 

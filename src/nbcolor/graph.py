@@ -198,8 +198,9 @@ class Graph:
         return v in self._adj[u]
 
     def is_regular(self) -> bool:
-        degs = self.degrees()
-        return self._n == 0 or all(d == degs[0] for d in degs)
+        """Whether every vertex has the same degree; true with no vertices
+        and on an edgeless graph (0-regular)."""
+        return len(set(map(len, self._adj))) < 2
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self._n))

@@ -174,6 +174,11 @@ def _search(
     ``masks[e]`` has bit ``rank[v]`` (the position in the order) set for
     each uncolored vertex v with e eligible colors.
 
+    An assignment is dead once it leaves some vertex with no eligible color.
+    It then makes no further ban, since the branch is cut whatever else is
+    banned, but it still takes its color from the room of every neighbour.
+    The undo therefore stays one loop over the trail and one over ``adj[v]``.
+
     Returns ``(found, color, nodes, pruned, count)``.  ``found`` is True when
     stopped at a witness (left in ``color``); False once the tree is
     exhausted, count mode having tallied every leaf into ``count``; None when
@@ -195,7 +200,8 @@ def _search(
     color = [0] * n
     pruned: dict[str, int] = {}
     count = 0
-    room = [[len(nb) // k for nb in adj] for _ in range(k + 1)]
+    quota = [d // k for d in map(len, adj)]
+    room = [quota[:] for _ in range(k + 1)]
     ban = [0] * n
     trail: list[int] = []
     mark = [0] * n
@@ -273,8 +279,9 @@ def _search(
                 maxused = c
             # Assign c to v and forward-check: a neighbourhood that
             # saturates c bans it on its center's uncolored neighbours.
-            # A vertex left with no eligible color kills the branch, but
-            # every ban still lands on the trail for the undo above.
+            # A vertex left with no eligible color kills the branch: no
+            # further ban is made, but every room still falls, so the undo
+            # above restores exactly what was done.
             color[v] = c
             ban[v] = bv | 1
             masks[eligible[v]] ^= 1 << rank[v]
@@ -286,7 +293,7 @@ def _search(
             for u in adj[v]:
                 r = row[u] - 1
                 row[u] = r
-                if not r:
+                if not r and ok:
                     for w in adj[u]:
                         bw = ban[w]
                         if not bw & skip:
@@ -299,6 +306,7 @@ def _search(
                             masks[e - 1] ^= b
                             if e == 1:
                                 ok = False
+                                break
             if ok:
                 d += 1
                 break

@@ -17,13 +17,17 @@ from nbcolor import (
     EssInstance,
     Graph,
     Refusal,
+    UnbalancedColoring,
+    UnionSpec,
     check_necessary,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
     cyclic_shift,
     cycle_nbc,
+    decode,
     divisor_recolor,
+    embed_in_nbkc,
     hamming_nbc,
     is_closed_nbkc,
     is_nbkc,
@@ -31,9 +35,11 @@ from nbcolor import (
     product_nbc,
     reduce_ess_to_nbc,
     signed_color_value,
+    solve,
+    union_over_set,
     weight,
 )
-from nbcolor.balance import _balanced, _screen
+from nbcolor.balance import _balanced, _balanced_output, _screen
 
 C8 = cycle_graph(8)
 C8_COLORING = Coloring(2, (1, 1, 2, 2, 1, 1, 2, 2))
@@ -221,6 +227,90 @@ def test_reports_match_an_edge_walk():
                 assert verify(g, c) == naive_report(g, c.colors, c.k, closed)
                 checked += 1
     assert checked == 2 * (4 * 7 + 20 * 6)
+
+
+# ---------------------------------------------------------------------------
+# Shared rows: the yes/no check reads a repeated row object once
+# ---------------------------------------------------------------------------
+
+
+def _shares_rows(adj):
+    return any(a is b for a, b in zip(adj, adj[1:]))
+
+
+def _shared_row_cases():
+    """(name, graph, balanced coloring, whether consecutive rows share) for
+    builder graphs that hand one row tuple to several vertices."""
+    cases = []
+    for values, k in (((1, 2, 3), 2), ((1, 1, 2, 2), 2), ((1, 1, 1), 3), ((2, 2, 2), 3)):
+        g = reduce_ess_to_nbc(EssInstance(values, k)).graph
+        cases.append((f"reduction of {values}, k={k}", g, solve(g, k).witness, True))
+    for sizes, k in (((3, 3, 3), 3), ((4, 4, 4), 2), ((2, 2, 4), 2)):
+        g = complete_multipartite_graph(sizes)
+        cases.append((f"K{sizes}, k={k}", g, solve(g, k).witness, True))
+    # The three copies of C4's vertex 3 see only glued vertices: one row.
+    union, _ = union_over_set(UnionSpec(cycle_graph(4), frozenset({0, 1, 2}), 3))
+    cases.append(("C4 x3 glued on {0,1,2}", union, solve(union, 2).witness, True))
+    # The k copies of a vertex share one row, n places apart.
+    for g, k in ((complete_multipartite_graph((2, 3)), 2), (cycle_graph(5), 3)):
+        host, c, _ = embed_in_nbkc(g, k)
+        cases.append((f"{g} embedded, k={k}", host, c, False))
+    return cases
+
+
+def _one_vertex_recolorings(colors, k, rng, cap=150):
+    cells = [(v, c) for v in range(len(colors)) for c in range(1, k + 1) if c != colors[v]]
+    if len(cells) > cap:
+        cells = rng.sample(cells, cap)
+    for v, c in cells:
+        yield colors[:v] + (c,) + colors[v + 1:]
+
+
+def _check_rows_against_the_recount(g, colors, k):
+    """``_balanced`` on the whole table and on every two consecutive rows
+    equals ``naive_report``'s per-vertex verdicts; so a row right after a
+    shared run, and the last row, are each checked on their own."""
+    adj = g.adjacency
+    bad = {v for v, _ in naive_report(g, colors, k).violations}
+    assert _balanced(adj, colors, k) == naive_balanced(g, colors, k) == (not bad)
+    for v in range(1, g.n):
+        assert _balanced(adj[v - 1:v + 1], colors, k) == (not {v - 1, v} & bad), v
+    return bad
+
+
+def test_shared_rows_agree_with_the_recount():
+    rng = random.Random(2790)
+    unbalanced_after_a_run = unbalanced_last = 0
+    for name, g, c, consecutive in _shared_row_cases():
+        adj, k = g.adjacency, c.k
+        assert len(set(map(id, adj))) < g.n, name
+        assert _shares_rows(adj) == consecutive, name
+        assert not _check_rows_against_the_recount(g, c.colors, k), name
+        for colors in _one_vertex_recolorings(c.colors, k, rng):
+            bad = _check_rows_against_the_recount(g, colors, k)
+            assert bad, name
+            unbalanced_last += g.n - 1 in bad
+            unbalanced_after_a_run += any(
+                adj[v - 2] is adj[v - 1] is not adj[v] and v in bad and v - 1 not in bad
+                for v in range(2, g.n)
+            )
+    assert unbalanced_after_a_run and unbalanced_last
+
+
+def test_recolored_compiled_witness_is_refused():
+    """Every one-vertex recoloring of a compiled witness fails the output
+    gate and the decoder."""
+    rinst = reduce_ess_to_nbc(EssInstance((1, 1, 1), 3))
+    g = rinst.graph
+    assert _shares_rows(g.adjacency)
+    witness = solve(g, 3).witness
+    for colors in _one_vertex_recolorings(witness.colors, 3, random.Random(0)):
+        c = Coloring(3, colors)
+        assert not naive_balanced(g, colors, 3)
+        with pytest.raises(AssertionError):
+            _balanced_output(g, c, "recolored witness")
+        with pytest.raises(UnbalancedColoring):
+            decode(rinst, c)
 
 
 # ---------------------------------------------------------------------------

@@ -212,11 +212,22 @@ def test_repr_names_order_and_size():
 
 
 def test_is_regular():
-    assert cycle_graph(5).is_regular()
-    assert complete_graph(4).is_regular()
-    assert not Graph(3, [(0, 1)]).is_regular()
-    # every vertex isolated still counts as 0-regular
-    assert Graph(3, []).is_regular()
+    """No vertices and no edges count as regular (0-regular); K(3,3,3)
+    stores one row object per part."""
+    k333 = complete_multipartite_graph((3, 3, 3))
+    assert k333.adjacency[0] is k333.adjacency[1]
+    cases = {
+        "Graph(0)": (Graph(0), True),
+        "Graph(1)": (Graph(1), True),
+        "edgeless Graph(3)": (Graph(3, []), True),
+        "K1+K2": (Graph(3, [(0, 1)]), False),
+        "C5": (cycle_graph(5), True),
+        "K4": (complete_graph(4), True),
+        "K(3,3,3)": (k333, True),
+        "K(2,3)": (complete_multipartite_graph((2, 3)), False),
+    }
+    for name, (g, regular) in cases.items():
+        assert g.is_regular() is regular, name
 
 
 def test_cycle_graph():
