@@ -69,10 +69,6 @@ class Refusal(_Record):
     rule: str
     detail: str
 
-    def __init__(self, rule: str, detail: str) -> None:
-        _setfield(self, "rule", rule)
-        _setfield(self, "detail", detail)
-
     def __str__(self) -> str:
         return f"refused ({self.rule}): {self.detail}"
 
@@ -99,26 +95,6 @@ class BalanceReport(_Record):
     edge_class_counts: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
     unused_colors: tuple[int, ...]
-
-    def __init__(
-        self,
-        balanced: bool,
-        k: int,
-        closed: bool,
-        violations: tuple[tuple[int, tuple[int, ...]], ...],
-        class_sizes: tuple[int, ...],
-        edge_class_counts: tuple[tuple[int, ...], ...],
-        weights: tuple[int, ...],
-        unused_colors: tuple[int, ...],
-    ) -> None:
-        _setfield(self, "balanced", balanced)
-        _setfield(self, "k", k)
-        _setfield(self, "closed", closed)
-        _setfield(self, "violations", violations)
-        _setfield(self, "class_sizes", class_sizes)
-        _setfield(self, "edge_class_counts", edge_class_counts)
-        _setfield(self, "weights", weights)
-        _setfield(self, "unused_colors", unused_colors)
 
 
 def signed_color_value(color: int, k: int) -> int:
@@ -299,16 +275,6 @@ class RegularityChecks(_Record):
     order_ok: bool
     size_ok: bool
 
-    def __init__(
-        self, degree: int, order_residue: int, size_residue: int, order_ok: bool,
-        size_ok: bool,
-    ) -> None:
-        _setfield(self, "degree", degree)
-        _setfield(self, "order_residue", order_residue)
-        _setfield(self, "size_residue", size_residue)
-        _setfield(self, "order_ok", order_ok)
-        _setfield(self, "size_ok", size_ok)
-
 
 class NecessityReport(_Record):
     """Outcome of the arithmetic screening for k-balanceability.
@@ -331,26 +297,6 @@ class NecessityReport(_Record):
     regularity: RegularityChecks | None
     verdict: str
     failed_rule: str | None
-
-    def __init__(
-        self,
-        k: int,
-        degree_ok: bool,
-        degree_offender: int | None,
-        order_ok: bool,
-        order_detail: str,
-        regularity: RegularityChecks | None,
-        verdict: str,
-        failed_rule: str | None,
-    ) -> None:
-        _setfield(self, "k", k)
-        _setfield(self, "degree_ok", degree_ok)
-        _setfield(self, "degree_offender", degree_offender)
-        _setfield(self, "order_ok", order_ok)
-        _setfield(self, "order_detail", order_detail)
-        _setfield(self, "regularity", regularity)
-        _setfield(self, "verdict", verdict)
-        _setfield(self, "failed_rule", failed_rule)
 
     @property
     def possibly_colorable(self) -> bool:

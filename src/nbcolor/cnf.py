@@ -44,13 +44,6 @@ class _Template(_Record):
     text: str
     registers: int
 
-    def __init__(
-        self, clauses: tuple[tuple[int, ...], ...], text: str, registers: int
-    ) -> None:
-        _setfield(self, "clauses", clauses)
-        _setfield(self, "text", text)
-        _setfield(self, "registers", registers)
-
 
 def _template(clauses: list[tuple[int, ...]], registers: int = 0) -> _Template:
     fields = [

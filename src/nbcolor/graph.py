@@ -40,12 +40,17 @@ class _Record:
     """Base of the package's value records, immutable like ``Graph``.
 
     A subclass names its two or more fields once, in constructor order, in
-    ``_fields`` (usually also its ``__slots__``), and its explicit
-    ``__init__`` checks its arguments and stores each field with
-    ``_setfield``.  Equality, hash, repr and pickling work over ``_fields``;
-    a subclass may narrow what equality and hash compare by setting ``_key``
-    to an ``attrgetter`` of its own.  Records of different classes never
-    compare equal.
+    ``_fields`` (usually also its ``__slots__``).  Unless it writes its own
+    ``__init__``, it gets one compiled from ``_fields`` alone that takes
+    those fields in that order and stores each unchanged with ``_setfield``.
+    A record writes its own when it checks or normalises its arguments
+    (``Coloring``, ``SolveConfig``, ``CirculantSpec``, ``HammingSpec``,
+    ``VertexPairIndex``, ``EssInstance``, ``UnionSpec``) or needs a fresh
+    ``{}`` default per instance (``CnfDocument``, ``SolveOutcome``).
+    Equality, hash, repr and pickling work over ``_fields``; a subclass may
+    narrow what equality and hash compare by setting ``_key`` to an
+    ``attrgetter`` of its own.  Records of different classes never compare
+    equal.
     """
 
     __slots__ = ()
@@ -56,10 +61,17 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
-        if "_fields" in cls.__dict__:  # else both are inherited with the fields
+        if "_fields" in cls.__dict__:  # else all three are inherited with the fields
             cls._values = attrgetter(*cls._fields)
             if "_key" not in cls.__dict__:
                 cls._key = cls._values
+            if "__init__" not in cls.__dict__:  # compiled as namedtuple does
+                names = ", ".join(cls._fields)
+                body = "".join([f"\n    _setfield(self, {f!r}, {f})" for f in cls._fields])
+                space = {"_setfield": _setfield, "__name__": cls.__module__}
+                exec(f"def __init__(self, {names}):{body}", space)
+                cls.__init__ = space["__init__"]
+                cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # named in TypeErrors
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -108,22 +108,6 @@ class HouseGadget(_Record):
     supports: tuple[int, ...]
     indexes: tuple[int, ...]
 
-    def __init__(
-        self,
-        k: int,
-        n: int,
-        graph: Graph,
-        bases: tuple[int, ...],
-        supports: tuple[int, ...],
-        indexes: tuple[int, ...],
-    ) -> None:
-        _setfield(self, "k", k)
-        _setfield(self, "n", n)
-        _setfield(self, "graph", graph)
-        _setfield(self, "bases", bases)
-        _setfield(self, "supports", supports)
-        _setfield(self, "indexes", indexes)
-
 
 def house(k: int, n: int) -> HouseGadget:
     """Build a (k, n)-house: k-1 bases, kn supports and n indexes."""
@@ -163,11 +147,6 @@ class HousePlacement(_Record):
     k: int
     offset: int
 
-    def __init__(self, element: int, k: int, offset: int) -> None:
-        _setfield(self, "element", element)
-        _setfield(self, "k", k)
-        _setfield(self, "offset", offset)
-
     def bases(self) -> tuple[int, ...]:
         return tuple(_house_layout(self.k, self.element, self.offset)[0])
 
@@ -192,22 +171,9 @@ class ReductionInstance(_Record):
     houses: tuple[HousePlacement, ...]
     distributive: tuple[int, ...]
 
-    def __init__(
-        self,
-        instance: EssInstance,
-        graph: Graph,
-        houses: tuple[HousePlacement, ...],
-        distributive: tuple[int, ...],
-    ) -> None:
-        _setfield(self, "instance", instance)
-        _setfield(self, "graph", graph)
-        _setfield(self, "houses", houses)
-        _setfield(self, "distributive", distributive)
-        _setfield(self, "_roles", None)
-
     def _role_table(self) -> dict[int, tuple[str, int | None]]:
         """The role table, built on first use and shared: callers only read it."""
-        table = self._roles
+        table = getattr(self, "_roles", None)
         if table is None:
             table = {}
             for p in self.houses:
@@ -403,22 +369,6 @@ class FlawedGadget(_Record):
     u2: int
     packs: tuple[tuple[int, tuple[int, ...], tuple[int, ...], int], ...]
     # each pack: (element, supports, numerics, base)
-
-    def __init__(
-        self,
-        graph: Graph,
-        v1: int,
-        v2: int,
-        u1: int,
-        u2: int,
-        packs: tuple[tuple[int, tuple[int, ...], tuple[int, ...], int], ...],
-    ) -> None:
-        _setfield(self, "graph", graph)
-        _setfield(self, "v1", v1)
-        _setfield(self, "v2", v2)
-        _setfield(self, "u1", u1)
-        _setfield(self, "u2", u2)
-        _setfield(self, "packs", packs)
 
     def roles(self) -> dict[int, tuple[str, int | None]]:
         table: dict[int, tuple[str, int | None]] = {

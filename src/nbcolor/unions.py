@@ -151,16 +151,6 @@ class CongruenceReport(_Record):
     M: int
     modulus: int
 
-    def __init__(
-        self, k: int, q: tuple[int, ...], p: int, L: int, M: int, modulus: int
-    ) -> None:
-        _setfield(self, "k", k)
-        _setfield(self, "q", q)
-        _setfield(self, "p", p)
-        _setfield(self, "L", L)
-        _setfield(self, "M", M)
-        _setfield(self, "modulus", modulus)
-
     def admissible(self, n: int) -> bool:
         return n % self.modulus == 1 % self.modulus
 

@@ -4,11 +4,16 @@ One row per record class.  Each row builds an instance by keyword, gives its
 literal repr and one field change that must break equality.
 """
 
+import ast
 import copy
+import inspect
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
+import nbcolor
 from nbcolor import (
     BalanceReport,
     CirculantSpec,
@@ -169,6 +174,52 @@ def test_records_equal_only_records_of_their_class(cls, fields, text, change):
     assert record != tuple(fields.values())
     assert record.__eq__(tuple(fields.values())) is NotImplemented
     assert record != object()
+
+
+@pytest.mark.parametrize("cls,fields,text,change", ROWS)
+def test_constructor_takes_the_fields_in_order(cls, fields, text, change):
+    """``__reduce__`` and ``repr`` rely on the constructor taking ``_fields``
+    in order; a bad call raises Python's own TypeError naming the class."""
+    assert list(inspect.signature(cls).parameters) == list(cls._fields)
+    named = re.escape(f"{cls.__name__}.__init__()")
+    with pytest.raises(TypeError, match=rf"^{named} takes .* positional arguments but"):
+        cls(*[None] * (len(cls._fields) + 1))
+    with pytest.raises(TypeError, match=rf"^{named} got an unexpected keyword .*'bogus'"):
+        cls(**fields, bogus=1)
+
+
+def _stores_only(init: ast.FunctionDef) -> bool:
+    """Whether ``init`` only stores each of its parameters unchanged, one
+    ``_setfield(self, "name", name)`` each."""
+    stored = []
+    for stmt in init.body:
+        call = stmt.value if isinstance(stmt, ast.Expr) else None
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "_setfield" and len(call.args) == 3):
+            return False
+        _, name, value = call.args
+        if not (isinstance(name, ast.Constant) and isinstance(value, ast.Name)
+                and name.value == value.id):
+            return False
+        stored.append(value.id)
+    return sorted(stored) == sorted(a.arg for a in init.args.args[1:])
+
+
+def test_no_record_writes_a_store_only_constructor():
+    """``_Record`` builds the constructor that only stores the fields, so no
+    record spells it out."""
+    found = []
+    for path in sorted(Path(nbcolor.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "_Record" for b in node.bases
+            ):
+                found += [
+                    f"{path.name}:{f.lineno} {node.name}" for f in node.body
+                    if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                    and _stores_only(f)
+                ]
+    assert found == []
 
 
 def test_records_with_equal_values_but_other_classes_differ():

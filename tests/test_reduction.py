@@ -170,6 +170,19 @@ def test_decode_builds_the_role_table_once(monkeypatch):
     assert len(layouts) == len(rinst.houses)
 
 
+@pytest.mark.parametrize("read_roles", [False, True])
+def test_reduction_instance_survives_pickle_and_copy(read_roles):
+    """The role table slot is unset until ``roles()`` is first read; pickles
+    and copies carry the fields only and rebuild the table on their own."""
+    rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
+    if read_roles:
+        rinst.roles()
+    for twin in (pickle.loads(pickle.dumps(rinst)), copy.copy(rinst), copy.deepcopy(rinst)):
+        assert type(twin) is type(rinst)
+        assert twin == rinst and hash(twin) == hash(rinst)
+        assert twin.roles() == rinst.roles()
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("values", [(1,), (2, 2), (3, 1, 3), (1, 2, 2, 4), (4, 4, 4, 1, 1)])
 def test_placements_are_shifted_isolated_houses(k, values):
