@@ -23,10 +23,15 @@ print("\nC_6 refusal:", out.rule, "—", out.detail)
 print("screen verdict:", check_necessary(cycle_graph(6), 2).verdict)
 print("brute force:", brute_force(cycle_graph(6), 2).status)
 
-# Screens are one-sided: this 5-vertex graph (two triangles sharing a
-# vertex) passes every screen yet has no balanced 2-coloring.
+# Screens are one-sided.  The bowtie (two triangles sharing a vertex) has
+# even degrees, but its 6 edges are not a multiple of k^2 = 4, so the screens
+# refuse it without search.  K_5 with one edge subdivided twice passes every
+# screen yet has no balanced 2-coloring; no graph on 6 or fewer vertices does.
 from nbcolor import Graph, solve
 
 bowtie = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-print("\nbowtie screen:", check_necessary(bowtie, 2).verdict)
-print("bowtie search:", solve(bowtie, 2).status)
+print("\nbowtie screen:", check_necessary(bowtie, 2).failed_rule)
+subdivided_k5 = Graph(7, [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 6),
+                          (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+print("subdivided K_5 screen:", check_necessary(subdivided_k5, 2).verdict)
+print("subdivided K_5 search:", solve(subdivided_k5, 2).status)

@@ -226,22 +226,29 @@ def _screen(adj: Sequence[Sequence[int]], m: int, k: int) -> str | None:
     The one yes/no screen: it reads only the distinct degrees, checks the
     rules in ``check_necessary``'s order and builds no report.
     ``check_necessary`` takes its ``failed_rule`` from here.
+
+    The last rule, size-divisibility (k² divides m), holds for every graph
+    with a balanced k-coloring, isolated vertices or not.  Let V_1..V_k be
+    the color classes and S_i = Σ_{v∈V_i} d(v)/k.  Each v in V_i has d(v)/k
+    neighbours in every class, so for i ≠ j, e(V_i, V_j) = S_i, and by
+    symmetry S_i = S_j; within one class, 2·e(V_i) = S_i.  So every S_i is
+    one even number S, and m = k·S/2 + C(k,2)·S = k²·S/2.  On a regular
+    graph regular-size, the same test, fires first and keeps its name.
     """
     degrees = set(map(len, adj))
     for d in degrees:
         if d % k:
             return "degree-divisibility"
-    if 0 in degrees:  # isolated vertices make the order rules vacuous
-        return None
     n = len(adj)
-    if n < 2 * k:
-        return "min-order" if n else None
-    if len(degrees) == 1:  # r-regular with r >= 1
-        if n % k:
-            return "regular-order"
-        if m % (k * k):
-            return "regular-size"
-    return None
+    if n and 0 not in degrees:  # isolated vertices make the order rules vacuous
+        if n < 2 * k:
+            return "min-order"
+        if len(degrees) == 1:  # r-regular with r >= 1
+            if n % k:
+                return "regular-order"
+            if m % (k * k):
+                return "regular-size"
+    return "size-divisibility" if m % (k * k) else None
 
 
 def _balanced_input(g: Graph, c: Coloring, name: str) -> Coloring:
@@ -287,7 +294,7 @@ class NecessityReport(_Record):
 
     __slots__ = _fields = (
         "k", "degree_ok", "degree_offender", "order_ok", "order_detail", "regularity",
-        "verdict", "failed_rule",
+        "size_ok", "verdict", "failed_rule",
     )
     k: int
     degree_ok: bool
@@ -295,6 +302,7 @@ class NecessityReport(_Record):
     order_ok: bool
     order_detail: str
     regularity: RegularityChecks | None
+    size_ok: bool  # |E| ≡ 0 (mod k²), checked on every graph
     verdict: str
     failed_rule: str | None
 
@@ -312,6 +320,12 @@ def check_necessary(g: Graph, k: int) -> NecessityReport:
     2. min-order: a nonempty graph without isolated vertices needs n >= 2k.
     3. regular-order: an r-regular graph (r >= 1) needs n ≡ 0 (mod k).
     4. regular-size: an r-regular graph (r >= 1) needs |E| ≡ 0 (mod k²).
+    5. size-divisibility: every graph needs |E| ≡ 0 (mod k²).  Rule 4 is
+       its regular case, kept first so a regular graph's refusal keeps its
+       name.  Proof: let V_1..V_k be the classes of a balanced coloring and
+       S_i = Σ_{v∈V_i} d(v)/k.  For i ≠ j, e(V_i, V_j) = S_i = S_j, and
+       2·e(V_i) = S_i, so every S_i is one even number S and
+       |E| = k·S/2 + C(k,2)·S = k²·S/2.
 
     The regularity sub-report is populated whenever it applies, even if an
     earlier rule already failed, so callers can always read off the residues.
@@ -361,6 +375,7 @@ def check_necessary(g: Graph, k: int) -> NecessityReport:
         order_ok=order_ok,
         order_detail=order_detail,
         regularity=regularity,
+        size_ok=g.m % (k * k) == 0,
         verdict=verdict,
         failed_rule=failed_rule,
     )

@@ -185,6 +185,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"vertex {v} has degree {g.degree(v)}, not a multiple of {args.k}")
     elif report.failed_rule == "min-order":
         print(report.order_detail)
+    elif report.failed_rule == "size-divisibility":
+        print(f"|E| = {g.m} is not a multiple of k^2 = {args.k * args.k}")
     elif report.regularity is not None:
         r = report.regularity
         print(

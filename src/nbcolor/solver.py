@@ -2,8 +2,9 @@
 
 ``solve`` runs pruned backtracking with six devices:
 
-(a) the arithmetic necessity screens, ``balance._screen`` (any failure is
-    immediate UNSAT),
+(a) the arithmetic necessity screens, ``balance._screen``: degree and order
+    divisibility, and k² dividing |E| on every graph (any failure is
+    immediate UNSAT, with no search),
 (b) per-vertex color quotas deg(v)/k enforced incrementally,
 (c) forward checking — saturating a color in some neighborhood bans it on
     the uncolored vertices adjacent to that neighborhood's center, and a

@@ -138,8 +138,19 @@ def same_color_witness(g, k, u, v):
 
 
 def bowtie():
-    """Two triangles sharing vertex 2: all degrees even yet no balanced 2-coloring."""
+    """Two triangles sharing vertex 2: all degrees even, but its 6 edges are
+    not a multiple of 2² = 4, so there is no balanced 2-coloring."""
     return Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+
+
+def subdivided_k5():
+    """K_5 on {0, 2, 3, 4, 5} with its edge 0-2 replaced by the path 0-6-1-2.
+
+    Degrees 4 and 2, n = 7, |E| = 12: every screen passes at k = 2, yet there
+    is no balanced 2-coloring.  No graph on 6 or fewer vertices is like that.
+    """
+    return Graph(7, [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 6),
+                     (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
 
 
 def petersen():

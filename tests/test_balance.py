@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bowtie, naive_balanced, naive_report, petersen, random_graph
+from helpers import (
+    bowtie,
+    naive_balanced,
+    naive_report,
+    petersen,
+    random_graph,
+    subdivided_k5,
+)
 from nbcolor import (
     Coloring,
     EssInstance,
@@ -19,6 +26,7 @@ from nbcolor import (
     Refusal,
     UnbalancedColoring,
     UnionSpec,
+    brute_force,
     check_necessary,
     complete_graph,
     complete_multipartite_graph,
@@ -365,10 +373,56 @@ def test_screens_pass_on_c8():
     assert rep.regularity.order_ok and rep.regularity.size_ok
 
 
-def test_screens_are_not_sufficient():
-    """The bowtie passes every screen yet admits no balanced 2-coloring."""
+def test_size_divisibility_rule_on_irregular_graphs():
+    # the bowtie: degrees 2 and 4, n = 5 >= 2k, but |E| = 6 is not a multiple of 4
     rep = check_necessary(bowtie(), 2)
+    assert rep.failed_rule == "size-divisibility"
+    assert rep.degree_ok and rep.order_ok and rep.regularity is None
+    assert not rep.size_ok
+
+
+def test_size_divisibility_rule_with_isolated_vertices():
+    # C_6 plus an isolated vertex: the order rules are vacuous, the size rule is not
+    g = Graph(7, cycle_graph(6).edges)
+    rep = check_necessary(g, 2)
+    assert rep.order_detail == "vacuous: isolated vertex present"
+    assert rep.failed_rule == "size-divisibility"
+    assert brute_force(g, 2).status == "UNSAT"
+
+
+def test_screens_are_not_sufficient():
+    """K_5 with one edge subdivided twice passes every screen yet admits no
+    balanced 2-coloring."""
+    g = subdivided_k5()
+    rep = check_necessary(g, 2)
     assert rep.verdict == "possibly-colorable"
+    assert rep.size_ok
+    assert brute_force(g, 2).status == "UNSAT"
+
+
+def _even_graphs(n):
+    """Every labelled graph on n >= 1 vertices with all degrees even: each
+    graph on the first n - 1 vertices, with vertex n - 1 joined to its
+    odd-degree vertices."""
+    pairs = list(itertools.combinations(range(n - 1), 2))
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        edges = list(itertools.compress(pairs, chosen))
+        odd = set()
+        for e in edges:
+            odd ^= set(e)
+        yield Graph(n, edges + [(v, n - 1) for v in sorted(odd)])
+
+
+def test_screens_decide_two_colorability_up_to_six_vertices():
+    """On every graph with n <= 6 and even degrees (the degree rule refuses
+    the rest), k = 2, the screens refuse exactly the graphs that
+    ``brute_force`` finds UNSAT, and every balanced one has |E| ≡ 0 (mod 4).
+    So the 7-vertex graph of the test above is a smallest example."""
+    for n in range(1, 7):
+        for g in _even_graphs(n):
+            sat = brute_force(g, 2).status == "SAT"
+            assert (_screen(g.adjacency, g.m, 2) is None) == sat, g
+            assert not sat or g.m % 4 == 0, g
 
 
 def test_petersen_screens():
@@ -409,7 +463,9 @@ def _screen_cases():
         yield reduce_ess_to_nbc(EssInstance(values, k)).graph, k
 
 
-RULES = ("degree-divisibility", "min-order", "regular-order", "regular-size")
+RULES = (
+    "degree-divisibility", "min-order", "regular-order", "regular-size", "size-divisibility",
+)
 
 
 def test_screen_agrees_with_the_report():
@@ -431,6 +487,7 @@ def test_failed_rule_is_the_first_failing_field():
             rep.order_ok,
             reg is None or reg.order_ok,
             reg is None or reg.size_ok,
+            rep.size_ok,
         )
         first = next((rule for rule, ok in zip(RULES, checks) if not ok), None)
         assert rep.failed_rule == first, (g, k)

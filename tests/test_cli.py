@@ -38,7 +38,7 @@ from nbcolor import (
     roles_to_text,
     solve,
 )
-from helpers import naive_balanced
+from helpers import bowtie, naive_balanced
 from nbcolor.balance import _balanced
 from nbcolor.cli import run
 from nbcolor.graph import complete_graph, cycle_graph
@@ -256,6 +256,7 @@ def test_analyze_json(k4, capsys):
         (complete_graph(3), "min-order", "n=3 < 2k=4 with no isolated vertices"),
         (cycle_graph(5), "regular-order", "2-regular graph: n mod k = 1, |E| mod k^2 = 1"),
         (cycle_graph(6), "regular-size", "2-regular graph: n mod k = 0, |E| mod k^2 = 2"),
+        (bowtie(), "size-divisibility", "|E| = 6 is not a multiple of k^2 = 4"),
     ],
 )
 def test_analyze_refusal_texts(tmp_path, capsys, g, rule, detail):
@@ -592,9 +593,9 @@ def test_union_congruence_json(c8, capsys):
         ("verify {c8} {c8c}", 0,
          "6b5d029406335ee5eeae110c1b70f5d90e9399f10ba081737255a8172b5bedff"),
         ("analyze {k4} -k 2", 1,
-         "aa8eb18941909ab6d36e49c71594f7436dbe275fd42f2f6db2edb37273bc348e"),
+         "7b0f45cc7b09a95d3ad1e643455d2bf5b89785346c3db1395ad8df232fab82fe"),
         ("analyze {c8} -k 2", 0,
-         "746f628ea3924fa3e52f4afadfe455e797b2af1e63de74ae0f57d72d879d3d45"),
+         "613665c7ca745dbfe5b851dfb3239a620ef8ddd750dfd9d46e7e94bfc25da8a7"),
         ("solve {c8} -k 2", 0,
          "861f0d598ce891312d5d36bd3b485de92b5665af0cd09c39f48d2531fbd128e4"),
         ("solve {c8} -k 2 --mode count", 0,

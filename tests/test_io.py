@@ -270,6 +270,7 @@ def test_necessity_report_to_json():
     assert blob["verdict"] == "provably-uncolorable"
     assert blob["failed_rule"] == "degree-divisibility"
     assert blob["regularity"]["degree"] == 3
+    assert blob["size_ok"] is False  # |E| = 6 is not a multiple of 4
 
 
 def pin(name, build, digest):
@@ -285,10 +286,10 @@ JSON_PINS = [
         lambda: is_nbkc(cycle_graph(6), Coloring(3, (1, 1, 2, 2, 1, 1))),
         "c4df8c894858f6cae61188399ea5cd5d51889d1442501f66aed0b5a7a6dd4a9d"),
     pin("necessity-with-regularity", lambda: check_necessary(complete_graph(4), 2),
-        "81fd3c0906c58e3ea36fd89edbdecb9b01c11e0ff21a0a81551c2bff44272c5e"),
+        "02e8ee58526f1a2b38970b498493d2f35a80090f2599384b4ca6da9ff29310ed"),
     pin("necessity-without-regularity",
         lambda: check_necessary(complete_multipartite_graph((1, 2)), 2),
-        "fd263176bdf68f010a02fc9c635efb00cf912189e5a6299530712b033238c041"),
+        "113e0b00b8b9c015484393b612d9ce2585b06546c5d8b9f09615605d55b499ee"),
     pin("solve-sat-witness", lambda: solve(C8, 2),
         "bb1a6616ce734f182272cd1a6c8cbc9d79b3e0e21841f7ad6c9f7830c8feb227"),
     pin("solve-count", lambda: solve(C8, 2, SolveConfig(mode="count")),

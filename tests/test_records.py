@@ -69,11 +69,11 @@ ROWS = [
     row(NecessityReport,
         dict(k=2, degree_ok=True, degree_offender=None, order_ok=True,
              order_detail="n=8 >= 2k=4", regularity=RegularityChecks(**REGULARITY),
-             verdict="possibly-colorable", failed_rule=None),
+             size_ok=False, verdict="possibly-colorable", failed_rule=None),
         "NecessityReport(k=2, degree_ok=True, degree_offender=None, order_ok=True, "
         "order_detail='n=8 >= 2k=4', regularity=RegularityChecks(degree=2, "
         "order_residue=0, size_residue=1, order_ok=True, size_ok=False), "
-        "verdict='possibly-colorable', failed_rule=None)",
+        "size_ok=False, verdict='possibly-colorable', failed_rule=None)",
         regularity=None),
     row(_Template, dict(clauses=((1, -2),), text="{0} -{1} 0\n", registers=1),
         "_Template(clauses=((1, -2),), text='{0} -{1} 0\\n', registers=1)",

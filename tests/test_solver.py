@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nbcolor.balance
-from helpers import bowtie, dpll, naive_balanced, random_graph
+from helpers import bowtie, dpll, naive_balanced, random_graph, subdivided_k5
 from nbcolor import (
     CirculantSpec,
     EssInstance,
@@ -72,6 +72,7 @@ SCREENED = (
     ("min-order", cycle_graph(3)),
     ("regular-order", cycle_graph(5)),
     ("regular-size", cycle_graph(6)),
+    ("size-divisibility", bowtie()),
 )
 
 
@@ -106,9 +107,10 @@ def test_solve_builds_no_necessity_report(monkeypatch):
     assert made == [1]
 
 
-def test_bowtie_needs_real_search():
-    """All screens pass on the bowtie, so UNSAT must come from backtracking."""
-    g = bowtie()
+def test_subdivided_k5_needs_real_search():
+    """All screens pass on K_5 with one edge subdivided twice, so UNSAT must
+    come from backtracking."""
+    g = subdivided_k5()
     assert check_necessary(g, 2).verdict == "possibly-colorable"
     out = solve(g, 2)
     assert out.status == "UNSAT"
@@ -146,6 +148,7 @@ def test_brute_force_matches_pinned_statuses():
     assert brute_force(cycle_graph(8), 2).status == "SAT"
     assert brute_force(cycle_graph(6), 2).status == "UNSAT"
     assert brute_force(bowtie(), 2).status == "UNSAT"
+    assert brute_force(subdivided_k5(), 2).status == "UNSAT"
 
 
 def test_brute_force_cap():
@@ -265,10 +268,27 @@ def test_budget_generous_enough_solves():
     assert out.status == "SAT"
 
 
+SEARCH_KEYS = {"quota", "deficit", "symmetry", "twin"}
+
+
 def test_pruned_by_keys_are_known():
-    out = solve(bowtie(), 2)
-    assert set(out.pruned_by) <= {"quota", "deficit", "symmetry", "twin"}
+    """A search tallies only search rules; a refusal is one screen rule
+    with no nodes.  Every rule name turns up over these graphs."""
+    out = solve(subdivided_k5(), 2)
+    assert set(out.pruned_by) <= SEARCH_KEYS
     assert out.nodes_explored > 0
+    screens = {rule for rule, _ in SCREENED}
+    seen = set()
+    for k, g in [(2, g) for _, g in SCREENED] + seeded_random_graphs():
+        for mode in MODES:
+            out = solve(g, k, SolveConfig(mode=mode, node_budget=5000))
+            keys = set(out.pruned_by)
+            if keys & screens:
+                assert len(keys) == 1 and out.nodes_explored == 0, (g, k)
+            else:
+                assert keys <= SEARCH_KEYS, (g, k)
+            seen |= keys
+    assert seen == screens | SEARCH_KEYS
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +436,25 @@ def seeded_random_graphs():
 
 FAMILY_TREES = {
     "first-witness": (
-        42702,
-        {"symmetry": 600, "quota": 60366, "deficit": 11513, "twin": 68,
-         "degree-divisibility": 93, "min-order": 2, "regular-order": 2, "regular-size": 1},
-        "ca0878bfb5d5ba24c4960368494d649a24d83d8a514d1c7ae4fe23f0f1ce7a37",
+        42342,
+        {"symmetry": 555, "quota": 60140, "deficit": 11430, "twin": 64,
+         "degree-divisibility": 93, "min-order": 2, "regular-order": 2, "regular-size": 1,
+         "size-divisibility": 24},
+        "404c3ba5e9b7cbc3cab2b2a77809678a55e1b16c837999510b90870dd0ff476b",
     ),
     "canonical-min": (
-        58651,
-        {"symmetry": 650, "quota": 72716, "deficit": 16799, "twin": 157,
-         "degree-divisibility": 93, "min-order": 2, "regular-order": 2, "regular-size": 1},
-        "cce358893b681382f2728342094280e477221e0c562fd3b004d838df6b3627dd",
+        58204,
+        {"symmetry": 605, "quota": 72493, "deficit": 16671, "twin": 153,
+         "degree-divisibility": 93, "min-order": 2, "regular-order": 2, "regular-size": 1,
+         "size-divisibility": 24},
+        "bf1b5ee58437c513e017b85354ca5247dea3891e71bb157060a1d5d4904a2e8e",
     ),
     "count": (
-        117266,
-        {"symmetry": 628, "quota": 121423, "deficit": 18128,
-         "degree-divisibility": 93, "min-order": 2, "regular-order": 2, "regular-size": 1},
-        "d5f37659c2d89de7a84841e24fdf3f0bbe78ca1fdf7cbe7b292b24ea826378e0",
+        116906,
+        {"symmetry": 583, "quota": 121193, "deficit": 18045,
+         "degree-divisibility": 93, "min-order": 2, "regular-order": 2, "regular-size": 1,
+         "size-divisibility": 24},
+        "8743de5536d789875cdab1e6cd6e8e09cf2255eba150ab09f05f09307312277e",
     ),
 }
 
@@ -586,6 +609,45 @@ def test_dynamic_first_witness_agrees_with_oracles(seed, k, cloned):
     assert out.status == oracle_status(g, k)
     if out.status == "SAT":
         assert naive_balanced(g, out.witness.colors, k)
+
+
+PART_SIZES = ((1, 3), (2, 2), (2, 4), (3, 3), (4, 4), (1, 1, 4), (2, 2, 2), (2, 2, 4))
+
+
+def size_rule_cases():
+    """(k, graph) for 300 seeded graphs on at most 9 vertices, k = 2, 3, 4:
+    degree-divisible, cloned-twin and complete multipartite cores, each
+    padded with isolated vertices, so that many are irregular or have
+    isolated vertices and reach the size rule."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        k, kind = 2 + seed % 3, seed // 3 % 3
+        if kind == 0:
+            core = degree_divisible_graph(rng, rng.randint(2, 8), k)
+        elif kind == 1:
+            n = rng.randint(2, 5)
+            core = graph_with_cloned_twins(rng, n, rng.randint(1, 8 - n))
+        else:
+            core = complete_multipartite_graph(rng.choice(PART_SIZES))
+        yield k, Graph(core.n + rng.randint(0, 9 - core.n), core.edges)
+
+
+def test_size_rule_agrees_with_oracles():
+    """k² divides |E| wherever an oracle finds a balanced coloring, so every
+    graph that the size rule refuses is UNSAT by ``brute_force`` or, where
+    k^n is too large for it, by the DPLL in helpers."""
+    balanced, refused = set(), set()
+    for k, g in size_rule_cases():
+        status = oracle_status(g, k)
+        rule = check_necessary(g, k).failed_rule
+        if status == "SAT":
+            assert g.m % (k * k) == 0 and rule is None, (g, k)
+            if g.m:
+                balanced.add(k)
+        if rule == "size-divisibility":
+            assert status == "UNSAT", (g, k)
+            refused.add(k)
+    assert balanced == refused == {2, 3, 4}
 
 
 def test_dynamic_order_bounds_family_searches():
