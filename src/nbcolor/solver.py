@@ -19,7 +19,8 @@
     neighbourhood's color counts,
 (f) fail-first vertex choice — ``first-witness`` and count mode color next
     the uncolored vertex with the fewest eligible colors, the earliest in the
-    search order on ties; ``canonical-min`` follows the search order.
+    search order on ties; ``canonical-min`` follows the search order.  Count
+    mode colors the rest of a twin class before any other vertex.
 
 The search order is fixed before the search starts.  ``canonical-min`` and
 every irregular graph use descending degree with index as tiebreak.  On a
@@ -31,10 +32,7 @@ structure rather than an arbitrary walk through it.
 
 (d) and (e) are lex-leader constraints over the search order, so the
 lexicographically smallest balanced coloring under that order satisfies both
-and the ordered search still finds it first.  Count mode skips (e): it
-weights each leaf by its color orbit, and a twin-orbit weighting would
-overcount, because (d) and (e) can both accept two colorings of one combined
-orbit (C4 with k=2 would count 8 instead of 4).
+and the ordered search still finds it first.
 
 (f) keeps (d) and (e) sound, whichever fixed order it breaks ties by.  False
 twins have the same open neighbourhood, so while both are uncolored they
@@ -48,11 +46,37 @@ again.  The result still extends the node, because every uncolored class
 member's color is at least the colors of the class's colored prefix, and the
 vertex now takes maxused+1.
 
-(f) also keeps count mode's orbit weights exact.  The vertex choice reads
-only eligible counts and the order, and relabelling the colors of a partial
-coloring leaves both unchanged.  So a coloring and every relabelling of it
-color the same vertex sequence, and its orbit reaches exactly one leaf under
-(d): the relabelling whose colors appear in first-use order.
+Count mode weights each leaf by the colorings it stands for.  It colors a
+twin class of s vertices in consecutive frames, in class order, so under (e)
+the class's colors are nondecreasing and the search branches once per
+composition: a_c twins of each color c.  The colors above the ``maxused``
+m0 that a class starts at are new; by (d) they come as m0+1, m0+2, ..., and
+nothing colored before tells them apart, so a new color may not run longer
+than the new color before it.  A leaf using colors 1..m adds P(k, m) times
+the product, over the classes, of s!/(∏ a_c! · ∏ mult!), where mult counts
+the new colors of the class that share one run length.  On a twin-free graph
+every class has one vertex and weight 1, so the tree is that of (d) alone.
+
+Why the sum is exact.  The vertex choice reads only eligible counts, the
+order and the twin table.  Relabelling colors leaves them unchanged, and so
+does permuting colors inside a finished class, whose twins have one
+neighbourhood.  So a coloring, its relabellings and its twin permutations
+color the same class sequence.  Exactly one leaf stands for each twin orbit:
+sorting each class is the one twin permutation that makes every class
+nondecreasing, so the s!/∏ a_c! colorings with a leaf's class compositions
+form that leaf's twin orbit and no other leaf's.  For the colors, take the
+composition sequence Y of a balanced coloring that uses m colors.  Of the k!
+relabellings, exactly (k−m)! · ∏ mult! turn Y into a leaf: the unused colors
+go anywhere, and the new colors of one class that tie in run length may
+swap, but no other relabelling keeps first-use order with nonincreasing new
+runs.  Each leaf Z arises from k! pairs (Y, σ) with σY = Z, so counting the
+pairs both ways gives Σ_Y 1 = Σ_Z k!/((k−m)! · ∏ mult!) = Σ_Z P(k, m)/∏ mult!;
+weighting both sides by the twin-orbit size, which relabelling keeps, gives
+the count.  Ties need the division: in C4 with k=2 both twin pairs take
+colors 1 and 2, swapping the two colors gives the same leaf, and without it
+the count would be 8 instead of 4.  On a twin-free graph a coloring's color
+orbit reaches exactly one leaf, the relabelling whose colors appear in
+first-use order.
 
 ``brute_force`` is the deliberately theory-free oracle: it enumerates every
 assignment and checks balance by counting.  It shares no search or pruning
@@ -115,9 +139,11 @@ class SolveOutcome(_Record):
     assignments made (tried, by brute force), so under BUDGET_EXCEEDED it
     equals the budget.  ``pruned_by`` tallies how often each pruning rule
     fired, keyed by rule name: ``symmetry`` and ``twin`` count candidate
-    colors skipped by (d) and (e), ``quota`` candidates banned by forward
-    checking, and ``deficit`` assignments that left some uncolored vertex
-    without a feasible color.  When the necessity gate refuses, the only key
+    colors skipped by (d) and (e) in every mode (``symmetry`` also counts
+    the colors count mode skips because a new color's run in a twin class
+    may not outgrow the one before it), ``quota`` candidates banned by
+    forward checking, and ``deficit`` assignments that left some uncolored
+    vertex without a feasible color.  When the necessity gate refuses, the only key
     is the failed screen's rule name (for example ``regular-size``).
 
     The one mutable record: the solver fills it in after the search, so its
@@ -159,9 +185,11 @@ def _search(
     Depth-first, colors in increasing order, one frame per depth.  Frame d
     colors ``vert[d]``: the next vertex of the order in ``canonical-min``,
     else the uncolored vertex with the fewest eligible colors, earliest in
-    the order on ties.  A frame keeps only that vertex and ``below[d]``, the
-    largest color used before it.  The vertex is uncolored only on the
-    frame's first visit, whose first candidate is the twin lower bound.
+    the order on ties; in count mode, the next twin of ``vert[d - 1]`` if it
+    has one.  A frame keeps only that vertex and ``below[d]``, the largest
+    color used before it.  The vertex is uncolored only on the frame's first
+    visit, whose first candidate is the twin lower bound (one above it in
+    count mode once the twin's run has reached its cap).
     Every later visit undoes the held color ``color[vert[d]]``, which
     restores ``maxused = below[d]``, and scans on from the next color.  So
     every candidate scan has ``maxused == below[d]`` and the top candidate
@@ -182,22 +210,42 @@ def _search(
 
     Returns ``(found, color, nodes, pruned, count)``.  ``found`` is True when
     stopped at a witness (left in ``color``); False once the tree is
-    exhausted, count mode having tallied every leaf into ``count``; None when
-    the node budget runs out, ``nodes`` then being the budget.
+    exhausted, count mode having added every leaf's weight into ``count``;
+    None when the node budget runs out, ``nodes`` then being the budget.
     """
     n = len(order)
     budget = cfg.node_budget or math.inf
     counting = cfg.mode == "count"
     dynamic = cfg.mode != "canonical-min"
     # twin[v]: the previous vertex in the order with the same open
-    # neighbourhood, -1 if none.  Count mode weights leaves by orbits only.
+    # neighbourhood, -1 if none.
     twin = [-1] * n
-    if not counting:
-        seen: dict[tuple[int, ...], int] = {}
+    seen: dict[tuple[int, ...], int] = {}
+    for v in order:
+        nb = adj[v]
+        twin[v] = seen.get(nb, -1)
+        seen[nb] = v
+    if counting:
+        # Count mode colors a twin class in consecutive frames: nxt[v] is
+        # the twin colored after v (-1 if none), place[v] v's 1-based place
+        # in its class (0 if v has no twin).  Frame d keeps run[d], the
+        # length of its color's run within the class so far; cap[d], the
+        # longest that run may grow (0 for no bound); tie[d], the tie place
+        # of the class's previous new color (0 before the first new color,
+        # -1 for a color used before the class); and weight[d + 1], the
+        # composition weight of frames 0..d (module docstring, count mode).
+        nxt = [-1] * n
+        place = [0] * n
         for v in order:
-            nb = adj[v]
-            twin[v] = seen.get(nb, -1)
-            seen[nb] = v
+            t = twin[v]
+            if t >= 0:
+                nxt[t] = v
+                place[t] = place[t] or 1
+                place[v] = place[t] + 1
+        run = [0] * n
+        cap = [0] * n
+        tie = [0] * n
+        weight = [1] * (n + 1)
     color = [0] * n
     pruned: dict[str, int] = {}
     count = 0
@@ -212,7 +260,8 @@ def _search(
         rank[v] = r
     masks = [0] * k + [(1 << n) - 1]
     # Symmetry breaking makes a leaf use exactly colors 1..maxused; a leaf
-    # using 1..m stands for the k(k-1)...(k-m+1) colorings that relabel it.
+    # using 1..m stands for the k(k-1)...(k-m+1) colorings that relabel it,
+    # times its composition weight.
     orbit = [1] * (k + 1)
     for m in range(1, k + 1):
         orbit[m] = orbit[m - 1] * (k - m + 1)
@@ -225,7 +274,7 @@ def _search(
         if d == n:
             if not counting:
                 return True, color, nodes, pruned, count
-            count += orbit[maxused]
+            count += orbit[maxused] * weight[n]
             d -= 1
         else:
             if dynamic:
@@ -308,10 +357,44 @@ def _search(
                             if e == 1:
                                 ok = False
                                 break
-            if ok:
-                d += 1
-                break
-            pruned["deficit"] = pruned.get("deficit", 0) + 1
+            if not ok:
+                pruned["deficit"] = pruned.get("deficit", 0) + 1
+                continue
+            if counting:
+                i = place[v]
+                if not i:
+                    weight[d + 1] = weight[d]
+                else:
+                    # Extend the class's run of c, or start a new run; a run
+                    # that reaches its cap ties with the new color before it.
+                    new = c > below[d]
+                    if i > 1 and c == color[vert[d - 1]]:
+                        r, lim, tp = run[d - 1] + 1, cap[d - 1], tie[d - 1]
+                    elif i > 1 and new and tie[d - 1] >= 0:
+                        r, lim = 1, run[d - 1]
+                        tp = tie[d - 1] + 1 if lim == cap[d - 1] else 1
+                    else:
+                        r, lim, tp = 1, 0, 0 if new else -1
+                    run[d], cap[d], tie[d] = r, lim, tp
+                    w = weight[d] * i // r
+                    weight[d + 1] = w // (tp + 1) if r == lim else w
+                    u = nxt[v]
+                    if u >= 0:
+                        # The next frame colors the next twin, from c up, and
+                        # from c + 1 once c's run has reached its cap.
+                        d += 1
+                        vert[d] = u
+                        below[d] = maxused
+                        if r == lim:
+                            c += 1
+                            pruned["symmetry"] = pruned.get("symmetry", 0) + 1
+                        if maxused + 1 < k:
+                            pruned["symmetry"] = pruned.get("symmetry", 0) + k - maxused - 1
+                        if c > 1:
+                            pruned["twin"] = pruned.get("twin", 0) + c - 1
+                        continue
+            d += 1
+            break
         else:
             return False, color, nodes, pruned, count
 

@@ -38,7 +38,7 @@ from nbcolor import (
     roles_to_text,
     solve,
 )
-from helpers import bowtie, naive_balanced
+from helpers import bowtie, compiled_count, naive_balanced
 from nbcolor.balance import _balanced
 from nbcolor.cli import run
 from nbcolor.graph import complete_graph, cycle_graph
@@ -664,6 +664,18 @@ def test_reduce_solve_decode_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "equal subset sums: 3" in out
     assert "T_1" in out and "T_2" in out
+
+
+def test_reduce_then_count_a_compiled_instance(tmp_path, capsys):
+    """Count mode weights each twin class by its composition, so this count
+    finishes in a few hundred nodes; it took over 300,000 when every
+    permutation inside a twin class was its own branch."""
+    gf = tmp_path / "ess.graph"
+    assert run(["reduce", "--ess", "1,2,3,4,5", "-k", "3", "-o", str(gf)]) == 0
+    capsys.readouterr()
+    assert run(["solve", str(gf), "-k", "3", "--mode", "count", "--budget", "2000"]) == 0
+    assert "colorings: 541653102231552" in capsys.readouterr().out
+    assert compiled_count((1, 2, 3, 4, 5), 3) == 541653102231552
 
 
 def test_decode_unbalanced_exits_one(tmp_path, capsys):

@@ -405,8 +405,7 @@ def test_compiled_count_matches_enumeration():
 
 
 def test_compiled_count_matches_count_mode_on_criterion_06():
-    """Every criterion-06 count that finishes within the budget is exact; the
-    floor on how many finish may only rise."""
+    """Every criterion-06 count finishes within the budget and is exact."""
     cfg = SolveConfig(mode="count", node_budget=20_000)
     answered = 0
     for values, k in CRITERION_06:
@@ -414,7 +413,17 @@ def test_compiled_count_matches_count_mode_on_criterion_06():
         if out.status != "BUDGET_EXCEEDED":
             assert out.count == compiled_count(values, k), (values, k)
             answered += 1
-    assert answered >= 777
+    assert answered >= 922
+
+
+@pytest.mark.parametrize("values", [(2, 2, 2), (3, 3, 3), (1, 2, 3, 4, 5)])
+def test_count_mode_finishes_the_frontier_reductions(values):
+    """Each took over 300,000 nodes before count mode weighted twin classes
+    by their composition."""
+    out = solve(reduce_ess_to_nbc(EssInstance(values, 3)).graph, 3,
+                SolveConfig(mode="count", node_budget=2000))
+    assert out.status == "SAT"
+    assert out.count == compiled_count(values, 3)
 
 
 def test_compiled_count_matches_count_mode_on_random_instances():

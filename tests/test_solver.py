@@ -192,7 +192,6 @@ def test_solver_agrees_with_enumeration(seed, k):
         (CirculantSpec(8, (1, 3)).graph(), 2, 36),
         (Graph(3, []), 2, 8),
         (complete_graph(4), 2, 0),
-        # parts are twin classes, which count mode must not weight
         (complete_multipartite_graph((3, 3, 3)), 3, 216),
     ],
 )
@@ -327,8 +326,8 @@ def test_explored_tree_is_pinned_on_a_reduction_instance():
     assert out.pruned_by == {"symmetry": 1, "quota": 20, "deficit": 4}
     out = solve(g, 2, SolveConfig(mode="count"))
     assert out.count == 4096
-    assert out.nodes_explored == 8232
-    assert out.pruned_by == {"symmetry": 1, "quota": 4123, "deficit": 7}
+    assert out.nodes_explored == 108
+    assert out.pruned_by == {"symmetry": 1, "quota": 71, "deficit": 7, "twin": 20}
 
 
 @pytest.mark.parametrize(
@@ -361,9 +360,10 @@ SWEEP_TREES = {
         "50052ded88e0e91a029d907b5edac83a699990c7c1ebbf8192d67aeb3cdaa3c7",
     ),
     "count": (
-        123534,
-        {"degree-divisibility": 532, "symmetry": 754, "quota": 97210, "deficit": 8530},
-        "c326e54ca91d230e8b95e5ddcaadcf1c444241d6c62de4894457111a3e2f8305",
+        67729,
+        {"degree-divisibility": 532, "symmetry": 808, "quota": 60887, "deficit": 4487,
+         "twin": 23223},
+        "f56fb2f26a35b315ab66885707d3b9b844802422e22c384013a435f45ed922b9",
     ),
 }
 
@@ -450,11 +450,11 @@ FAMILY_TREES = {
         "bf1b5ee58437c513e017b85354ca5247dea3891e71bb157060a1d5d4904a2e8e",
     ),
     "count": (
-        116906,
-        {"symmetry": 583, "quota": 121193, "deficit": 18045,
-         "degree-divisibility": 93, "min-order": 2, "regular-order": 2, "regular-size": 1,
-         "size-divisibility": 24},
-        "8743de5536d789875cdab1e6cd6e8e09cf2255eba150ab09f05f09307312277e",
+        83480,
+        {"symmetry": 660, "quota": 103186, "deficit": 15167, "twin": 3090,
+         "size-divisibility": 24, "degree-divisibility": 93, "min-order": 2,
+         "regular-order": 2, "regular-size": 1},
+        "3eb4290b8b157d992cbc3bb070b056a3aff61092ecd35568223de3092c011baf",
     ),
 }
 
@@ -563,6 +563,60 @@ def test_twin_rule_prunes_a_hard_reduction_instance():
     assert out.status == "UNSAT"
     assert out.nodes_explored == 340
     assert out.pruned_by == {"symmetry": 4, "quota": 457, "twin": 99, "deficit": 41}
+
+
+# ---------------------------------------------------------------------------
+# Count mode colors each twin class in one run, weighted by its composition
+# ---------------------------------------------------------------------------
+
+
+def relabelled_twin_graphs():
+    """(k, graph) for 600 seeded graphs with cloned twins, k = 2, 3, 4, most
+    padded with isolated vertices (one more twin class), each relabelled at
+    random so that twins do not sit on adjacent labels."""
+    for seed in range(600):
+        rng = random.Random(seed)
+        k = 2 + seed % 3
+        n_max = {2: 12, 3: 8, 4: 6}[k]  # k^n <= 2^12 assignments to enumerate
+        n = rng.randint(2, 4)
+        core = graph_with_cloned_twins(rng, n, rng.randint(1, n_max - 1 - n))
+        total = min(n_max, core.n + rng.randint(0, 2))
+        perm = list(range(total))
+        rng.shuffle(perm)
+        yield k, Graph(total, [(perm[u], perm[v]) for u, v in core.edges])
+
+
+def test_count_mode_agrees_with_enumeration_on_relabelled_twins():
+    counted, isolated = set(), 0
+    for k, g in relabelled_twin_graphs():
+        out = solve(g, k, SolveConfig(mode="count"))
+        assert out.count == count_colorings(g, k), (k, g)
+        if out.count and "twin" in out.pruned_by:
+            counted.add(k)
+            isolated += min(g.degrees()) == 0
+    assert counted == {2, 3, 4} and isolated >= 20
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (5, 2), (6, 4), (8, 3), (30, 3)])
+def test_count_mode_on_edgeless_graphs(n, k):
+    """All n vertices form one twin class, counted in one run of frames;
+    ``p 30 0`` with k=3 took over 300,000 nodes when each permutation
+    inside the class was its own branch."""
+    g = Graph(n, [])
+    out = solve(g, k, SolveConfig(mode="count", node_budget=2000))
+    assert out.count == k**n
+    if k**n <= 2**12:
+        assert count_colorings(g, k) == k**n
+
+
+def test_twin_free_count_tree_is_pinned():
+    """H(3,3) has no twins, so the twin classes leave its count tree as it
+    was: the same nodes and prune tallies."""
+    g = hamming_nbc(3, 3)[0]
+    assert len(set(g.adjacency)) == g.n
+    out = solve(g, 3, SolveConfig(mode="count"))
+    assert (out.count, out.nodes_explored) == (828, 2336)
+    assert list(out.pruned_by.items()) == [("symmetry", 4), ("quota", 4188), ("deficit", 23)]
 
 
 # ---------------------------------------------------------------------------
