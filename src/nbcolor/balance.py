@@ -11,8 +11,8 @@ preserve balance.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from operator import add, mul
-from typing import Iterable, Mapping, Sequence
 
 from .graph import Graph, _Record, _require_int, _setfield
 

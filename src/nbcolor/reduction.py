@@ -5,12 +5,12 @@ The compiler attaches one (k, a)-house per multiset element a plus k shared
 of the compiled graph, all of a house's index vertices to share one color —
 so each element effectively picks a subset — and balance at the distributive
 vertices forces the k subset sums equal.  ``_house_layout`` alone states the
-house layout; ``house`` and ``reduce_ess_to_nbc`` take the graph's
-adjacency rows from it and hand them to the graph without a normalizing
-pass (the graph derives its edge tuple from them only if it is read).
-``decode_from_roles`` validates a balanced coloring and its role table and
-reads the partition back out; ``ess_brute_force`` is the independent ground
-truth for the partition problem.
+house layout; ``_house_rows`` writes the rows of ``house`` and
+``reduce_ess_to_nbc`` from it, and the graph takes them without a normalizing
+pass.  One reader takes the partition back out of a balanced coloring:
+``decode`` feeds it the compiled houses, ``decode_from_roles`` the houses it
+recovers from an untrusted role sidecar.  ``ess_brute_force`` is the
+independent ground truth for the partition problem.
 
 ``flawed_gadget`` reproduces, as a regression artifact, an earlier
 construction from the literature whose correctness argument breaks: its
@@ -20,8 +20,8 @@ numeric-vertex split the argument relied on.
 
 from __future__ import annotations
 
-from itertools import chain, product, repeat
-from typing import Iterable
+from collections.abc import Iterable, Sequence
+from itertools import product
 
 from .balance import (
     BalanceReport, Coloring, _balanced, _balanced_output, _require_fit, is_nbkc
@@ -69,9 +69,6 @@ def _house_layout(k: int, n: int, offset: int = 0) -> tuple[range, range, range]
     number j // k (consecutive blocks of k supports per index).  So a support
     has degree exactly k, which is what forces rainbow neighborhoods around
     supports and, from there, a single shared color on all indexes.
-
-    ``house`` and ``reduce_ess_to_nbc`` take the adjacency rows, and only
-    them, from these ranges through ``_house_tables``.
     """
     bases = range(offset, offset + k - 1)
     supports = range(bases.stop, bases.stop + k * n)
@@ -79,22 +76,21 @@ def _house_layout(k: int, n: int, offset: int = 0) -> tuple[range, range, range]
     return bases, supports, indexes
 
 
-def _house_tables(
-    k: int, bases: range, supports: range, indexes: range, hub: tuple[int, ...]
-) -> chain:
-    """The adjacency rows of the house on ``_house_layout``'s ranges.
+def _house_rows(k: int, a: int, offset: int, hub: tuple[int, ...]) -> tuple[list, range]:
+    """The adjacency rows of the (k, a)-house at ``offset``, and its indexes.
 
-    Every index is also adjacent to every ``hub`` vertex, and the hub lies
-    above the house.  The rows are each house vertex's ascending neighbours
-    in label order: the k-1 bases share one row, as do the k supports of one
+    The rows are each house vertex's ascending neighbours in label order:
+    every index is also adjacent to every ``hub`` vertex, which lies above
+    the house.  The k-1 bases share one row, as do the k supports of one
     index.  No edge list is made; the graph derives one if it is read.
     """
-    support_rows = map(tuple(bases).__add__, zip(indexes))  # bases, then (i,)
-    return chain(
-        repeat(tuple(supports), len(bases)),
-        chain.from_iterable(map(repeat, support_rows, repeat(k))),
-        map(tuple.__add__, zip(*[iter(supports)] * k), repeat(hub)),
-    )
+    bases, supports, indexes = _house_layout(k, a, offset)
+    base_row = tuple(bases)
+    rows = [tuple(supports)] * len(bases)
+    for i in indexes:
+        rows += [base_row + (i,)] * k
+    rows += [block + hub for block in zip(*[iter(supports)] * k)]
+    return rows, indexes
 
 
 class HouseGadget(_Record):
@@ -114,10 +110,8 @@ def house(k: int, n: int) -> HouseGadget:
     _require_int(k, "k", 2)
     _require_int(n, "n", 1)
     bases, supports, indexes = _house_layout(k, n)
-    rows = _house_tables(k, bases, supports, indexes, ())
-    graph = Graph._from_tables(indexes.stop, tuple(rows))
-    return HouseGadget(k=k, n=n, graph=graph, bases=tuple(bases),
-                       supports=tuple(supports), indexes=tuple(indexes))
+    graph = Graph._from_tables(indexes.stop, tuple(_house_rows(k, n, 0, ())[0]))
+    return HouseGadget(k, n, graph, *map(tuple, (bases, supports, indexes)))
 
 
 def house_scheme_coloring(gadget: HouseGadget) -> Coloring:
@@ -164,29 +158,21 @@ class ReductionInstance(_Record):
     the k vertices adjacent to every index vertex of every house.
     """
 
-    _fields = ("instance", "graph", "houses", "distributive")
-    __slots__ = (*_fields, "_roles")  # _roles: the role table, built on first use
+    __slots__ = _fields = ("instance", "graph", "houses", "distributive")
     instance: EssInstance
     graph: Graph
     houses: tuple[HousePlacement, ...]
     distributive: tuple[int, ...]
 
-    def _role_table(self) -> dict[int, tuple[str, int | None]]:
-        """The role table, built on first use and shared: callers only read it."""
-        table = getattr(self, "_roles", None)
-        if table is None:
-            table = {}
-            for p in self.houses:
-                layout = _house_layout(p.k, p.element, p.offset)
-                for role, labels in zip(("base", "support", "index"), layout):
-                    table.update(dict.fromkeys(labels, (role, p.element)))
-            table.update(dict.fromkeys(self.distributive, ("distributive", None)))
-            _setfield(self, "_roles", table)
-        return table
-
     def roles(self) -> dict[int, tuple[str, int | None]]:
-        """Vertex -> (role, element) table; distributive vertices carry None."""
-        return dict(self._role_table())
+        """A fresh vertex -> (role, element) table; distributive vertices carry None."""
+        table: dict[int, tuple[str, int | None]] = {}
+        for p in self.houses:
+            layout = _house_layout(p.k, p.element, p.offset)
+            for role, labels in zip(("base", "support", "index"), layout):
+                table.update(dict.fromkeys(labels, (role, p.element)))
+        table.update(dict.fromkeys(self.distributive, ("distributive", None)))
+        return table
 
 
 def reduce_ess_to_nbc(inst: EssInstance) -> ReductionInstance:
@@ -194,40 +180,26 @@ def reduce_ess_to_nbc(inst: EssInstance) -> ReductionInstance:
 
     One (k, a)-house per element a, in input order, followed by k mutually
     nonadjacent distributive vertices each adjacent to every index vertex.
-    Total vertex count: sum over elements of ((k+1)a + k-1), plus k.
+    Total vertex count: (k+1)·ΣT + (k-1)·|T| + k.
     """
-    k = inst.k
-    n = sum((k + 1) * a + k - 1 for a in inst.values)
+    k, values = inst.k, inst.values
+    n = (k + 1) * sum(values) + (k - 1) * len(values)
     distributive = tuple(range(n, n + k))
     placements: list[HousePlacement] = []
     rows: list[tuple[int, ...]] = []
     all_indexes: list[int] = []
     offset = 0
-    for a in inst.values:
-        placements.append(HousePlacement(element=a, k=k, offset=offset))
-        bases, supports, indexes = _house_layout(k, a, offset)
-        rows.extend(_house_tables(k, bases, supports, indexes, distributive))
-        all_indexes.extend(indexes)
+    for a in values:
+        placements.append(HousePlacement(a, k, offset))
+        house_rows, indexes = _house_rows(k, a, offset, distributive)
+        rows += house_rows
+        all_indexes += indexes
         offset = indexes.stop
     # Houses occupy ascending label blocks below the distributive vertices,
     # so the concatenated rows are already the canonical ones.
-    rows.extend(repeat(tuple(all_indexes), k))
-    return ReductionInstance(
-        instance=inst,
-        graph=Graph._from_tables(n + k, tuple(rows)),
-        houses=tuple(placements),
-        distributive=distributive,
-    )
-
-
-def decode(rinst: ReductionInstance, c: Coloring) -> tuple[tuple[int, ...], ...]:
-    """Read the equal-sum partition out of a balanced coloring of ``rinst``.
-
-    :func:`decode_from_roles` on the instance's own role table: element a
-    joins subset i when its house's index vertices carry color i, and a
-    coloring that is unbalanced or does not fit raises ``ValueError``.
-    """
-    return decode_from_roles(rinst.graph, rinst._role_table(), c)
+    rows += [tuple(all_indexes)] * k
+    graph = Graph._from_tables(n + k, tuple(rows))
+    return ReductionInstance(inst, graph, tuple(placements), distributive)
 
 
 class UnbalancedColoring(ValueError):
@@ -241,24 +213,67 @@ class UnbalancedColoring(ValueError):
         self.report = report
 
 
+def _require_balanced(g: Graph, c: Coloring) -> None:
+    """Both decoders' first gate: ``c`` fits ``g`` and is balanced on it."""
+    _require_fit(g, c)
+    if not _balanced(g.adjacency, c.colors, c.k):
+        raise UnbalancedColoring(is_nbkc(g, c))
+
+
+def _read_houses(
+    houses: Iterable[tuple[int, Sequence[int]]], c: Coloring
+) -> tuple[tuple[int, ...], ...]:
+    """The partition ``c`` spells on (element, index vertices) houses: element a
+    joins subset i when its index vertices carry color i.  A house of two
+    colors or unequal subset sums raise ``ValueError``."""
+    colors = c.colors
+    subsets: list[list[int]] = [[] for _ in range(c.k)]
+    for element, indexes in houses:
+        seen = {colors[v] for v in indexes}
+        if len(seen) != 1:
+            raise ValueError(
+                f"index vertices of the house at {indexes[0]} carry colors "
+                f"{sorted(seen)}; a balanced coloring of a well-formed "
+                f"instance cannot do that"
+            )
+        subsets[seen.pop() - 1].append(element)
+    sums = [sum(part) for part in subsets]
+    if len(set(sums)) != 1:
+        raise ValueError(f"decoded subset sums {sums} differ; the houses are inconsistent")
+    return tuple(map(tuple, subsets))
+
+
+def decode(rinst: ReductionInstance, c: Coloring) -> tuple[tuple[int, ...], ...]:
+    """Read the equal-sum partition out of a balanced coloring of ``rinst``.
+
+    The trusted door.  After the balance gate (:class:`UnbalancedColoring`),
+    the houses must host the instance's elements in order at its k and ``c``
+    must use k colors (``ValueError``); the reader takes each house's index
+    vertices from ``_house_layout``.
+    """
+    _require_balanced(rinst.graph, c)
+    values, k = rinst.instance.values, rinst.instance.k
+    if [(p.element, p.k) for p in rinst.houses] != [(a, k) for a in values]:
+        raise ValueError(f"the houses do not host the elements {list(values)} at k = {k}")
+    if c.k != k:
+        raise ValueError(f"coloring palette {c.k} does not match the instance's k = {k}")
+    return _read_houses([(a, _house_layout(k, a, p.offset)[2])
+                         for a, p in zip(values, rinst.houses)], c)
+
+
 def decode_from_roles(
-    g: Graph,
-    roles: dict[int, tuple[str, int | None]],
-    c: Coloring,
+    g: Graph, roles: dict[int, tuple[str, int | None]], c: Coloring
 ) -> tuple[tuple[int, ...], ...]:
     """Decode a partition from a graph plus an untrusted role sidecar.
 
-    Everything read is validated.  The coloring is checked first, and an
-    unbalanced one raises :class:`UnbalancedColoring`.  The sidecar must
-    label every vertex, houses are recovered as connected components after
-    removing the distributive vertices, each house's element is its
-    index-vertex count (cross-checked against the sidecar's element labels),
-    and any inconsistency raises ``ValueError``.
+    The sidecar door: everything read is validated, the balance gate first.
+    The sidecar must label every vertex, houses are recovered as connected
+    components after removing the distributive vertices, each house's
+    element is its index-vertex count (cross-checked against the sidecar's
+    element labels), and ``decode``'s reader takes them from there.  Any
+    inconsistency raises ``ValueError``.
     """
-    _require_fit(g, c)
-    adj = g.adjacency
-    if not _balanced(adj, c.colors, c.k):
-        raise UnbalancedColoring(is_nbkc(g, c))
+    _require_balanced(g, c)
     if set(roles) != set(range(g.n)):
         missing = sorted(set(range(g.n)) - set(roles))
         extra = sorted(set(roles) - set(range(g.n)))
@@ -283,8 +298,9 @@ def decode_from_roles(
         )
 
     # Distributive vertices start out seen, so no house reaches across them.
+    adj = g.adjacency
     seen = [role == "distributive" for role in kinds]
-    subsets: list[list[int]] = [[] for _ in range(k)]
+    houses: list[tuple[int, list[int]]] = []
     for start in range(g.n):
         if seen[start]:
             continue
@@ -306,18 +322,8 @@ def decode_from_roles(
                 f"component containing vertex {start} has {len(indexes)} index "
                 f"vertices but sidecar element labels {sorted(elements)}"
             )
-        colors = {c.colors[v] for v in indexes}
-        if len(colors) != 1:
-            raise ValueError(
-                f"index vertices of the house at {start} carry colors "
-                f"{sorted(colors)}; a balanced coloring of a well-formed "
-                f"instance cannot do that"
-            )
-        subsets[colors.pop() - 1].append(len(indexes))
-    sums = [sum(part) for part in subsets]
-    if len(set(sums)) != 1:
-        raise ValueError(f"decoded subset sums {sums} differ; sidecar is inconsistent")
-    return tuple(tuple(part) for part in subsets)
+        houses.append((len(indexes), indexes))
+    return _read_houses(houses, c)
 
 
 _ESS_CAP = 3**12
@@ -394,13 +400,7 @@ def flawed_gadget(values: tuple[int, ...] | list[int]) -> FlawedGadget:
     to supports 2t-1 and 2t, and every numeric vertex adjacent to both
     vertices of A.  Numeric vertices end up with degree 4.
     """
-    values = tuple(values)
-    if not values:
-        raise ValueError("the multiset must be nonempty")
-    for a in values:
-        _require_int(a, "element")
-    if any(a < 1 for a in values):
-        raise ValueError(f"all elements must be positive integers: {values}")
+    values = EssInstance(values, 2).values  # checked as a two-way partition question
     v1, v2, u1, u2 = 0, 1, 2, 3
     rows: list[tuple[int, ...]] = [(), (), (v1, v2), (v1, v2)]  # v1's, v2's: below
     packs = []

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -544,6 +545,13 @@ def test_permute_colors_accepts_a_sequence():
     c = Coloring(3, (1, 2, 3, 3))
     assert permute_colors(c, [2, 3, 1]) == permute_colors(c, {1: 2, 2: 3, 3: 1})
     assert permute_colors(c, (2, 3, 1)).colors == (2, 3, 1, 1)
+
+
+def test_permute_colors_accepts_any_mapping():
+    """Any ``collections.abc.Mapping`` is a table, not only a dict."""
+    c = Coloring(3, (1, 2, 3, 3))
+    proxy = MappingProxyType({1: 2, 2: 3, 3: 1})
+    assert permute_colors(c, proxy) == permute_colors(c, [2, 3, 1])
 
 
 def test_permute_colors_requires_bijection():

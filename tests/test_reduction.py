@@ -14,6 +14,8 @@ from nbcolor import (
     Coloring,
     EssInstance,
     Graph,
+    HousePlacement,
+    ReductionInstance,
     Refusal,
     SolveConfig,
     UnbalancedColoring,
@@ -149,8 +151,10 @@ def test_reduction_roles_cover_graph():
     assert names == {"base", "support", "index", "distributive"}
 
 
-def test_decode_builds_the_role_table_once(monkeypatch):
-    """Decodes of one instance share its role table; ``roles()`` hands out copies."""
+def test_decode_reads_the_compiled_houses(monkeypatch):
+    """``decode`` takes each house's index vertices from ``_house_layout``,
+    once per house and call, and builds no role table; ``roles()`` builds a
+    fresh, equal table on each call."""
     from nbcolor import reduction
 
     rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
@@ -159,21 +163,24 @@ def test_decode_builds_the_role_table_once(monkeypatch):
     layout = reduction._house_layout
     monkeypatch.setattr(reduction, "_house_layout",
                         lambda *args: layouts.append(args) or layout(*args))
-    first = decode(rinst, witness)
-    assert decode(rinst, witness) == first == ((1, 2), (3,))
-    assert len(layouts) == len(rinst.houses)
+    monkeypatch.setattr(reduction.ReductionInstance, "roles", None)
+    assert decode(rinst, witness) == ((1, 2), (3,))
+    assert layouts == [(2, p.element, p.offset) for p in rinst.houses]
+    assert decode(rinst, witness) == ((1, 2), (3,))
+    assert len(layouts) == 2 * len(rinst.houses)
+    monkeypatch.undo()
     roles = rinst.roles()
     assert roles is not rinst.roles()
+    assert roles == rinst.roles()
     roles.clear()
     assert len(rinst.roles()) == rinst.graph.n
-    assert decode(rinst, witness) == first
-    assert len(layouts) == len(rinst.houses)
+    assert type(rinst).__slots__ == type(rinst)._fields  # no slot caches a table
 
 
 @pytest.mark.parametrize("read_roles", [False, True])
 def test_reduction_instance_survives_pickle_and_copy(read_roles):
-    """The role table slot is unset until ``roles()`` is first read; pickles
-    and copies carry the fields only and rebuild the table on their own."""
+    """Pickles and copies carry the fields only, and their ``roles()`` equal
+    the original's whether or not it was read before."""
     rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
     if read_roles:
         rinst.roles()
@@ -449,6 +456,97 @@ def test_decode_from_roles_matches_trusted_decode():
     trusted = decode(rinst, out.witness)
     untrusted = decode_from_roles(rinst.graph, dict(rinst.roles()), out.witness)
     assert untrusted == trusted
+
+
+def _satisfiable_criterion_06():
+    """(compiled instance, first witness) for each satisfiable criterion-06 case."""
+    for values, k in CRITERION_06:
+        inst = EssInstance(values, k)
+        if ess_brute_force(inst) is not None:
+            rinst = reduce_ess_to_nbc(inst)
+            yield rinst, solve(rinst.graph, k).witness
+
+
+def test_both_decoders_agree_on_criterion_06():
+    """The trusted and the sidecar door read one partition out of every
+    satisfiable criterion-06 witness, and both refuse the witness with one
+    index vertex recolored, or recast on a larger palette."""
+    decoded = 0
+    for rinst, witness in _satisfiable_criterion_06():
+        k, values = rinst.instance.k, rinst.instance.values
+        roles = rinst.roles()
+        parts = decode(rinst, witness)
+        assert decode_from_roles(rinst.graph, roles, witness) == parts
+        assert {sum(part) for part in parts} == {sum(values) // k}
+        assert sorted(a for part in parts for a in part) == sorted(values)
+        colors = list(witness.colors)
+        index = rinst.houses[-1].indexes()[0]
+        colors[index] = colors[index] % k + 1
+        recolored = Coloring(k, tuple(colors))
+        wider = Coloring(k + 1, witness.colors)
+        for door in (lambda c: decode(rinst, c),
+                     lambda c: decode_from_roles(rinst.graph, roles, c)):
+            with pytest.raises(UnbalancedColoring):
+                door(recolored)
+            with pytest.raises(ValueError):
+                door(wider)
+        decoded += 1
+    assert decoded == 175
+
+
+@pytest.mark.parametrize("values", [(1, 1, 1, 1), (2, 2, 2, 2), (1, 1, 2, 2, 2)])
+def test_both_decoders_refuse_a_balanced_coloring_of_another_palette(values):
+    """A k = 4 compilation has balanced 2-colorings; neither door reads one."""
+    rinst = reduce_ess_to_nbc(EssInstance(values, 4))
+    two = solve(rinst.graph, 2).witness
+    with pytest.raises(ValueError, match="palette 2 does not match") as trusted:
+        decode(rinst, two)
+    with pytest.raises(ValueError, match="palette 2 does not match") as sidecar:
+        decode_from_roles(rinst.graph, rinst.roles(), two)
+    assert not isinstance(trusted.value, UnbalancedColoring)
+    assert not isinstance(sidecar.value, UnbalancedColoring)
+
+
+@pytest.mark.parametrize(
+    "values,k", [((1, 2, 3), 2), ((1, 1, 2, 3, 5), 2), ((2, 2, 2), 3), ((1, 1, 2, 2), 3)]
+)
+def test_decode_from_roles_reads_a_relabelled_instance(values, k):
+    """Vertices permuted together with the sidecar and the witness: the
+    sidecar door still reads the partition, house order aside."""
+    rinst = reduce_ess_to_nbc(EssInstance(values, k))
+    witness = solve(rinst.graph, k).witness
+    expect = [sorted(part) for part in decode(rinst, witness)]
+    n = rinst.graph.n
+    rng = random.Random(f"relabel {values} {k}")
+    for _ in range(10):
+        perm = list(range(n))  # vertex v becomes perm[v]
+        rng.shuffle(perm)
+        g = Graph(n, [(perm[u], perm[v]) for u, v in rinst.graph.edges])
+        roles = {perm[v]: role for v, role in rinst.roles().items()}
+        colors = [0] * n
+        for v, color in enumerate(witness.colors):
+            colors[perm[v]] = color
+        parts = decode_from_roles(g, roles, Coloring(k, tuple(colors)))
+        assert [sorted(part) for part in parts] == expect
+
+
+def test_decode_refuses_houses_that_disagree_with_the_instance():
+    """A hand-built instance whose houses do not host its elements at its k
+    is refused before any house is read, although the witness is balanced."""
+    rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
+    witness = solve(rinst.graph, 2).witness
+    g, houses, hub = rinst.graph, rinst.houses, rinst.distributive
+    at_three = tuple(HousePlacement(p.element, 3, p.offset) for p in houses)
+    for lie in (
+        ReductionInstance(EssInstance((3, 2, 1), 2), g, houses, hub),
+        ReductionInstance(EssInstance((1, 2, 3, 6), 2), g, houses, hub),
+        ReductionInstance(EssInstance((1, 2), 2), g, houses, hub),
+        ReductionInstance(EssInstance((1, 2, 3), 3), g, houses, hub),
+        ReductionInstance(rinst.instance, g, at_three, hub),
+    ):
+        with pytest.raises(ValueError, match="houses do not host") as caught:
+            decode(lie, witness)
+        assert not isinstance(caught.value, UnbalancedColoring)
 
 
 def test_decode_from_roles_validates_sidecar():
