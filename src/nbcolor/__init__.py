@@ -11,7 +11,8 @@ subsets, all behind one CLI (``nbcolor``).
 Submodules load on first use.  Importing the package registers each of them
 in ``sys.modules`` without running it, and a public name such as
 ``nbcolor.solve`` runs its home module the first time it is read, so a CLI
-command executes only the modules it needs.
+command executes only the modules it needs.  The package binds no such name
+itself: each read looks it up in its home module.
 
 Before Python 3.12.3, ``importlib.util.LazyLoader`` takes no lock, so the
 first use of each submodule is not thread-safe there: two threads that read
@@ -88,9 +89,7 @@ def __getattr__(name: str):
     home = _HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(globals()[home], name)
-    globals()[name] = value
-    return value
+    return getattr(globals()[home], name)
 
 
 def __dir__() -> list[str]:

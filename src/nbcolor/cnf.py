@@ -14,17 +14,16 @@ A counter's clauses depend only on the degree and the quota, so ``to_cnf``
 encodes one template per distinct degree, over numbered slots, and every
 (vertex, color) constraint fills a template's slots with its neighbors'
 selectors and its own registers.  The document keeps the templates and the
-graph rather than the clauses: ``clauses`` is built on first access, and
+graph rather than the clauses: ``clauses`` is built on each read, and
 ``to_dimacs`` streams the text one constraint at a time, so exporting needs
 memory for neither.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from io import StringIO
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from io import StringIO, TextIOBase
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .balance import Coloring
 from .graph import Graph, _Record, _require_int, _require_vertex, _setfield
@@ -68,11 +67,10 @@ class CnfDocument(_Record):
     a refused instance has no graph and the single empty clause.
 
     The repr leaves out the graph and the templates, and equality ignores the
-    templates, which follow from the graph and k.  No ``__slots__``: the
-    ``clauses`` cache lives in the instance dict.
+    templates, which follow from the graph and k.
     """
 
-    _fields = (
+    __slots__ = _fields = (
         "n", "k", "num_vars", "num_clauses", "comments",
         "graph", "exactly_one", "counters",
     )
@@ -152,9 +150,9 @@ class CnfDocument(_Record):
                 next_var += width
                 yield counter, values
 
-    @cached_property
+    @property
     def clauses(self) -> tuple[tuple[int, ...], ...]:
-        """Every clause, built from the templates on first access."""
+        """Every clause, built from the templates on each read."""
         out: list[tuple[int, ...]] = []
         for template, values in self._blocks():
             # lookup[s] is slot s's number and lookup[-s] its negation.
@@ -162,7 +160,7 @@ class CnfDocument(_Record):
             out.extend(tuple(map(lookup.__getitem__, c)) for c in template.clauses)
         return tuple(out)
 
-    def to_dimacs(self, out: TextIO | None = None) -> str | None:
+    def to_dimacs(self, out: TextIOBase | None = None) -> str | None:
         """The DIMACS text, returned when ``out`` is None.
 
         Given a text stream, writes the same text to it one constraint at a

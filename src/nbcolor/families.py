@@ -10,7 +10,7 @@ coloring handed back has passed the package's balance check, also under
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from .balance import Coloring, Refusal, _balanced_output
 from .graph import (

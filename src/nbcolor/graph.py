@@ -7,9 +7,9 @@ deterministic iteration order everywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import repeat
 from operator import attrgetter
-from typing import Iterable, Iterator
 
 
 def _require_int(value: object, what: str, least: int | None = None) -> None:
@@ -40,7 +40,7 @@ class _Record:
     """Base of the package's value records, immutable like ``Graph``.
 
     A subclass names its two or more fields once, in constructor order, in
-    ``_fields`` (usually also its ``__slots__``).  Unless it writes its own
+    ``_fields``, which is also its ``__slots__``.  Unless it writes its own
     ``__init__``, it gets one compiled from ``_fields`` alone that takes
     those fields in that order and stores each unchanged with ``_setfield``.
     A record writes its own when it checks or normalises its arguments
@@ -107,9 +107,7 @@ class Graph:
     walks every vertex reads it once instead of range-checking each vertex.
     A graph stores n, m and the rows only.  ``m``, equality and hashing read
     the rows and the stored edge count; ``edges`` is derived from the rows
-    the first time it is read and cached, so every later read returns the
-    same tuple.  Two threads reading it first at once may both derive it;
-    the tuples are equal, so which one stays cached does not matter.
+    on every read.
 
     The constructor is the one validating front door, for edge lists from
     outside the package (parsed files, user code): it validates and
@@ -118,7 +116,7 @@ class Graph:
     them to the private ``Graph._from_tables``, which checks nothing.
     """
 
-    __slots__ = ("_n", "_m", "_adj", "_edges")
+    __slots__ = ("_n", "_m", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if not (isinstance(n, int) and n >= 0):
@@ -135,7 +133,6 @@ class Graph:
             normalized[(u, v) if u < v else (v, u)] = None
         self._n = n
         self._m = len(normalized)
-        self._edges: tuple[tuple[int, int], ...] | None = None
         # A vertex gets a list at its first edge; isolated vertices share the
         # empty tuple, so a graph of n vertices and no edges costs one slot each.
         adj: list = [()] * n
@@ -167,7 +164,7 @@ class Graph:
         through the constructor.
         """
         g = cls.__new__(cls)
-        g._n, g._m, g._adj, g._edges = n, sum(map(len, adj)) // 2, adj, None
+        g._n, g._m, g._adj = n, sum(map(len, adj)) // 2, adj
         return g
 
     @property
@@ -181,10 +178,7 @@ class Graph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (min, max) pairs in lexicographic order."""
-        edges = self._edges
-        if edges is None:
-            edges = self._edges = tuple(_edge_pairs(self._adj))
-        return edges
+        return tuple(_edge_pairs(self._adj))
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -15,7 +15,7 @@ Formats:
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 from .balance import Coloring, _require_fit
 from .graph import Graph, _Record, _edge_pairs

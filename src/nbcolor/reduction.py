@@ -247,9 +247,10 @@ def decode(rinst: ReductionInstance, c: Coloring) -> tuple[tuple[int, ...], ...]
     """Read the equal-sum partition out of a balanced coloring of ``rinst``.
 
     The trusted door.  After the balance gate (:class:`UnbalancedColoring`),
-    the houses must host the instance's elements in order at its k and ``c``
-    must use k colors (``ValueError``); the reader takes each house's index
-    vertices from ``_house_layout``.
+    the houses must host the instance's elements in order at its k, ``c``
+    must use k colors, and the houses must tile vertices 0..n-k-1 in order
+    below the k distributive vertices (``ValueError``); the reader takes
+    each house's index vertices from ``_house_layout``.
     """
     _require_balanced(rinst.graph, c)
     values, k = rinst.instance.values, rinst.instance.k
@@ -257,8 +258,20 @@ def decode(rinst: ReductionInstance, c: Coloring) -> tuple[tuple[int, ...], ...]
         raise ValueError(f"the houses do not host the elements {list(values)} at k = {k}")
     if c.k != k:
         raise ValueError(f"coloring palette {c.k} does not match the instance's k = {k}")
-    return _read_houses([(a, _house_layout(k, a, p.offset)[2])
-                         for a, p in zip(values, rinst.houses)], c)
+    houses: list[tuple[int, range]] = []
+    stop = 0
+    for a, p in zip(values, rinst.houses):
+        if p.offset != stop:
+            raise ValueError(f"the house of element {a} starts at {p.offset}, not at {stop}")
+        indexes = _house_layout(k, a, stop)[2]
+        houses.append((a, indexes))
+        stop = indexes.stop
+    n = rinst.graph.n
+    if stop != n - k or rinst.distributive != tuple(range(stop, n)):
+        raise ValueError(f"houses ending at {stop} and distributive vertices "
+                         f"{list(rinst.distributive)} do not tile {n} vertices "
+                         f"(expected {n - k} and {n - k}..{n - 1})")
+    return _read_houses(houses, c)
 
 
 def decode_from_roles(

@@ -89,8 +89,8 @@ two can legitimately cross-check each other's search.  The tests' recount
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator
 
 from .balance import Coloring, _balanced, _balanced_output, _screen
 from .graph import Graph, _Record, _require_int, _setfield
@@ -182,14 +182,15 @@ def _search(
     ``order``, which fixes twin classes and breaks fail-first ties (module
     docstring, (e) and (f)).
 
-    Depth-first, colors in increasing order, one frame per depth.  Frame d
-    colors ``vert[d]``: the next vertex of the order in ``canonical-min``,
-    else the uncolored vertex with the fewest eligible colors, earliest in
-    the order on ties; in count mode, the next twin of ``vert[d - 1]`` if it
-    has one.  A frame keeps only that vertex and ``below[d]``, the largest
-    color used before it.  The vertex is uncolored only on the frame's first
-    visit, whose first candidate is the twin lower bound (one above it in
-    count mode once the twin's run has reached its cap).
+    Depth-first, colors in increasing order, one frame per depth.  Every
+    frame begins at one entry, which picks ``vert[d]``: in count mode the
+    next twin of ``vert[d - 1]`` if it has one; otherwise the next vertex of
+    the order in ``canonical-min``, and in the other modes the uncolored
+    vertex with the fewest eligible colors, earliest in the order on ties.  A
+    frame keeps only that vertex and ``below[d]``, the largest color used
+    before it.  The vertex is uncolored only on the frame's first visit,
+    whose first candidate is the twin lower bound (one above it in count
+    mode once the twin's run has reached its cap).
     Every later visit undoes the held color ``color[vert[d]]``, which
     restores ``maxused = below[d]``, and scans on from the next color.  So
     every candidate scan has ``maxused == below[d]`` and the top candidate
@@ -277,7 +278,9 @@ def _search(
             count += orbit[maxused] * weight[n]
             d -= 1
         else:
-            if dynamic:
+            if counting and d and nxt[vert[d - 1]] >= 0:
+                v = nxt[vert[d - 1]]
+            elif dynamic:
                 for m in masks:
                     if m:
                         break
@@ -286,10 +289,15 @@ def _search(
                 v = order[d]
             vert[d] = v
             below[d] = maxused
-            if maxused + 1 < k:
-                pruned["symmetry"] = pruned.get("symmetry", 0) + k - maxused - 1
             t = twin[v]
             c = color[t] if t >= 0 else 1
+            # A count-mode twin starts above its run's color once the run
+            # has reached its cap (t is then vert[d - 1]).
+            if counting and t >= 0 and run[d - 1] == cap[d - 1]:
+                c += 1
+                pruned["symmetry"] = pruned.get("symmetry", 0) + 1
+            if maxused + 1 < k:
+                pruned["symmetry"] = pruned.get("symmetry", 0) + k - maxused - 1
             if c > 1:
                 pruned["twin"] = pruned.get("twin", 0) + c - 1
         while d >= 0:
@@ -378,21 +386,6 @@ def _search(
                     run[d], cap[d], tie[d] = r, lim, tp
                     w = weight[d] * i // r
                     weight[d + 1] = w // (tp + 1) if r == lim else w
-                    u = nxt[v]
-                    if u >= 0:
-                        # The next frame colors the next twin, from c up, and
-                        # from c + 1 once c's run has reached its cap.
-                        d += 1
-                        vert[d] = u
-                        below[d] = maxused
-                        if r == lim:
-                            c += 1
-                            pruned["symmetry"] = pruned.get("symmetry", 0) + 1
-                        if maxused + 1 < k:
-                            pruned["symmetry"] = pruned.get("symmetry", 0) + k - maxused - 1
-                        if c > 1:
-                            pruned["twin"] = pruned.get("twin", 0) + c - 1
-                        continue
             d += 1
             break
         else:

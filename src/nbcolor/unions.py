@@ -16,8 +16,8 @@ returns the union it builds), dependent sets to :func:`cycle_union_nbc` under
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from functools import reduce
-from typing import Iterable
 
 from .balance import Coloring, Refusal, _balanced_input, _balanced_output, cyclic_shift
 from .families import cycle_nbc

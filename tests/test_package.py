@@ -16,12 +16,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(nbcolor.__path__))
 
 
-def run_fresh(code: str, *args: str, parse=json.loads):
-    """Run ``code`` in a new interpreter on ``src/``; its last line is one
-    value that ``parse`` reads (JSON by default)."""
+def run_fresh(code: str, *args: str, parse=json.loads, flags=()):
+    """Run ``code`` in a new interpreter on ``src/``, started with ``flags``;
+    its last line is one value that ``parse`` reads (JSON by default)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", code, *args], cwd=ROOT, env=env,
+        [sys.executable, *flags, "-c", code, *args], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -53,6 +53,22 @@ def test_star_import_binds_every_public_name():
     exec("from nbcolor import *", namespace)
     assert set(nbcolor.__all__) <= set(namespace)
     assert namespace["solve"] is nbcolor.solver.solve
+
+
+def test_public_names_are_read_from_their_home_on_every_read(monkeypatch):
+    """The package binds no public name, so a function patched in its home
+    module is what ``nbcolor`` returns while the patch lasts, and no longer."""
+    original = nbcolor.solve
+    assert "solve" not in vars(nbcolor)
+
+    def patched(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nbcolor.solver, "solve", patched)
+    assert nbcolor.solve is patched
+    monkeypatch.undo()
+    assert nbcolor.solve is original
+    assert "solve" not in vars(nbcolor)
 
 
 def test_every_submodule_is_registered_after_importing_the_cli():
@@ -95,7 +111,10 @@ def test_text_commands_load_neither_dataclasses_nor_json(c4_files, tmp_path):
     """Every command pays for each module it imports at start-up.  Text output
     needs neither ``dataclasses`` (which imports ``inspect``) nor ``json``, which
     only ``--format json`` loads.  The snapshot is printed with ``repr``, since
-    ``json`` must not be imported before it is taken."""
+    ``json`` must not be imported before it is taken.  Nor does the package
+    import ``typing``: a child started without ``site`` (``-S``), which
+    otherwise may load it, runs five commands that between them run every
+    module that once imported it, and leaves it unloaded."""
     graph, coloring = c4_files
     ran = run_fresh(
         "import sys\n"
@@ -114,6 +133,17 @@ def test_text_commands_load_neither_dataclasses_nor_json(c4_files, tmp_path):
     for heavy in ("dataclasses", "inspect", "json"):
         assert heavy not in loaded
     assert json_after
+    bare = run_fresh(
+        "import sys\n"
+        "from nbcolor.cli import run\n"
+        "g, c, out = sys.argv[1:]\n"
+        "codes = [run(['verify', g, c]), run(['solve', g, '-k', '2']),\n"
+        "         run(['analyze', g, '-k', '2']), run(['export-cnf', g, '-k', '2', '-o', out]),\n"
+        "         run(['union', '--cycle', '8', '--set', '0,4', '--copies', '3', '-o', out])]\n"
+        "print(repr((codes, 'typing' in sys.modules)))",
+        graph, coloring, str(tmp_path / "c4.cnf"), parse=ast.literal_eval, flags=["-S"],
+    )
+    assert bare == ([0, 0, 0, 0, 0], False)
 
 
 DECLARING = [m for m in nbcolor._EXPORTS if hasattr(getattr(nbcolor, m), "__all__")]

@@ -38,6 +38,7 @@ from nbcolor import (
     to_cnf,
 )
 from nbcolor.cnf import _Template
+from nbcolor.graph import _Record
 
 C4 = cycle_graph(4)
 REGULARITY = dict(
@@ -222,6 +223,17 @@ def test_no_record_writes_a_store_only_constructor():
     assert found == []
 
 
+def test_no_record_has_an_instance_dict():
+    """Every record keeps its fields in slots and nothing beside them."""
+    for name in nbcolor._EXPORTS:
+        getattr(nbcolor, name).__doc__  # noqa: B018 (runs the lazy module)
+    records = [cls for cls in _Record.__subclasses__() if cls.__module__.startswith("nbcolor.")]
+    assert {"Coloring", "CnfDocument", "SolveOutcome", "_Template"} <= {
+        cls.__name__ for cls in records
+    }
+    assert sorted(cls.__name__ for cls in records if cls.__dictoffset__) == []
+
+
 def test_records_with_equal_values_but_other_classes_differ():
     assert HammingSpec(2, 3) != VertexPairIndex(2, 3)
     assert VertexPairIndex(2, 3) != HammingSpec(2, 3)
@@ -288,4 +300,4 @@ def test_cnf_equality_ignores_the_templates_and_shows_no_graph():
     assert repr(bare) == repr(doc)
     assert "graph=" not in repr(doc)
     assert CnfDocument(doc.n, doc.k, doc.num_vars, doc.num_clauses, doc.comments) != doc
-    assert doc.clauses is doc.clauses  # built once, on first access
+    assert doc.clauses == doc.clauses  # built afresh on each read

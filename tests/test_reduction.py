@@ -339,7 +339,7 @@ def test_compiled_edges_are_derived_on_first_read_only(monkeypatch):
     assert reads == []
     monkeypatch.undo()
     first = g.edges
-    assert g.edges is first
+    assert g.edges == first
     assert len(first) == g.m
 
 
@@ -672,3 +672,35 @@ def test_flawed_gadget_roles_cover_graph():
     fg = flawed_gadget({2, 1})
     roles = fg.roles()
     assert set(roles) == set(range(fg.graph.n))
+
+
+@pytest.mark.parametrize("shift", [100, 1])
+def test_decode_refuses_houses_that_do_not_tile_the_graph(shift):
+    """Houses with the right elements and k but moved off their blocks are
+    refused before any house is read: far past the graph, or by one."""
+    rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
+    witness = solve(rinst.graph, 2).witness
+    moved = tuple(HousePlacement(p.element, p.k, p.offset + shift) for p in rinst.houses)
+    lie = ReductionInstance(rinst.instance, rinst.graph, moved, rinst.distributive)
+    with pytest.raises(ValueError, match="starts at") as caught:
+        decode(lie, witness)
+    assert not isinstance(caught.value, UnbalancedColoring)
+
+
+def test_decode_refuses_houses_that_stop_short_of_the_distributive_vertices():
+    """The houses must end where the k distributive vertices, the graph's
+    last, begin; two isolated vertices appended keep the coloring balanced,
+    whether the old or the new last two are called distributive."""
+    rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
+    witness = solve(rinst.graph, 2).witness
+    g, houses, hub = rinst.graph, rinst.houses, rinst.distributive
+    wider = Graph(g.n + 2, g.edges), Coloring(2, witness.colors + (1, 2))
+    for lie, c in (
+        (ReductionInstance(rinst.instance, g, houses, hub[::-1]), witness),
+        (ReductionInstance(rinst.instance, g, houses, tuple(v - 1 for v in hub)), witness),
+        (ReductionInstance(rinst.instance, wider[0], houses, hub), wider[1]),
+        (ReductionInstance(rinst.instance, wider[0], houses, (g.n, g.n + 1)), wider[1]),
+    ):
+        with pytest.raises(ValueError, match="do not tile"):
+            decode(lie, c)
+    assert decode(rinst, witness)
