@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from operator import add, mul
 
-from .graph import Graph, _Record, _require_int, _setfield
+from .graph import Graph, _Record, _require_int
 
 
 class Coloring(_Record):
@@ -40,8 +40,7 @@ class Coloring(_Record):
                 raise ValueError(
                     f"vertex {v} has color {c}, outside the palette 1..{k}"
                 )
-        _setfield(self, "k", k)
-        _setfield(self, "colors", colors)
+        self._store(k, colors)
 
     def __len__(self) -> int:
         return len(self.colors)
@@ -228,12 +227,9 @@ def _screen(adj: Sequence[Sequence[int]], m: int, k: int) -> str | None:
     ``check_necessary`` takes its ``failed_rule`` from here.
 
     The last rule, size-divisibility (k² divides m), holds for every graph
-    with a balanced k-coloring, isolated vertices or not.  Let V_1..V_k be
-    the color classes and S_i = Σ_{v∈V_i} d(v)/k.  Each v in V_i has d(v)/k
-    neighbours in every class, so for i ≠ j, e(V_i, V_j) = S_i, and by
-    symmetry S_i = S_j; within one class, 2·e(V_i) = S_i.  So every S_i is
-    one even number S, and m = k·S/2 + C(k,2)·S = k²·S/2.  On a regular
-    graph regular-size, the same test, fires first and keeps its name.
+    with a balanced k-coloring, isolated vertices or not; ``check_necessary``
+    gives the proof.  On a regular graph regular-size, the same test, fires
+    first and keeps its name.
     """
     degrees = set(map(len, adj))
     for d in degrees:
@@ -323,9 +319,10 @@ def check_necessary(g: Graph, k: int) -> NecessityReport:
     5. size-divisibility: every graph needs |E| ≡ 0 (mod k²).  Rule 4 is
        its regular case, kept first so a regular graph's refusal keeps its
        name.  Proof: let V_1..V_k be the classes of a balanced coloring and
-       S_i = Σ_{v∈V_i} d(v)/k.  For i ≠ j, e(V_i, V_j) = S_i = S_j, and
-       2·e(V_i) = S_i, so every S_i is one even number S and
-       |E| = k·S/2 + C(k,2)·S = k²·S/2.
+       S_i = Σ_{v∈V_i} d(v)/k.  Each v in V_i has d(v)/k neighbours in
+       every class, so for i ≠ j, e(V_i, V_j) = S_i, and by symmetry
+       S_i = S_j; within one class, 2·e(V_i) = S_i.  So every S_i is one
+       even number S and |E| = k·S/2 + C(k,2)·S = k²·S/2.
 
     The regularity sub-report is populated whenever it applies, even if an
     earlier rule already failed, so callers can always read off the residues.

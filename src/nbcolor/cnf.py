@@ -10,23 +10,24 @@ model's register values are forced by the selector values; decoding needs
 only the selectors.  The at-least side reads off the final register, the
 at-most side forbids incrementing past the quota.
 
-A counter's clauses depend only on the degree and the quota, so ``to_cnf``
+A counter's clauses depend only on the degree and the quota, so a document
 encodes one template per distinct degree, over numbered slots, and every
 (vertex, color) constraint fills a template's slots with its neighbors'
-selectors and its own registers.  The document keeps the templates and the
-graph rather than the clauses: ``clauses`` is built on each read, and
-``to_dimacs`` streams the text one constraint at a time, so exporting needs
-memory for neither.
+selectors and its own registers.  The document keeps the graph and k
+rather than the clauses or the templates: each read of ``clauses`` and each
+``to_dimacs`` builds the templates afresh, and ``to_dimacs`` streams the text
+one constraint at a time, so exporting holds neither the clauses nor the
+text.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from io import StringIO, TextIOBase
-from operator import attrgetter
 
 from .balance import Coloring
-from .graph import Graph, _Record, _require_int, _require_vertex, _setfield
+from .graph import Graph, _Record, _require_int, _require_vertex
 
 
 class _Template(_Record):
@@ -62,53 +63,19 @@ class CnfDocument(_Record):
 
     ``clauses`` hold signed DIMACS-style literals.  ``var(v, c)`` maps a
     vertex/color pair to its selector variable; auxiliary counter variables
-    live above ``n * k``.  The clauses expand from ``graph``, the
-    exactly-one template and one counter template per degree (``counters``);
-    a refused instance has no graph and the single empty clause.
-
-    The repr leaves out the graph and the templates, and equality ignores the
-    templates, which follow from the graph and k.
+    live above ``n * k``.  The clauses expand from ``graph`` and k through
+    the exactly-one template and one counter template per distinct degree,
+    built on each expansion; a refused instance has no graph and the single
+    empty clause.
     """
 
-    __slots__ = _fields = (
-        "n", "k", "num_vars", "num_clauses", "comments",
-        "graph", "exactly_one", "counters",
-    )
-    _key = attrgetter(*_fields[:6])  # equality and hash skip the templates
+    __slots__ = _fields = ("n", "k", "num_vars", "num_clauses", "comments", "graph")
     n: int
     k: int
     num_vars: int
     num_clauses: int
     comments: tuple[str, ...]
     graph: Graph | None
-    exactly_one: _Template | None
-    counters: Mapping[int, _Template]
-
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        num_vars: int,
-        num_clauses: int,
-        comments: tuple[str, ...],
-        graph: Graph | None = None,
-        exactly_one: _Template | None = None,
-        counters: Mapping[int, _Template] | None = None,
-    ) -> None:
-        _setfield(self, "n", n)
-        _setfield(self, "k", k)
-        _setfield(self, "num_vars", num_vars)
-        _setfield(self, "num_clauses", num_clauses)
-        _setfield(self, "comments", comments)
-        _setfield(self, "graph", graph)
-        _setfield(self, "exactly_one", exactly_one)
-        _setfield(self, "counters", {} if counters is None else counters)
-
-    def __repr__(self) -> str:
-        return (
-            f"CnfDocument(n={self.n!r}, k={self.k!r}, num_vars={self.num_vars!r}, "
-            f"num_clauses={self.num_clauses!r}, comments={self.comments!r})"
-        )
 
     def var(self, v: int, c: int) -> int:
         _require_vertex(v, self.n)
@@ -132,17 +99,19 @@ class CnfDocument(_Record):
 
     def _blocks(self) -> Iterator[tuple[_Template, Sequence[int]]]:
         """Each constraint's template and its slot values, in clause order."""
-        g, k, one = self.graph, self.k, self.exactly_one
-        if g is None or one is None:
+        g, k = self.graph, self.k
+        if g is None:
             yield _EMPTY, ()
             return
+        one = _exactly_one(k)
+        counters = {d: _counter(d, d // k) for d in set(map(len, g.adjacency)) if d}
         for v in range(self.n):
             yield one, range(v * k + 1, v * k + k + 1)
         next_var = self.n * k + 1
         for nb in g.adjacency:
             if not nb:
                 continue
-            counter = self.counters[len(nb)]
+            counter = counters[len(nb)]
             width = counter.registers
             for c in range(1, k + 1):
                 values = [u * k + c for u in nb]
@@ -174,6 +143,14 @@ class CnfDocument(_Record):
         for template, values in self._blocks():
             write(template.text.format(*values))
         return sink.getvalue() if out is None else None
+
+
+def _exactly_one(k: int) -> _Template:
+    """Exactly one of slots 1..k, one vertex's selectors, is true."""
+    return _template(
+        [tuple(range(1, k + 1))]
+        + [(-a, -b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+    )
 
 
 def _counter(d: int, q: int) -> _Template:
@@ -228,49 +205,19 @@ def to_cnf(g: Graph, k: int) -> CnfDocument:
     degrees = g.degrees()
     offender = next((v for v, d in enumerate(degrees) if d % k != 0), None)
     if offender is not None:
-        return CnfDocument(
-            n=n,
-            k=k,
-            num_vars=n * k,
-            num_clauses=1,
-            comments=tuple(
-                base_comments
-                + [
-                    f"vertex {offender} has degree {degrees[offender]}, not a "
-                    f"multiple of {k}: the instance is trivially unsatisfiable",
-                ]
-            ),
+        base_comments.append(
+            f"vertex {offender} has degree {degrees[offender]}, not a "
+            f"multiple of {k}: the instance is trivially unsatisfiable"
         )
+        return CnfDocument(n, k, n * k, 1, tuple(base_comments), None)
 
-    # Slots 1..k are one vertex's selectors.
-    exactly_one = _template(
-        [tuple(range(1, k + 1))]
-        + [(-a, -b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
-    )
-    num_vars = n * k
-    num_clauses = n * len(exactly_one.clauses)
-    # Slots 1..d are a degree-d vertex's neighbors' selectors of one color,
-    # and the registers follow them.
-    counters: dict[int, _Template] = {}
-    for d in degrees:
-        if not d:
-            continue
-        counter = counters.get(d)
-        if counter is None:
-            counter = counters[d] = _counter(d, d // k)
-        num_vars += k * counter.registers
-        num_clauses += k * len(counter.clauses)
-
-    return CnfDocument(
-        n=n,
-        k=k,
-        num_vars=num_vars,
-        num_clauses=num_clauses,
-        comments=tuple(base_comments),
-        graph=g,
-        exactly_one=exactly_one,
-        counters=counters,
-    )
+    num_vars, num_clauses = n * k, n * len(_exactly_one(k).clauses)
+    for d, count in Counter(degrees).items():
+        if d:
+            counter = _counter(d, d // k)
+            num_vars += count * k * counter.registers
+            num_clauses += count * k * len(counter.clauses)
+    return CnfDocument(n, k, num_vars, num_clauses, tuple(base_comments), g)
 
 
 __all__ = ["CnfDocument", "to_cnf"]

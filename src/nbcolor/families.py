@@ -14,7 +14,7 @@ from collections.abc import Iterable
 
 from .balance import Coloring, Refusal, _balanced_output
 from .graph import (
-    Graph, _Record, _require_int, _require_vertex, _setfield,
+    Graph, _Record, _require_int, _require_vertex,
     complete_multipartite_graph, cycle_graph,
 )
 
@@ -50,8 +50,7 @@ class CirculantSpec(_Record):
                 raise ValueError(f"connections must be strictly increasing: {conns}")
         if conns[-1] * 2 >= n:
             raise ValueError(f"largest connection {conns[-1]} must be < n/2 = {n / 2}")
-        _setfield(self, "n", n)
-        _setfield(self, "connections", conns)
+        self._store(n, conns)
 
     @property
     def arity(self) -> int:
@@ -164,8 +163,7 @@ class HammingSpec(_Record):
     def __init__(self, d: int, k: int) -> None:
         _require_int(d, "word length", 1)
         _require_int(k, "alphabet size", 2)
-        _setfield(self, "d", d)
-        _setfield(self, "k", k)
+        self._store(d, k)
 
     @property
     def n(self) -> int:

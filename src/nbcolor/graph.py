@@ -32,46 +32,42 @@ def _edge_pairs(adj: Iterable[Iterable[int]]) -> list[tuple[int, int]]:
     return [(u, v) for u, row in enumerate(adj) for v in row if u < v]
 
 
-# A record's __init__ stores its fields through this, past its own __setattr__.
-_setfield = object.__setattr__
-
-
 class _Record:
     """Base of the package's value records, immutable like ``Graph``.
 
     A subclass names its two or more fields once, in constructor order, in
-    ``_fields``, which is also its ``__slots__``.  Unless it writes its own
-    ``__init__``, it gets one compiled from ``_fields`` alone that takes
-    those fields in that order and stores each unchanged with ``_setfield``.
-    A record writes its own when it checks or normalises its arguments
-    (``Coloring``, ``SolveConfig``, ``CirculantSpec``, ``HammingSpec``,
-    ``VertexPairIndex``, ``EssInstance``, ``UnionSpec``) or needs a fresh
-    ``{}`` default per instance (``CnfDocument``, ``SolveOutcome``).
-    Equality, hash, repr and pickling work over ``_fields``; a subclass may
-    narrow what equality and hash compare by setting ``_key`` to an
-    ``attrgetter`` of its own.  Records of different classes never compare
-    equal.
+    ``_fields``, which is also its ``__slots__``.  It gets a method
+    ``_store``, compiled from ``_fields`` alone, that takes those fields in
+    that order and stores each unchanged through its slot's own setter, past
+    ``__setattr__``.  A record that writes no ``__init__`` takes ``_store``
+    as its constructor.  One writes its own, ending in a ``_store`` call,
+    when it checks or normalises its arguments (``Coloring``,
+    ``SolveConfig``, ``CirculantSpec``, ``HammingSpec``, ``VertexPairIndex``,
+    ``EssInstance``, ``UnionSpec``) or needs a fresh ``{}`` default per
+    instance (``SolveOutcome``).  Equality, hash, repr and pickling work over
+    ``_fields``.  Records of different classes never compare equal.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    # Each reads its tuple of field values off the record given as argument.
+    # Reads the tuple of field values off the record given as argument.
     _values: attrgetter
-    _key: attrgetter
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         if "_fields" in cls.__dict__:  # else all three are inherited with the fields
             cls._values = attrgetter(*cls._fields)
-            if "_key" not in cls.__dict__:
-                cls._key = cls._values
-            if "__init__" not in cls.__dict__:  # compiled as namedtuple does
-                names = ", ".join(cls._fields)
-                body = "".join([f"\n    _setfield(self, {f!r}, {f})" for f in cls._fields])
-                space = {"_setfield": _setfield, "__name__": cls.__module__}
-                exec(f"def __init__(self, {names}):{body}", space)
-                cls.__init__ = space["__init__"]
-                cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # named in TypeErrors
+            # Compiled as namedtuple does.  A bound slot setter takes about
+            # 0.6 of the time of object.__setattr__; solve builds one per call.
+            names = ", ".join(cls._fields)
+            body = "".join([f"\n    _set_{f}(self, {f})" for f in cls._fields])
+            space = {f"_set_{f}": cls.__dict__[f].__set__ for f in cls._fields}
+            space["__name__"] = cls.__module__
+            exec(f"def _store(self, {names}):{body}", space)
+            cls._store = store = space["_store"]
+            if "__init__" not in cls.__dict__:
+                cls.__init__ = store
+                store.__qualname__ = f"{cls.__qualname__}.__init__"  # named in TypeErrors
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -81,11 +77,11 @@ class _Record:
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._key(self) == other._key(other)
+            return self._values(self) == other._values(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .balance import Coloring, Refusal, _balanced_input, _balanced_output
-from .graph import Graph, _Record, _require_int, _require_vertex, _setfield
+from .graph import Graph, _Record, _require_int, _require_vertex
 
 
 class VertexPairIndex(_Record):
@@ -34,8 +34,7 @@ class VertexPairIndex(_Record):
     def __init__(self, g_order: int, h_order: int) -> None:
         _require_int(g_order, "g_order")
         _require_int(h_order, "h_order")
-        _setfield(self, "g_order", g_order)
-        _setfield(self, "h_order", h_order)
+        self._store(g_order, h_order)
 
     def index(self, u: int, v: int) -> int:
         _require_int(u, "first coordinate")

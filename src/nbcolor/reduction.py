@@ -20,13 +20,13 @@ numeric-vertex split the argument relied on.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import product
 
 from .balance import (
     BalanceReport, Coloring, _balanced, _balanced_output, _require_fit, is_nbkc
 )
-from .graph import Graph, _Record, _require_int, _setfield
+from .graph import Graph, _Record, _require_int
 
 
 class EssInstance(_Record):
@@ -49,8 +49,7 @@ class EssInstance(_Record):
         _require_int(k, "subset count", 2)
         if any(a < 1 for a in values):
             raise ValueError(f"all elements must be positive integers: {values}")
-        _setfield(self, "values", values)
-        _setfield(self, "k", k)
+        self._store(values, k)
 
     @property
     def total(self) -> int:
@@ -151,26 +150,48 @@ class HousePlacement(_Record):
         return tuple(_house_layout(self.k, self.element, self.offset)[2])
 
 
-class ReductionInstance(_Record):
-    """A compiled equal-sum-subsets question.
+def _house_span(inst: EssInstance) -> int:
+    """How many vertices the houses of ``inst`` take: (k+1)·ΣT + (k-1)·|T|."""
+    return (inst.k + 1) * inst.total + (inst.k - 1) * len(inst.values)
 
-    ``houses[i]`` hosts element ``instance.values[i]``; ``distributive`` are
-    the k vertices adjacent to every index vertex of every house.
+
+class ReductionInstance(_Record):
+    """A compiled equal-sum-subsets question: the instance and its graph.
+
+    ``houses[i]`` hosts element ``instance.values[i]``, each house starting
+    where the one before it ends; ``distributive`` are the k vertices after
+    the houses, adjacent to every index vertex of every house.  Both are
+    derived from the instance on each read.
     """
 
-    __slots__ = _fields = ("instance", "graph", "houses", "distributive")
+    __slots__ = _fields = ("instance", "graph")
     instance: EssInstance
     graph: Graph
-    houses: tuple[HousePlacement, ...]
-    distributive: tuple[int, ...]
+
+    def _layouts(self) -> Iterator[tuple[int, tuple[range, range, range]]]:
+        """Each element with its house's (bases, supports, indexes), in order."""
+        k, offset = self.instance.k, 0
+        for a in self.instance.values:
+            layout = _house_layout(k, a, offset)
+            yield a, layout
+            offset = layout[2].stop
+
+    @property
+    def houses(self) -> tuple[HousePlacement, ...]:
+        k = self.instance.k
+        return tuple(HousePlacement(a, k, layout[0].start) for a, layout in self._layouts())
+
+    @property
+    def distributive(self) -> tuple[int, ...]:
+        start = _house_span(self.instance)
+        return tuple(range(start, start + self.instance.k))
 
     def roles(self) -> dict[int, tuple[str, int | None]]:
         """A fresh vertex -> (role, element) table; distributive vertices carry None."""
         table: dict[int, tuple[str, int | None]] = {}
-        for p in self.houses:
-            layout = _house_layout(p.k, p.element, p.offset)
+        for a, layout in self._layouts():
             for role, labels in zip(("base", "support", "index"), layout):
-                table.update(dict.fromkeys(labels, (role, p.element)))
+                table.update(dict.fromkeys(labels, (role, a)))
         table.update(dict.fromkeys(self.distributive, ("distributive", None)))
         return table
 
@@ -182,15 +203,12 @@ def reduce_ess_to_nbc(inst: EssInstance) -> ReductionInstance:
     nonadjacent distributive vertices each adjacent to every index vertex.
     Total vertex count: (k+1)·ΣT + (k-1)·|T| + k.
     """
-    k, values = inst.k, inst.values
-    n = (k + 1) * sum(values) + (k - 1) * len(values)
+    k, n = inst.k, _house_span(inst)
     distributive = tuple(range(n, n + k))
-    placements: list[HousePlacement] = []
     rows: list[tuple[int, ...]] = []
     all_indexes: list[int] = []
     offset = 0
-    for a in values:
-        placements.append(HousePlacement(a, k, offset))
+    for a in inst.values:
         house_rows, indexes = _house_rows(k, a, offset, distributive)
         rows += house_rows
         all_indexes += indexes
@@ -199,7 +217,7 @@ def reduce_ess_to_nbc(inst: EssInstance) -> ReductionInstance:
     # so the concatenated rows are already the canonical ones.
     rows += [tuple(all_indexes)] * k
     graph = Graph._from_tables(n + k, tuple(rows))
-    return ReductionInstance(inst, graph, tuple(placements), distributive)
+    return ReductionInstance(inst, graph)
 
 
 class UnbalancedColoring(ValueError):
@@ -247,31 +265,22 @@ def decode(rinst: ReductionInstance, c: Coloring) -> tuple[tuple[int, ...], ...]
     """Read the equal-sum partition out of a balanced coloring of ``rinst``.
 
     The trusted door.  After the balance gate (:class:`UnbalancedColoring`),
-    the houses must host the instance's elements in order at its k, ``c``
-    must use k colors, and the houses must tile vertices 0..n-k-1 in order
-    below the k distributive vertices (``ValueError``); the reader takes
+    ``c`` must use the instance's k colors and the graph must have the
+    vertex count the instance compiles to (``ValueError``); the reader takes
     each house's index vertices from ``_house_layout``.
     """
     _require_balanced(rinst.graph, c)
-    values, k = rinst.instance.values, rinst.instance.k
-    if [(p.element, p.k) for p in rinst.houses] != [(a, k) for a in values]:
-        raise ValueError(f"the houses do not host the elements {list(values)} at k = {k}")
-    if c.k != k:
-        raise ValueError(f"coloring palette {c.k} does not match the instance's k = {k}")
-    houses: list[tuple[int, range]] = []
-    stop = 0
-    for a, p in zip(values, rinst.houses):
-        if p.offset != stop:
-            raise ValueError(f"the house of element {a} starts at {p.offset}, not at {stop}")
-        indexes = _house_layout(k, a, stop)[2]
-        houses.append((a, indexes))
-        stop = indexes.stop
-    n = rinst.graph.n
-    if stop != n - k or rinst.distributive != tuple(range(stop, n)):
-        raise ValueError(f"houses ending at {stop} and distributive vertices "
-                         f"{list(rinst.distributive)} do not tile {n} vertices "
-                         f"(expected {n - k} and {n - k}..{n - 1})")
-    return _read_houses(houses, c)
+    inst, n = rinst.instance, rinst.graph.n
+    if c.k != inst.k:
+        raise ValueError(
+            f"coloring palette {c.k} does not match the instance's k = {inst.k}"
+        )
+    expected = _house_span(inst) + inst.k
+    if n != expected:
+        raise ValueError(
+            f"the graph has {n} vertices, not the {expected} that {inst} compiles to"
+        )
+    return _read_houses([(a, layout[2]) for a, layout in rinst._layouts()], c)
 
 
 def decode_from_roles(

@@ -93,7 +93,7 @@ from collections.abc import Iterator
 from itertools import product
 
 from .balance import Coloring, _balanced, _balanced_output, _screen
-from .graph import Graph, _Record, _require_int, _setfield
+from .graph import Graph, _Record, _require_int
 
 _MODES = ("first-witness", "canonical-min", "count")
 
@@ -123,8 +123,7 @@ class SolveConfig(_Record):
             _require_int(node_budget, "node budget")
             if node_budget <= 0:
                 raise ValueError(f"node budget must be positive, got {node_budget}")
-        _setfield(self, "mode", mode)
-        _setfield(self, "node_budget", node_budget)
+        self._store(mode, node_budget)
 
 
 _DEFAULT_CONFIG = SolveConfig()
@@ -134,8 +133,9 @@ class SolveOutcome(_Record):
     """Result of a solve or brute-force run.
 
     ``status`` is SAT, UNSAT, or BUDGET_EXCEEDED.  ``witness`` is present
-    exactly when SAT (and has been verified balanced before being returned).
-    ``count`` is present in count mode.  ``nodes_explored`` counts the
+    exactly when SAT outside count mode (and has been verified balanced
+    before being returned); a count has none.  ``count`` is present in count
+    mode unless the budget ran out.  ``nodes_explored`` counts the
     assignments made (tried, by brute force), so under BUDGET_EXCEEDED it
     equals the budget.  ``pruned_by`` tallies how often each pruning rule
     fired, keyed by rule name: ``symmetry`` and ``twin`` count candidate
@@ -145,15 +145,9 @@ class SolveOutcome(_Record):
     forward checking, and ``deficit`` assignments that left some uncolored
     vertex without a feasible color.  When the necessity gate refuses, the only key
     is the failed screen's rule name (for example ``regular-size``).
-
-    The one mutable record: the solver fills it in after the search, so its
-    fields take assignment and it has no hash.
     """
 
     __slots__ = _fields = ("status", "witness", "count", "nodes_explored", "pruned_by")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
     status: str
     witness: Coloring | None
     count: int | None
@@ -168,11 +162,9 @@ class SolveOutcome(_Record):
         nodes_explored: int = 0,
         pruned_by: dict[str, int] | None = None,
     ) -> None:
-        self.status = status
-        self.witness = witness
-        self.count = count
-        self.nodes_explored = nodes_explored
-        self.pruned_by = {} if pruned_by is None else pruned_by
+        if pruned_by is None:
+            pruned_by = {}
+        self._store(status, witness, count, nodes_explored, pruned_by)
 
 
 def _search(
@@ -448,28 +440,22 @@ def solve(g: Graph, k: int, cfg: SolveConfig | None = None) -> SolveOutcome:
     cfg = cfg or _DEFAULT_CONFIG
     rule = _screen(g.adjacency, g.m, k)
     if rule is not None:
-        return SolveOutcome(
-            status="UNSAT",
-            count=0 if cfg.mode == "count" else None,
-            nodes_explored=0,
-            pruned_by={rule: 1},
-        )
+        count = 0 if cfg.mode == "count" else None
+        return SolveOutcome("UNSAT", None, count, 0, {rule: 1})
     # g.m >= 1 makes a regular graph's degree at least 1.
     if cfg.mode != "canonical-min" and g.m and g.is_regular():
         order = _connected_order(g)
     else:
         order = _vertex_order(g)
     found, color, nodes, pruned, count = _search(g.adjacency, k, order, cfg)
-    out = SolveOutcome("UNSAT", nodes_explored=nodes, pruned_by=pruned)
     if found is None:
-        out.status = "BUDGET_EXCEEDED"
-    elif cfg.mode == "count":
-        out.status = "SAT" if count else "UNSAT"
-        out.count = count
-    elif found:
-        out.status = "SAT"
-        out.witness = _balanced_output(g, Coloring(k, tuple(color)), "solver witness")
-    return out
+        return SolveOutcome("BUDGET_EXCEEDED", None, None, nodes, pruned)
+    if cfg.mode == "count":
+        return SolveOutcome("SAT" if count else "UNSAT", None, count, nodes, pruned)
+    if not found:
+        return SolveOutcome("UNSAT", None, None, nodes, pruned)
+    witness = _balanced_output(g, Coloring(k, tuple(color)), "solver witness")
+    return SolveOutcome("SAT", witness, None, nodes, pruned)
 
 
 _CAP_BITS = 24

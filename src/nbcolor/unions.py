@@ -21,7 +21,7 @@ from functools import reduce
 
 from .balance import Coloring, Refusal, _balanced_input, _balanced_output, cyclic_shift
 from .families import cycle_nbc
-from .graph import Graph, _Record, _require_int, _require_vertex, _setfield, cycle_graph
+from .graph import Graph, _Record, _require_int, _require_vertex, cycle_graph
 
 
 class UnionSpec(_Record):
@@ -47,9 +47,7 @@ class UnionSpec(_Record):
             _require_vertex(v, base.n, "glue vertex")
         if len(glue) == base.n:
             raise ValueError("glue set must be a proper subset of the vertices")
-        _setfield(self, "base", base)
-        _setfield(self, "glue", glue)
-        _setfield(self, "copies", copies)
+        self._store(base, glue, copies)
 
     @property
     def inside_edges(self) -> list[tuple[int, int]]:

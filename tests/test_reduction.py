@@ -14,7 +14,6 @@ from nbcolor import (
     Coloring,
     EssInstance,
     Graph,
-    HousePlacement,
     ReductionInstance,
     Refusal,
     SolveConfig,
@@ -159,15 +158,16 @@ def test_decode_reads_the_compiled_houses(monkeypatch):
 
     rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
     witness = solve(rinst.graph, 2).witness
+    reads = [(2, p.element, p.offset) for p in rinst.houses]
     layouts = []
     layout = reduction._house_layout
     monkeypatch.setattr(reduction, "_house_layout",
                         lambda *args: layouts.append(args) or layout(*args))
     monkeypatch.setattr(reduction.ReductionInstance, "roles", None)
     assert decode(rinst, witness) == ((1, 2), (3,))
-    assert layouts == [(2, p.element, p.offset) for p in rinst.houses]
+    assert layouts == reads
     assert decode(rinst, witness) == ((1, 2), (3,))
-    assert len(layouts) == 2 * len(rinst.houses)
+    assert layouts == reads * 2
     monkeypatch.undo()
     roles = rinst.roles()
     assert roles is not rinst.roles()
@@ -530,23 +530,26 @@ def test_decode_from_roles_reads_a_relabelled_instance(values, k):
         assert [sorted(part) for part in parts] == expect
 
 
-def test_decode_refuses_houses_that_disagree_with_the_instance():
-    """A hand-built instance whose houses do not host its elements at its k
-    is refused before any house is read, although the witness is balanced."""
+def test_decode_refuses_a_graph_of_the_wrong_vertex_count():
+    """A hand-built instance whose graph does not have the vertex count its
+    instance compiles to is refused with ValueError before any house is
+    read, although the witness is balanced: no house reaches past the graph."""
     rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
     witness = solve(rinst.graph, 2).witness
-    g, houses, hub = rinst.graph, rinst.houses, rinst.distributive
-    at_three = tuple(HousePlacement(p.element, 3, p.offset) for p in houses)
-    for lie in (
-        ReductionInstance(EssInstance((3, 2, 1), 2), g, houses, hub),
-        ReductionInstance(EssInstance((1, 2, 3, 6), 2), g, houses, hub),
-        ReductionInstance(EssInstance((1, 2), 2), g, houses, hub),
-        ReductionInstance(EssInstance((1, 2, 3), 3), g, houses, hub),
-        ReductionInstance(rinst.instance, g, at_three, hub),
+    g = rinst.graph
+    wider = Graph(g.n + 2, g.edges), Coloring(2, witness.colors + (1, 2))
+    for lie, c in (
+        (ReductionInstance(EssInstance((1, 2, 3, 6), 2), g), witness),
+        (ReductionInstance(EssInstance((1, 2, 3, 1), 2), g), witness),
+        (ReductionInstance(EssInstance((1, 2), 2), g), witness),
+        (ReductionInstance(rinst.instance, wider[0]), wider[1]),
     ):
-        with pytest.raises(ValueError, match="houses do not host") as caught:
-            decode(lie, witness)
+        with pytest.raises(ValueError, match="vertices, not the") as caught:
+            decode(lie, c)
         assert not isinstance(caught.value, UnbalancedColoring)
+    with pytest.raises(ValueError, match="palette 2 does not match"):
+        decode(ReductionInstance(EssInstance((1, 2, 3), 3), g), witness)
+    assert decode(rinst, witness)
 
 
 def test_decode_from_roles_validates_sidecar():
@@ -672,35 +675,3 @@ def test_flawed_gadget_roles_cover_graph():
     fg = flawed_gadget({2, 1})
     roles = fg.roles()
     assert set(roles) == set(range(fg.graph.n))
-
-
-@pytest.mark.parametrize("shift", [100, 1])
-def test_decode_refuses_houses_that_do_not_tile_the_graph(shift):
-    """Houses with the right elements and k but moved off their blocks are
-    refused before any house is read: far past the graph, or by one."""
-    rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
-    witness = solve(rinst.graph, 2).witness
-    moved = tuple(HousePlacement(p.element, p.k, p.offset + shift) for p in rinst.houses)
-    lie = ReductionInstance(rinst.instance, rinst.graph, moved, rinst.distributive)
-    with pytest.raises(ValueError, match="starts at") as caught:
-        decode(lie, witness)
-    assert not isinstance(caught.value, UnbalancedColoring)
-
-
-def test_decode_refuses_houses_that_stop_short_of_the_distributive_vertices():
-    """The houses must end where the k distributive vertices, the graph's
-    last, begin; two isolated vertices appended keep the coloring balanced,
-    whether the old or the new last two are called distributive."""
-    rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
-    witness = solve(rinst.graph, 2).witness
-    g, houses, hub = rinst.graph, rinst.houses, rinst.distributive
-    wider = Graph(g.n + 2, g.edges), Coloring(2, witness.colors + (1, 2))
-    for lie, c in (
-        (ReductionInstance(rinst.instance, g, houses, hub[::-1]), witness),
-        (ReductionInstance(rinst.instance, g, houses, tuple(v - 1 for v in hub)), witness),
-        (ReductionInstance(rinst.instance, wider[0], houses, hub), wider[1]),
-        (ReductionInstance(rinst.instance, wider[0], houses, (g.n, g.n + 1)), wider[1]),
-    ):
-        with pytest.raises(ValueError, match="do not tile"):
-            decode(lie, c)
-    assert decode(rinst, witness)
