@@ -530,22 +530,23 @@ def test_decode_from_roles_reads_a_relabelled_instance(values, k):
         assert [sorted(part) for part in parts] == expect
 
 
-def test_decode_refuses_a_graph_of_the_wrong_vertex_count():
-    """A hand-built instance whose graph does not have the vertex count its
-    instance compiles to is refused with ValueError before any house is
-    read, although the witness is balanced: no house reaches past the graph."""
+def test_decode_refuses_houses_that_disagree_with_the_instance():
+    """A hand-built instance whose derived houses do not match its graph is
+    refused with ValueError, although the witness is balanced: more or fewer
+    elements, or a repeated one, change the vertex count and are refused
+    before any house is read; the same elements in another order put two
+    colors on one house; another k does not match the palette."""
     rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
     witness = solve(rinst.graph, 2).witness
     g = rinst.graph
-    wider = Graph(g.n + 2, g.edges), Coloring(2, witness.colors + (1, 2))
-    for lie, c in (
-        (ReductionInstance(EssInstance((1, 2, 3, 6), 2), g), witness),
-        (ReductionInstance(EssInstance((1, 2, 3, 1), 2), g), witness),
-        (ReductionInstance(EssInstance((1, 2), 2), g), witness),
-        (ReductionInstance(rinst.instance, wider[0]), wider[1]),
+    for values, message in (
+        ((1, 2, 3, 6), "vertices, not the"),
+        ((1, 2, 3, 1), "vertices, not the"),
+        ((1, 2), "vertices, not the"),
+        ((3, 2, 1), "carry colors"),
     ):
-        with pytest.raises(ValueError, match="vertices, not the") as caught:
-            decode(lie, c)
+        with pytest.raises(ValueError, match=message) as caught:
+            decode(ReductionInstance(EssInstance(values, 2), g), witness)
         assert not isinstance(caught.value, UnbalancedColoring)
     with pytest.raises(ValueError, match="palette 2 does not match"):
         decode(ReductionInstance(EssInstance((1, 2, 3), 3), g), witness)
@@ -675,3 +676,34 @@ def test_flawed_gadget_roles_cover_graph():
     fg = flawed_gadget({2, 1})
     roles = fg.roles()
     assert set(roles) == set(range(fg.graph.n))
+
+
+@pytest.mark.parametrize("shift", [100, 1])
+def test_decode_refuses_houses_that_do_not_tile_the_graph(shift):
+    """A graph whose houses sit ``shift`` labels past where the instance
+    puts them, behind isolated vertices, is refused before any house is
+    read: far past the graph's start, or by one."""
+    rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
+    witness = solve(rinst.graph, 2).witness
+    g = rinst.graph
+    moved = Graph(g.n + shift, [(u + shift, v + shift) for u, v in g.edges])
+    pad = (1, 2) * (shift // 2) + (1,) * (shift % 2)
+    c = Coloring(2, pad + witness.colors)
+    with pytest.raises(ValueError, match="vertices, not the") as caught:
+        decode(ReductionInstance(rinst.instance, moved), c)
+    assert not isinstance(caught.value, UnbalancedColoring)
+
+
+def test_decode_refuses_houses_that_stop_short_of_the_distributive_vertices():
+    """The houses must end where the k distributive vertices, the graph's
+    last, begin; two isolated vertices appended keep the coloring balanced
+    but leave the houses short of the graph's last k vertices."""
+    rinst = reduce_ess_to_nbc(EssInstance((1, 2, 3), 2))
+    witness = solve(rinst.graph, 2).witness
+    g = rinst.graph
+    wider = Graph(g.n + 2, g.edges)
+    c = Coloring(2, witness.colors + (1, 2))
+    with pytest.raises(ValueError, match="vertices, not the") as caught:
+        decode(ReductionInstance(rinst.instance, wider), c)
+    assert not isinstance(caught.value, UnbalancedColoring)
+    assert decode(rinst, witness)
