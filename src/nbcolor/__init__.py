@@ -12,7 +12,8 @@ Submodules load on first use.  Importing the package registers each of them
 in ``sys.modules`` without running it, and a public name such as
 ``nbcolor.solve`` runs its home module the first time it is read, so a CLI
 command executes only the modules it needs.  The package binds no such name
-itself: each read looks it up in its home module.
+itself: each read looks it up in its home module.  ``_EXPORTS`` is the one
+list of public names: each submodule's ``__all__`` is its row of it.
 
 Before Python 3.12.3, ``importlib.util.LazyLoader`` takes no lock, so the
 first use of each submodule is not thread-safe there: two threads that read
@@ -26,7 +27,7 @@ import sys
 
 __version__ = "0.1.0"
 
-# The home module of every public name.
+# The home module of every public name; each submodule's __all__ reads its row.
 _EXPORTS = {
     "balance": (
         "BalanceReport", "Coloring", "NecessityReport", "Refusal", "RegularityChecks",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 # The package registers its submodules lazily, so binding them here runs
 # none of them: a command runs only the modules its handler reads.
@@ -20,8 +19,13 @@ from .balance import Coloring, Refusal, check_necessary, is_closed_nbkc, is_nbkc
 from .graph import Graph, cycle_graph
 
 
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read()
+
+
 def _read_graph(path: str) -> Graph:
-    return io.graph_from_text(Path(path).read_text())
+    return io.graph_from_text(_read(path))
 
 
 def _require_palette_fits(path: str, k: int, n: int, vertices: str) -> None:
@@ -38,13 +42,14 @@ def _require_palette_fits(path: str, k: int, n: int, vertices: str) -> None:
 
 def _read_coloring(path: str) -> Coloring:
     """Read a coloring file whose palette is no larger than its vertex count."""
-    c = io.coloring_from_text(Path(path).read_text())
+    c = io.coloring_from_text(_read(path))
     _require_palette_fits(path, c.k, len(c.colors), "colored vertices")
     return c
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
+    with open(path, "w") as f:
+        f.write(text)
 
 
 def _emit_pair(prefix: str | None, g: Graph, c: Coloring | None) -> None:
@@ -312,6 +317,8 @@ def _cmd_union(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    from pathlib import Path  # unlike os.path, names out.'s sidecar out..roles
+
     values = _parse_int_list(args.ess, "--ess")
     graph_path = args.output
     roles_path = args.roles or str(Path(graph_path).with_suffix(".roles"))
@@ -335,10 +342,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
+    from pathlib import Path  # names the default sidecar as reduce does
+
     g = _read_graph(args.graph)
     c = _read_coloring(args.coloring)
     roles_path = args.roles or str(Path(args.graph).with_suffix(".roles"))
-    roles = io.roles_from_text(Path(roles_path).read_text())
+    roles = io.roles_from_text(_read(roles_path))
     try:
         partition = reduction.decode_from_roles(g, roles, c)
     except reduction.UnbalancedColoring as exc:
@@ -355,9 +364,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     c = _read_coloring(args.coloring) if args.coloring else None
-    roles = (
-        io.roles_from_text(Path(args.roles).read_text()) if args.roles else None
-    )
+    roles = io.roles_from_text(_read(args.roles)) if args.roles else None
     text = io.to_dot(g, c, roles)
     if args.output:
         _write(args.output, text)

@@ -26,8 +26,11 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from io import StringIO, TextIOBase
 
+from . import _EXPORTS
 from .balance import Coloring
 from .graph import Graph, _Record, _require_int, _require_vertex
+
+__all__ = list(_EXPORTS["cnf"])
 
 
 class _Template(_Record):
@@ -63,19 +66,21 @@ class CnfDocument(_Record):
 
     ``clauses`` hold signed DIMACS-style literals.  ``var(v, c)`` maps a
     vertex/color pair to its selector variable; auxiliary counter variables
-    live above ``n * k``.  The clauses expand from ``graph`` and k through
-    the exactly-one template and one counter template per distinct degree,
-    built on each expansion; a refused instance has no graph and the single
-    empty clause.
+    live above ``n * k``.  The document stores k, its comments and the graph;
+    n, the counts and the clauses follow from them.  The clauses expand
+    through the exactly-one template and one counter template per distinct
+    degree, built on each expansion, or are the single empty clause when
+    some degree is not a multiple of k.
     """
 
-    __slots__ = _fields = ("n", "k", "num_vars", "num_clauses", "comments", "graph")
-    n: int
+    __slots__ = _fields = ("k", "comments", "graph")
     k: int
-    num_vars: int
-    num_clauses: int
     comments: tuple[str, ...]
-    graph: Graph | None
+    graph: Graph
+
+    n = property(lambda self: self.graph.n)
+    num_vars = property(lambda self: self._sizes()[0])
+    num_clauses = property(lambda self: self._sizes()[1])
 
     def var(self, v: int, c: int) -> int:
         _require_vertex(v, self.n)
@@ -97,14 +102,29 @@ class CnfDocument(_Record):
             colors.append(chosen[0])
         return Coloring(self.k, tuple(colors))
 
+    def _sizes(self) -> tuple[int, int]:
+        """The variable and clause counts of the DIMACS header."""
+        g, k = self.graph, self.k
+        degrees = Counter(g.degrees())
+        if any(d % k for d in degrees):
+            return g.n * k, 1
+        num_vars, num_clauses = g.n * k, g.n * len(_exactly_one(k).clauses)
+        for d, count in degrees.items():
+            if d:
+                counter = _counter(d, d // k)
+                num_vars += count * k * counter.registers
+                num_clauses += count * k * len(counter.clauses)
+        return num_vars, num_clauses
+
     def _blocks(self) -> Iterator[tuple[_Template, Sequence[int]]]:
         """Each constraint's template and its slot values, in clause order."""
         g, k = self.graph, self.k
-        if g is None:
+        degrees = set(g.degrees())
+        if any(d % k for d in degrees):
             yield _EMPTY, ()
             return
         one = _exactly_one(k)
-        counters = {d: _counter(d, d // k) for d in set(map(len, g.adjacency)) if d}
+        counters = {d: _counter(d, d // k) for d in degrees if d}
         for v in range(self.n):
             yield one, range(v * k + 1, v * k + k + 1)
         next_var = self.n * k + 1
@@ -139,7 +159,8 @@ class CnfDocument(_Record):
         write = sink.write
         for text in self.comments:
             write(f"c {text}\n")
-        write(f"p cnf {self.num_vars} {self.num_clauses}\n")
+        num_vars, num_clauses = self._sizes()
+        write(f"p cnf {num_vars} {num_clauses}\n")
         for template, values in self._blocks():
             write(template.text.format(*values))
         return sink.getvalue() if out is None else None
@@ -209,15 +230,4 @@ def to_cnf(g: Graph, k: int) -> CnfDocument:
             f"vertex {offender} has degree {degrees[offender]}, not a "
             f"multiple of {k}: the instance is trivially unsatisfiable"
         )
-        return CnfDocument(n, k, n * k, 1, tuple(base_comments), None)
-
-    num_vars, num_clauses = n * k, n * len(_exactly_one(k).clauses)
-    for d, count in Counter(degrees).items():
-        if d:
-            counter = _counter(d, d // k)
-            num_vars += count * k * counter.registers
-            num_clauses += count * k * len(counter.clauses)
-    return CnfDocument(n, k, num_vars, num_clauses, tuple(base_comments), g)
-
-
-__all__ = ["CnfDocument", "to_cnf"]
+    return CnfDocument(k, tuple(base_comments), g)

@@ -12,11 +12,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
+from . import _EXPORTS
 from .balance import Coloring, Refusal, _balanced_output
 from .graph import (
     Graph, _Record, _require_int, _require_vertex,
     complete_multipartite_graph, cycle_graph,
 )
+
+__all__ = list(_EXPORTS["families"])
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +319,3 @@ def cycle_nbc(m: int) -> tuple[Graph, Coloring] | Refusal:
     pattern = (1, 1, 2, 2)
     candidate = Coloring(2, tuple(pattern[v % 4] for v in range(m)))
     return g, _balanced_output(g, candidate, f"coloring of C_{m}")
-
-
-__all__ = [
-    "CirculantSpec",
-    "HammingSpec",
-    "circulant_progression_nbc",
-    "circulant_residue_nbc",
-    "complete_graph_nbc",
-    "complete_multipartite_nbc",
-    "cycle_nbc",
-    "hamming_nbc",
-    "hypercube_nbc",
-]

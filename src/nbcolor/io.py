@@ -17,8 +17,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 
+from . import _EXPORTS
 from .balance import Coloring, _require_fit
 from .graph import Graph, _Record, _edge_pairs
+
+__all__ = list(_EXPORTS["io"])
 
 
 class ParseError(ValueError):
@@ -311,16 +314,3 @@ def report_to_json(report: object) -> str:
     import json  # only --format json needs it; text commands start without it
 
     return json.dumps(_plain(report), indent=2, sort_keys=True)
-
-
-__all__ = [
-    "ParseError",
-    "graph_to_text",
-    "graph_from_text",
-    "coloring_to_text",
-    "coloring_from_text",
-    "roles_to_text",
-    "roles_from_text",
-    "to_dot",
-    "report_to_json",
-]

@@ -20,8 +20,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
+from . import _EXPORTS
 from .balance import Coloring, Refusal, _balanced_input, _balanced_output
 from .graph import Graph, _Record, _require_int, _require_vertex
+
+__all__ = list(_EXPORTS["products"])
 
 
 class VertexPairIndex(_Record):
@@ -323,18 +326,3 @@ def vertex_addition(
     grown = Graph._from_tables(n + 2 * k - 1, tuple(rows))
     candidate = Coloring(k, tuple(new_colors))
     return grown, _balanced_output(grown, candidate, "vertex addition")
-
-
-__all__ = [
-    "VertexPairIndex",
-    "cartesian_product",
-    "direct_product",
-    "strong_product",
-    "lexicographic_product",
-    "product_graph",
-    "product_nbc",
-    "join_graph",
-    "join_nbc",
-    "embed_in_nbkc",
-    "vertex_addition",
-]

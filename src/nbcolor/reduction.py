@@ -23,10 +23,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import product
 
+from . import _EXPORTS
 from .balance import (
     BalanceReport, Coloring, _balanced, _balanced_output, _require_fit, is_nbkc
 )
 from .graph import Graph, _Record, _require_int
+
+__all__ = list(_EXPORTS["reduction"])
 
 
 class EssInstance(_Record):
@@ -442,20 +445,3 @@ def flawed_gadget(values: tuple[int, ...] | list[int]) -> FlawedGadget:
     return FlawedGadget(
         graph=graph, v1=v1, v2=v2, u1=u1, u2=u2, packs=tuple(packs)
     )
-
-
-__all__ = [
-    "EssInstance",
-    "HouseGadget",
-    "HousePlacement",
-    "ReductionInstance",
-    "FlawedGadget",
-    "house",
-    "house_scheme_coloring",
-    "reduce_ess_to_nbc",
-    "decode",
-    "decode_from_roles",
-    "UnbalancedColoring",
-    "ess_brute_force",
-    "flawed_gadget",
-]

@@ -92,8 +92,11 @@ import math
 from collections.abc import Iterator
 from itertools import product
 
+from . import _EXPORTS
 from .balance import Coloring, _balanced, _balanced_output, _screen
 from .graph import Graph, _Record, _require_int
+
+__all__ = list(_EXPORTS["solver"])
 
 _MODES = ("first-witness", "canonical-min", "count")
 
@@ -492,12 +495,3 @@ def brute_force(g: Graph, k: int) -> SolveOutcome:
 def count_colorings(g: Graph, k: int) -> int:
     """Number of balanced k-colorings with labeled colors, by enumeration."""
     return sum(1 for _ in _enumerate_balanced(g, k))
-
-
-__all__ = [
-    "SolveConfig",
-    "SolveOutcome",
-    "solve",
-    "brute_force",
-    "count_colorings",
-]

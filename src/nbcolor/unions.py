@@ -19,9 +19,12 @@ import math
 from collections.abc import Iterable
 from functools import reduce
 
+from . import _EXPORTS
 from .balance import Coloring, Refusal, _balanced_input, _balanced_output, cyclic_shift
 from .families import cycle_nbc
 from .graph import Graph, _Record, _require_int, _require_vertex, cycle_graph
+
+__all__ = list(_EXPORTS["unions"])
 
 
 class UnionSpec(_Record):
@@ -302,14 +305,3 @@ def cycle_union_nbc(
     candidate = Coloring(2, tuple(colors))
     what = f"union of {n} copies of C_{m} glued on {sorted(spec.glue)}"
     return union, _balanced_output(union, candidate, what)
-
-
-__all__ = [
-    "UnionSpec",
-    "CongruenceReport",
-    "union_over_set",
-    "union_nbc_independent",
-    "union_congruence",
-    "is_ideal_dependent_set",
-    "cycle_union_nbc",
-]

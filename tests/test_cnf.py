@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import bowtie, complete_model, dpll, naive_balanced, petersen, random_graph
 from nbcolor import (
+    CnfDocument,
     Graph,
     brute_force,
     complete_graph,
@@ -166,18 +167,18 @@ def test_empty_and_edgeless_documents_are_pinned():
     )
 
 
-@pytest.mark.parametrize(
-    "g,k",
-    [
-        (Graph(0), 2),
-        (Graph(4), 2),
-        (complete_graph(4), 2),
-        (cycle_graph(8), 2),
-        (_mixed_degrees(), 3),
-        (complete_multipartite_graph((2, 4, 6)), 2),
-        (hamming_nbc(3, 3)[0], 3),
-    ],
-)
+DOCUMENT_CASES = [
+    (Graph(0), 2),
+    (Graph(4), 2),
+    (complete_graph(4), 2),
+    (cycle_graph(8), 2),
+    (_mixed_degrees(), 3),
+    (complete_multipartite_graph((2, 4, 6)), 2),
+    (hamming_nbc(3, 3)[0], 3),
+]
+
+
+@pytest.mark.parametrize("g,k", DOCUMENT_CASES)
 def test_clauses_agree_with_the_text(g, k):
     """``clauses``, built on first access, the returned text and the
     streamed text are one document: same count, same literals, same order."""
@@ -188,3 +189,17 @@ def test_clauses_agree_with_the_text(g, k):
     assert sink.getvalue() == doc.to_dimacs()
     lines = sink.getvalue().splitlines()[len(doc.comments) + 1:]
     assert [tuple(map(int, line.split()[:-1])) for line in lines] == list(doc.clauses)
+
+
+@pytest.mark.parametrize("g,k", DOCUMENT_CASES + [(Graph(4, [(0, 1)]), 2), (cycle_graph(4), 2)])
+def test_header_counts_the_clauses_and_every_literal(g, k):
+    """The ``p cnf V C`` header states the document's own sizes: C clause
+    lines follow it and none names a variable above V, for refused instances
+    and for documents built by hand from k, comments and a graph."""
+    for doc in (to_cnf(g, k), CnfDocument(k, ("c",), g)):
+        lines = doc.to_dimacs().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("p "))
+        _, _, num_vars, num_clauses = lines[start].split()
+        clauses = lines[start + 1:]
+        assert len(clauses) == int(num_clauses)
+        assert all(abs(int(lit)) <= int(num_vars) for line in clauses for lit in line.split())

@@ -112,9 +112,10 @@ def test_text_commands_load_neither_dataclasses_nor_json(c4_files, tmp_path):
     needs neither ``dataclasses`` (which imports ``inspect``) nor ``json``, which
     only ``--format json`` loads.  The snapshot is printed with ``repr``, since
     ``json`` must not be imported before it is taken.  Nor does the package
-    import ``typing``: a child started without ``site`` (``-S``), which
-    otherwise may load it, runs five commands that between them run every
-    module that once imported it, and leaves it unloaded."""
+    import ``typing``, nor the CLI ``pathlib`` outside ``reduce`` and
+    ``decode``: a child started without ``site`` (``-S``), which otherwise
+    may load both, runs five commands that between them run every module that
+    once imported ``typing``, and leaves both unloaded."""
     graph, coloring = c4_files
     ran = run_fresh(
         "import sys\n"
@@ -140,10 +141,10 @@ def test_text_commands_load_neither_dataclasses_nor_json(c4_files, tmp_path):
         "codes = [run(['verify', g, c]), run(['solve', g, '-k', '2']),\n"
         "         run(['analyze', g, '-k', '2']), run(['export-cnf', g, '-k', '2', '-o', out]),\n"
         "         run(['union', '--cycle', '8', '--set', '0,4', '--copies', '3', '-o', out])]\n"
-        "print(repr((codes, 'typing' in sys.modules)))",
+        "print(repr((codes, 'typing' in sys.modules, 'pathlib' in sys.modules)))",
         graph, coloring, str(tmp_path / "c4.cnf"), parse=ast.literal_eval, flags=["-S"],
     )
-    assert bare == ([0, 0, 0, 0, 0], False)
+    assert bare == ([0, 0, 0, 0, 0], False, False)
 
 
 DECLARING = [m for m in nbcolor._EXPORTS if hasattr(getattr(nbcolor, m), "__all__")]
@@ -157,6 +158,25 @@ def test_export_check_covers_every_module_with_all():
 
 @pytest.mark.parametrize("name", DECLARING)
 def test_export_table_matches_the_modules_all(name):
-    """``nbcolor._EXPORTS`` lists each module's public names a second time;
-    a name added to one list and not the other fails here."""
+    """A star-import of a module binds its row of ``nbcolor._EXPORTS``."""
     assert set(getattr(nbcolor, name).__all__) == set(nbcolor._EXPORTS[name])
+
+
+def test_no_module_with_an_export_row_spells_out_its_all():
+    """Each module with a row in ``nbcolor._EXPORTS`` reads its ``__all__``
+    from that row, so no public name is listed twice."""
+    found = []
+    for name in nbcolor._EXPORTS:
+        path = ROOT / "src" / "nbcolor" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if any(getattr(t, "id", None) == "__all__" for t in targets) and any(
+                isinstance(n, (ast.List, ast.Tuple, ast.Set)) for n in ast.walk(node.value)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -80,9 +80,8 @@ ROWS = [
         "_Template(clauses=((1, -2),), text='{0} -{1} 0\\n', registers=1)",
         registers=0),
     row(CnfDocument,
-        dict(n=4, k=2, num_vars=8, num_clauses=0, comments=("c",), graph=C4),
-        "CnfDocument(n=4, k=2, num_vars=8, num_clauses=0, comments=('c',), "
-        "graph=Graph(n=4, m=4))",
+        dict(k=2, comments=("c",), graph=C4),
+        "CnfDocument(k=2, comments=('c',), graph=Graph(n=4, m=4))",
         graph=Graph(4)),
     row(CirculantSpec, dict(n=8, connections=(1, 3)),
         "CirculantSpec(n=8, connections=(1, 3))", connections=(1, 2)),
@@ -287,7 +286,7 @@ def test_equal_cnf_documents_export_equal_clauses(g, k):
     """A document rebuilt from another's fields equals it and expands to
     the same clauses and DIMACS text, refused instances included."""
     doc = to_cnf(g, k)
-    twin = CnfDocument(doc.n, doc.k, doc.num_vars, doc.num_clauses, doc.comments, doc.graph)
+    twin = CnfDocument(doc.k, doc.comments, doc.graph)
     assert twin == doc and hash(twin) == hash(doc)
     assert twin.clauses == doc.clauses
     assert twin.to_dimacs() == doc.to_dimacs()
