@@ -1,23 +1,24 @@
 """CNF export of balanced-coloring instances for external SAT solvers.
 
 Variables 1..n*k are the selector literals: variable ``v*k + c`` says vertex
-v takes color c.  Each vertex carries an exactly-one constraint, and every
-(vertex, color) pair carries an exact-cardinality constraint "exactly
-deg(v)/k neighbors of v have color c", encoded with sequential counters.
+v takes color c.  Each vertex carries an exactly-one constraint, and each
+(vertex, color c < k) pair an exact-cardinality constraint "exactly deg(v)/k
+neighbors of v have color c", encoded with sequential counters.  Color k
+needs none: every neighbor has one color, so the k-1 counts force its count.
 
 The counter registers are fully defined (both implication directions), so a
-model's register values are forced by the selector values; decoding needs
-only the selectors.  The at-least side reads off the final register, the
-at-most side forbids incrementing past the quota.
+model's register values are forced by the selector values: each balanced
+coloring is one model, and decoding needs only the selectors.  The at-least
+side reads off the final register, the at-most side forbids incrementing
+past the quota.
 
 A counter's clauses depend only on the degree and the quota, so a document
 encodes one template per distinct degree, over numbered slots, and every
-(vertex, color) constraint fills a template's slots with its neighbors'
-selectors and its own registers.  The document keeps the graph and k
-rather than the clauses or the templates: each read of ``clauses`` and each
-``to_dimacs`` builds the templates afresh, and ``to_dimacs`` streams the text
-one constraint at a time, so exporting holds neither the clauses nor the
-text.
+counted (vertex, color) pair fills a template's slots with its neighbors'
+selectors and its own registers.  ``_plan`` decides the constraints.  The
+document keeps the graph and k, not the clauses or the templates; each
+read of ``clauses`` and each ``to_dimacs`` builds the templates afresh, and
+``to_dimacs`` streams the text one constraint at a time.
 """
 
 from __future__ import annotations
@@ -66,11 +67,8 @@ class CnfDocument(_Record):
 
     ``clauses`` hold signed DIMACS-style literals.  ``var(v, c)`` maps a
     vertex/color pair to its selector variable; auxiliary counter variables
-    live above ``n * k``.  The document stores k, its comments and the graph;
-    n, the counts and the clauses follow from them.  The clauses expand
-    through the exactly-one template and one counter template per distinct
-    degree, built on each expansion, or are the single empty clause when
-    some degree is not a multiple of k.
+    live above ``n * k``.  The document stores k (at least 2), its comments
+    and the graph; n, the counts and the clauses follow from them on each read.
     """
 
     __slots__ = _fields = ("k", "comments", "graph")
@@ -79,8 +77,13 @@ class CnfDocument(_Record):
     graph: Graph
 
     n = property(lambda self: self.graph.n)
-    num_vars = property(lambda self: self._sizes()[0])
-    num_clauses = property(lambda self: self._sizes()[1])
+    num_vars = property(lambda self: self._sizes(self._counters)[0])
+    num_clauses = property(lambda self: self._sizes(self._counters)[1])
+    _counters = property(lambda self: _plan(self.graph, self.k)[1])
+
+    def __init__(self, k: int, comments: tuple[str, ...], graph: Graph) -> None:
+        _require_int(k, "palette size", 2)
+        self._store(k, comments, graph)
 
     def var(self, v: int, c: int) -> int:
         _require_vertex(v, self.n)
@@ -102,48 +105,40 @@ class CnfDocument(_Record):
             colors.append(chosen[0])
         return Coloring(self.k, tuple(colors))
 
-    def _sizes(self) -> tuple[int, int]:
-        """The variable and clause counts of the DIMACS header."""
+    def _sizes(self, counters: dict | None) -> tuple[int, int]:
+        """The DIMACS header's variable and clause counts for ``_plan``'s counters."""
         g, k = self.graph, self.k
-        degrees = Counter(g.degrees())
-        if any(d % k for d in degrees):
+        if counters is None:
             return g.n * k, 1
         num_vars, num_clauses = g.n * k, g.n * len(_exactly_one(k).clauses)
-        for d, count in degrees.items():
-            if d:
-                counter = _counter(d, d // k)
-                num_vars += count * k * counter.registers
-                num_clauses += count * k * len(counter.clauses)
+        for d, count in Counter(g.degrees()).items():
+            for counter in counters[d]:
+                num_vars += count * counter.registers
+                num_clauses += count * len(counter.clauses)
         return num_vars, num_clauses
 
-    def _blocks(self) -> Iterator[tuple[_Template, Sequence[int]]]:
-        """Each constraint's template and its slot values, in clause order."""
+    def _blocks(self, counters: dict | None) -> Iterator[tuple[_Template, Sequence[int]]]:
+        """Each constraint's template and slot values, in clause order, for the counters."""
         g, k = self.graph, self.k
-        degrees = set(g.degrees())
-        if any(d % k for d in degrees):
+        if counters is None:
             yield _EMPTY, ()
             return
         one = _exactly_one(k)
-        counters = {d: _counter(d, d // k) for d in degrees if d}
-        for v in range(self.n):
+        for v in range(g.n):
             yield one, range(v * k + 1, v * k + k + 1)
-        next_var = self.n * k + 1
+        next_var = g.n * k + 1
         for nb in g.adjacency:
-            if not nb:
-                continue
-            counter = counters[len(nb)]
-            width = counter.registers
-            for c in range(1, k + 1):
+            for c, counter in enumerate(counters[len(nb)], 1):
                 values = [u * k + c for u in nb]
-                values.extend(range(next_var, next_var + width))
-                next_var += width
+                values.extend(range(next_var, next_var + counter.registers))
+                next_var += counter.registers
                 yield counter, values
 
     @property
     def clauses(self) -> tuple[tuple[int, ...], ...]:
         """Every clause, built from the templates on each read."""
         out: list[tuple[int, ...]] = []
-        for template, values in self._blocks():
+        for template, values in self._blocks(self._counters):
             # lookup[s] is slot s's number and lookup[-s] its negation.
             lookup = [0, *values, *(-x for x in reversed(values))]
             out.extend(tuple(map(lookup.__getitem__, c)) for c in template.clauses)
@@ -159,10 +154,10 @@ class CnfDocument(_Record):
         write = sink.write
         for text in self.comments:
             write(f"c {text}\n")
-        num_vars, num_clauses = self._sizes()
-        write(f"p cnf {num_vars} {num_clauses}\n")
-        for template, values in self._blocks():
-            write(template.text.format(*values))
+        counters = self._counters
+        write("p cnf {} {}\n".format(*self._sizes(counters)))
+        for template, values in self._blocks(counters):
+            write(template.text.format(*map(str, values)))
         return sink.getvalue() if out is None else None
 
 
@@ -208,6 +203,17 @@ def _counter(d: int, q: int) -> _Template:
     return _template(clauses, top - d)
 
 
+def _plan(g: Graph, k: int) -> tuple[int | None, dict[int, tuple[_Template, ...]] | None]:
+    """Decide the constraints: the first vertex whose degree is not a
+    multiple of k and no counters, or None and, per degree d, the counters
+    of colors 1..k-1 of a vertex of degree d, one template "exactly d/k of d"."""
+    degrees = g.degrees()
+    offender = next((v for v, d in enumerate(degrees) if d % k), None)
+    if offender is not None:
+        return offender, None
+    return None, {d: (_counter(d, d // k),) * (k - 1) if d else () for d in set(degrees)}
+
+
 def to_cnf(g: Graph, k: int) -> CnfDocument:
     """Encode "g has a balanced k-coloring" as CNF.
 
@@ -217,17 +223,15 @@ def to_cnf(g: Graph, k: int) -> CnfDocument:
     immediately.
     """
     _require_int(k, "palette size", 2)
-    n = g.n
     base_comments = [
-        f"balanced {k}-coloring of a graph with {n} vertices, {g.m} edges",
+        f"balanced {k}-coloring of a graph with {g.n} vertices, {g.m} edges",
         f"selector variable for vertex v (0-based) and color c (1..{k}): v*{k} + c",
-        f"selectors occupy 1..{n * k}; counter registers follow",
+        f"selectors occupy 1..{g.n * k}; counter registers follow",
     ]
-    degrees = g.degrees()
-    offender = next((v for v, d in enumerate(degrees) if d % k != 0), None)
+    offender = _plan(g, k)[0]
     if offender is not None:
         base_comments.append(
-            f"vertex {offender} has degree {degrees[offender]}, not a "
+            f"vertex {offender} has degree {g.degree(offender)}, not a "
             f"multiple of {k}: the instance is trivially unsatisfiable"
         )
     return CnfDocument(k, tuple(base_comments), g)

@@ -42,9 +42,9 @@ class _Record:
     ``__setattr__``.  A record that writes no ``__init__`` takes ``_store``
     as its constructor.  One writes its own, ending in a ``_store`` call,
     when it checks or normalises its arguments (``Coloring``,
-    ``SolveConfig``, ``CirculantSpec``, ``HammingSpec``, ``VertexPairIndex``,
-    ``EssInstance``, ``UnionSpec``) or needs a fresh ``{}`` default per
-    instance (``SolveOutcome``).  Equality, hash, repr and pickling work over
+    ``CnfDocument``, ``SolveConfig``, ``CirculantSpec``, ``HammingSpec``,
+    ``VertexPairIndex``, ``EssInstance``, ``UnionSpec``) or needs a fresh
+    ``{}`` default per instance (``SolveOutcome``).  Equality, hash, repr and pickling work over
     ``_fields``.  Records of different classes never compare equal.
     """
 

@@ -839,8 +839,9 @@ def test_export_cnf(tmp_path, c8, capsys):
 
 
 def test_export_cnf_streams_in_bounded_memory(tmp_path, capsys):
-    """H(6,3), k=3 is 355,023 clauses and 6.3 MB of text; neither is held
-    in memory (a document that kept them peaked at ~52 MiB)."""
+    """H(6,3), k=3 is 237,654 clauses and 4.2 MB of text; neither is held
+    in memory (a document that kept the 355,023 clauses and 6.3 MB of the
+    encoding with a counter for every color peaked at ~52 MiB)."""
     gf = write_graph(tmp_path / "h63.graph", hamming_nbc(6, 3)[0])
     out = tmp_path / "h63.cnf"
     tracemalloc.start()
@@ -853,7 +854,7 @@ def test_export_cnf_streams_in_bounded_memory(tmp_path, capsys):
     assert peak < 8 * 2**20
     assert capsys.readouterr().out.endswith(" clauses)\n")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "4d605bc079ca9c1b1ee460629eef57fd94f0c15b04f24f33eed6923db20398e5"
+        "16d985a309428cf1fea3107de43ee94b6b43c3ebb41f47502a95d214cf3bb30b"
     )
 
 

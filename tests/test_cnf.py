@@ -2,7 +2,11 @@
 
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from nbcolor import (
     brute_force,
     complete_graph,
     complete_multipartite_graph,
+    count_colorings,
     cycle_graph,
     hamming_nbc,
     hypercube_nbc,
@@ -116,19 +121,19 @@ def _mixed_degrees():
     "build,k,digest",
     [
         pytest.param(lambda: hamming_nbc(3, 3)[0], 3,
-                     "7b8226ccedf6da8858443ef14930058bff1b4dc8e9282895bf2fa7780c9f3c66",
+                     "8ad1b62d2be27a06e12b93ddfbabeabf807e632c03fac111449be366c2e1fe30",
                      id="H(3,3)"),
         pytest.param(lambda: hypercube_nbc(4)[0], 2,
-                     "8a4f4a58c701f859083cabdf11ffe9c963ab009dbccc54a910e34eda203aedd0",
+                     "c73a36bc18d99cddc5483ebc78ee7293c2304da4159307357876744ba8d35ae1",
                      id="Q4"),
         pytest.param(lambda: cycle_graph(8), 2,
-                     "bb6627e89db9c046231b855439e560ca7792491fab1d282554b979eb3a537081",
+                     "167250acf933d8880ec0ed6379c8a8654490ba4dd3f06390321e3d2712e4a139",
                      id="C8"),
         pytest.param(lambda: hamming_nbc(6, 3)[0], 3,
-                     "4d605bc079ca9c1b1ee460629eef57fd94f0c15b04f24f33eed6923db20398e5",
+                     "16d985a309428cf1fea3107de43ee94b6b43c3ebb41f47502a95d214cf3bb30b",
                      id="H(6,3)"),
         pytest.param(_mixed_degrees, 3,
-                     "12205081f7c040384c640033fb85aad69286ca788fa2e2f949e8d83ab865774a",
+                     "32644b02057f120aaefb4664dcfc13e34da65051d6d5ecc9a9a39824f08e47e1",
                      id="K(3,6)+2"),
     ],
 )
@@ -203,3 +208,58 @@ def test_header_counts_the_clauses_and_every_literal(g, k):
         clauses = lines[start + 1:]
         assert len(clauses) == int(num_clauses)
         assert all(abs(int(lit)) <= int(num_vars) for line in clauses for lit in line.split())
+
+
+def _models(clauses, num_vars, limit):
+    """The models of ``clauses`` over variables 1..num_vars, at most
+    ``limit`` of them, found by DPLL with each full model blocked before
+    the next search."""
+    clauses, found = list(clauses), []
+    while len(found) < limit and (model := dpll(clauses)) is not None:
+        full = complete_model(model, num_vars)
+        found.append(full)
+        clauses.append(tuple(-lit for lit in full))
+    return found
+
+
+@pytest.mark.parametrize(
+    "g,k",
+    [
+        (cycle_graph(4), 2),
+        (cycle_graph(8), 2),
+        (Graph(5, cycle_graph(4).edges), 2),
+        (complete_multipartite_graph((3, 3)), 3),
+    ],
+    ids=["C4", "C8", "C4+1", "K(3,3)"],
+)
+def test_one_model_per_balanced_coloring(g, k):
+    """The registers are fully defined and color k's count is implied, so
+    the formula has exactly one model per balanced coloring, each decoding
+    to a distinct balanced coloring."""
+    doc, count = to_cnf(g, k), count_colorings(g, k)
+    models = _models(doc.clauses, doc.num_vars, count + 1)
+    assert len(models) == count
+    colorings = {doc.decode_model(model).colors for model in models}
+    assert len(colorings) == len(models)
+    assert all(naive_balanced(g, colors, k) for colors in colorings)
+
+
+def test_cnf_document_refuses_a_palette_of_one_under_python_O():
+    """``to_cnf``'s palette check holds for a document built by hand, and is
+    no ``assert``, so ``python -O`` keeps it (``tests/test_input_checks.py``
+    tries k = 1, 0 and 2.5 in-process)."""
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "from nbcolor import CnfDocument, cycle_graph\n"
+        "try:\n"
+        "    print(CnfDocument(1, ('c',), cycle_graph(4)).to_dimacs())\n"
+        "except ValueError as exc:\n"
+        "    print('refused', exc)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "refused palette size must be at least 2, got 1\n"
