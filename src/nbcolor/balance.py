@@ -14,7 +14,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from operator import add, mul
 
+from . import _EXPORTS
 from .graph import Graph, _Record, _require_int
+
+__all__ = list(_EXPORTS["balance"])
 
 
 class Coloring(_Record):
@@ -218,6 +221,11 @@ def _balanced(
     return True
 
 
+def _degree_offender(degrees: Sequence[int], k: int) -> int | None:
+    """The first vertex whose degree is not a multiple of k, or None."""
+    return next((v for v, d in enumerate(degrees) if d % k), None)
+
+
 def _screen(adj: Sequence[Sequence[int]], m: int, k: int) -> str | None:
     """The first necessary condition that a graph with neighbourhoods ``adj``
     and ``m`` edges fails for k colors, or None if it passes them all.
@@ -331,13 +339,7 @@ def check_necessary(g: Graph, k: int) -> NecessityReport:
     """
     _require_int(k, "palette size", 1)
     degrees = g.degrees()
-
-    degree_offender = None
-    for v, d in enumerate(degrees):
-        if d % k != 0:
-            degree_offender = v
-            break
-    degree_ok = degree_offender is None
+    degree_offender = _degree_offender(degrees, k)
 
     if g.n >= 1 and 0 not in degrees:
         order_ok = g.n >= 2 * k
@@ -353,10 +355,9 @@ def check_necessary(g: Graph, k: int) -> NecessityReport:
         )
 
     regularity: RegularityChecks | None = None
-    if g.n > 0 and degrees[0] >= 1 and degrees.count(degrees[0]) == g.n:
-        r = degrees[0]
+    if g.m and g.is_regular():
         regularity = RegularityChecks(
-            degree=r,
+            degree=degrees[0],
             order_residue=g.n % k,
             size_residue=g.m % (k * k),
             order_ok=g.n % k == 0,
@@ -367,7 +368,7 @@ def check_necessary(g: Graph, k: int) -> NecessityReport:
     verdict = "provably-uncolorable" if failed_rule else "possibly-colorable"
     return NecessityReport(
         k=k,
-        degree_ok=degree_ok,
+        degree_ok=degree_offender is None,
         degree_offender=degree_offender,
         order_ok=order_ok,
         order_detail=order_detail,

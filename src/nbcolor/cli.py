@@ -291,6 +291,8 @@ def _cmd_union(args: argparse.Namespace) -> int:
             )
             print(f"admissible copy counts: n ≡ 1 (mod {report.modulus})")
         return 0
+    if args.k is not None or args.format == "json":
+        raise ValueError("union takes -k and --format json only with --congruence")
     if args.copies is None:
         route = "union --cycle" if args.cycle is not None else "union"
         raise ValueError(f"{route} requires --copies")
@@ -477,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "base, in place of a graph file and --coloring")
     p.add_argument("--congruence", action="store_true",
                    help="report the dependent-set congruence instead of building")
-    p.add_argument("-k", type=int, default=None)
+    p.add_argument("-k", type=int, default=None, help="palette size, with --congruence")
     p.add_argument("--coloring", dest="coloring_file", default=None,
                    help="balanced base coloring to copy across an "
                         "independent glue set")

@@ -15,10 +15,11 @@ past the quota.
 A counter's clauses depend only on the degree and the quota, so a document
 encodes one template per distinct degree, over numbered slots, and every
 counted (vertex, color) pair fills a template's slots with its neighbors'
-selectors and its own registers.  ``_plan`` decides the constraints.  The
-document keeps the graph and k, not the clauses or the templates; each
-read of ``clauses`` and each ``to_dimacs`` builds the templates afresh, and
-``to_dimacs`` streams the text one constraint at a time.
+selectors and its own registers.  ``_plan`` decides the constraints, none
+past a vertex ``balance._degree_offender`` finds.  The document keeps the
+graph and k, not the clauses or the templates; each read of ``clauses`` and
+each ``to_dimacs`` builds the templates afresh, and ``to_dimacs`` streams the
+text one constraint at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from io import StringIO, TextIOBase
 
 from . import _EXPORTS
-from .balance import Coloring
+from .balance import Coloring, _degree_offender
 from .graph import Graph, _Record, _require_int, _require_vertex
 
 __all__ = list(_EXPORTS["cnf"])
@@ -79,7 +80,7 @@ class CnfDocument(_Record):
     n = property(lambda self: self.graph.n)
     num_vars = property(lambda self: self._sizes(self._counters)[0])
     num_clauses = property(lambda self: self._sizes(self._counters)[1])
-    _counters = property(lambda self: _plan(self.graph, self.k)[1])
+    _counters = property(lambda self: _plan(self.graph, self.k))
 
     def __init__(self, k: int, comments: tuple[str, ...], graph: Graph) -> None:
         _require_int(k, "palette size", 2)
@@ -203,15 +204,14 @@ def _counter(d: int, q: int) -> _Template:
     return _template(clauses, top - d)
 
 
-def _plan(g: Graph, k: int) -> tuple[int | None, dict[int, tuple[_Template, ...]] | None]:
-    """Decide the constraints: the first vertex whose degree is not a
-    multiple of k and no counters, or None and, per degree d, the counters
-    of colors 1..k-1 of a vertex of degree d, one template "exactly d/k of d"."""
+def _plan(g: Graph, k: int) -> dict[int, tuple[_Template, ...]] | None:
+    """Decide the constraints: None if some degree is not a multiple of k,
+    else, per degree d, the counters of colors 1..k-1 of a vertex of degree
+    d, one template "exactly d/k of d"."""
     degrees = g.degrees()
-    offender = next((v for v, d in enumerate(degrees) if d % k), None)
-    if offender is not None:
-        return offender, None
-    return None, {d: (_counter(d, d // k),) * (k - 1) if d else () for d in set(degrees)}
+    if _degree_offender(degrees, k) is not None:
+        return None
+    return {d: (_counter(d, d // k),) * (k - 1) if d else () for d in set(degrees)}
 
 
 def to_cnf(g: Graph, k: int) -> CnfDocument:
@@ -228,7 +228,7 @@ def to_cnf(g: Graph, k: int) -> CnfDocument:
         f"selector variable for vertex v (0-based) and color c (1..{k}): v*{k} + c",
         f"selectors occupy 1..{g.n * k}; counter registers follow",
     ]
-    offender = _plan(g, k)[0]
+    offender = _degree_offender(g.degrees(), k)
     if offender is not None:
         base_comments.append(
             f"vertex {offender} has degree {g.degree(offender)}, not a "

@@ -11,6 +11,10 @@ from collections.abc import Iterable, Iterator
 from itertools import repeat
 from operator import attrgetter
 
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["graph"])
+
 
 def _require_int(value: object, what: str, least: int | None = None) -> None:
     """Raise ValueError unless ``value`` is an int, and at least ``least`` if given."""

@@ -5,12 +5,13 @@ The compiler attaches one (k, a)-house per multiset element a plus k shared
 of the compiled graph, all of a house's index vertices to share one color —
 so each element effectively picks a subset — and balance at the distributive
 vertices forces the k subset sums equal.  ``_house_layout`` alone states the
-house layout; ``_house_rows`` writes the rows of ``house`` and
-``reduce_ess_to_nbc`` from it, and the graph takes them without a normalizing
-pass.  One reader takes the partition back out of a balanced coloring:
-``decode`` feeds it the compiled houses, ``decode_from_roles`` the houses it
-recovers from an untrusted role sidecar.  ``ess_brute_force`` is the
-independent ground truth for the partition problem.
+house layout and ``_layouts`` alone places an instance's houses, one after
+another; ``_house_rows`` writes the rows of ``house`` and ``reduce_ess_to_nbc``
+from a layout, and the graph takes them without a normalizing pass.  One
+reader takes the partition back out of a balanced coloring: ``decode`` feeds
+it the compiled houses, ``decode_from_roles`` the houses it recovers from an
+untrusted role sidecar.  ``ess_brute_force`` is the independent ground truth
+for the partition problem.
 
 ``flawed_gadget`` reproduces, as a regression artifact, an earlier
 construction from the literature whose correctness argument breaks: its
@@ -78,21 +79,21 @@ def _house_layout(k: int, n: int, offset: int = 0) -> tuple[range, range, range]
     return bases, supports, indexes
 
 
-def _house_rows(k: int, a: int, offset: int, hub: tuple[int, ...]) -> tuple[list, range]:
-    """The adjacency rows of the (k, a)-house at ``offset``, and its indexes.
+def _house_rows(k: int, layout: tuple[range, ...], hub: tuple[int, ...]) -> list:
+    """The adjacency rows of the k-house laid out as ``layout``.
 
     The rows are each house vertex's ascending neighbours in label order:
     every index is also adjacent to every ``hub`` vertex, which lies above
     the house.  The k-1 bases share one row, as do the k supports of one
     index.  No edge list is made; the graph derives one if it is read.
     """
-    bases, supports, indexes = _house_layout(k, a, offset)
+    bases, supports, indexes = layout
     base_row = tuple(bases)
     rows = [tuple(supports)] * len(bases)
     for i in indexes:
         rows += [base_row + (i,)] * k
     rows += [block + hub for block in zip(*[iter(supports)] * k)]
-    return rows, indexes
+    return rows
 
 
 class HouseGadget(_Record):
@@ -111,9 +112,9 @@ def house(k: int, n: int) -> HouseGadget:
     """Build a (k, n)-house: k-1 bases, kn supports and n indexes."""
     _require_int(k, "k", 2)
     _require_int(n, "n", 1)
-    bases, supports, indexes = _house_layout(k, n)
-    graph = Graph._from_tables(indexes.stop, tuple(_house_rows(k, n, 0, ())[0]))
-    return HouseGadget(k, n, graph, *map(tuple, (bases, supports, indexes)))
+    layout = _house_layout(k, n)
+    graph = Graph._from_tables(layout[2].stop, tuple(_house_rows(k, layout, ())))
+    return HouseGadget(k, n, graph, *map(tuple, layout))
 
 
 def house_scheme_coloring(gadget: HouseGadget) -> Coloring:
@@ -158,6 +159,16 @@ def _house_span(inst: EssInstance) -> int:
     return (inst.k + 1) * inst.total + (inst.k - 1) * len(inst.values)
 
 
+def _layouts(inst: EssInstance) -> Iterator[tuple[int, tuple[range, range, range]]]:
+    """Each element of ``inst`` with its house's (bases, supports, indexes),
+    in order, each house starting where the one before it ends."""
+    k, offset = inst.k, 0
+    for a in inst.values:
+        layout = _house_layout(k, a, offset)
+        yield a, layout
+        offset = layout[2].stop
+
+
 class ReductionInstance(_Record):
     """A compiled equal-sum-subsets question: the instance and its graph.
 
@@ -171,18 +182,10 @@ class ReductionInstance(_Record):
     instance: EssInstance
     graph: Graph
 
-    def _layouts(self) -> Iterator[tuple[int, tuple[range, range, range]]]:
-        """Each element with its house's (bases, supports, indexes), in order."""
-        k, offset = self.instance.k, 0
-        for a in self.instance.values:
-            layout = _house_layout(k, a, offset)
-            yield a, layout
-            offset = layout[2].stop
-
     @property
     def houses(self) -> tuple[HousePlacement, ...]:
         k = self.instance.k
-        return tuple(HousePlacement(a, k, layout[0].start) for a, layout in self._layouts())
+        return tuple(HousePlacement(a, k, lay[0].start) for a, lay in _layouts(self.instance))
 
     @property
     def distributive(self) -> tuple[int, ...]:
@@ -192,7 +195,7 @@ class ReductionInstance(_Record):
     def roles(self) -> dict[int, tuple[str, int | None]]:
         """A fresh vertex -> (role, element) table; distributive vertices carry None."""
         table: dict[int, tuple[str, int | None]] = {}
-        for a, layout in self._layouts():
+        for a, layout in _layouts(self.instance):
             for role, labels in zip(("base", "support", "index"), layout):
                 table.update(dict.fromkeys(labels, (role, a)))
         table.update(dict.fromkeys(self.distributive, ("distributive", None)))
@@ -210,12 +213,9 @@ def reduce_ess_to_nbc(inst: EssInstance) -> ReductionInstance:
     distributive = tuple(range(n, n + k))
     rows: list[tuple[int, ...]] = []
     all_indexes: list[int] = []
-    offset = 0
-    for a in inst.values:
-        house_rows, indexes = _house_rows(k, a, offset, distributive)
-        rows += house_rows
-        all_indexes += indexes
-        offset = indexes.stop
+    for _, layout in _layouts(inst):
+        rows += _house_rows(k, layout, distributive)
+        all_indexes += layout[2]
     # Houses occupy ascending label blocks below the distributive vertices,
     # so the concatenated rows are already the canonical ones.
     rows += [tuple(all_indexes)] * k
@@ -283,7 +283,7 @@ def decode(rinst: ReductionInstance, c: Coloring) -> tuple[tuple[int, ...], ...]
         raise ValueError(
             f"the graph has {n} vertices, not the {expected} that {inst} compiles to"
         )
-    return _read_houses([(a, layout[2]) for a, layout in rinst._layouts()], c)
+    return _read_houses([(a, layout[2]) for a, layout in _layouts(inst)], c)
 
 
 def decode_from_roles(
@@ -410,10 +410,8 @@ class FlawedGadget(_Record):
         }
         for element, supports, numerics, base in self.packs:
             table[base] = ("base", element)
-            for s in supports:
-                table[s] = ("support", element)
-            for t in numerics:
-                table[t] = ("numeric", element)
+            table.update(dict.fromkeys(supports, ("support", element)))
+            table.update(dict.fromkeys(numerics, ("numeric", element)))
         return table
 
 

@@ -6,8 +6,9 @@ survives the gluing untouched; for dependent S there is an arithmetic
 congruence every balanced union must satisfy, and for cycles the dependent
 sets that work are characterized exactly ("ideal" sets below).
 
-``UnionSpec`` checks every glue set.  The ``nbcolor union`` command alone
-picks the theorem, from ``UnionSpec.inside_edges``: independent sets go to
+``UnionSpec`` checks every glue set, :func:`union_congruence`'s included, and
+its ``inside_edges`` alone finds the edges inside one.  The ``nbcolor union``
+command alone picks the theorem, from ``inside_edges``: independent sets go to
 :func:`union_nbc_independent` (through ``_independent_union``, which also
 returns the union it builds), dependent sets to :func:`cycle_union_nbc` under
 ``--cycle M``; with a graph file and ``--coloring`` they are refused.
@@ -55,12 +56,8 @@ class UnionSpec(_Record):
     @property
     def inside_edges(self) -> list[tuple[int, int]]:
         """Base edges with both ends glued; empty iff the glue set is independent."""
-        return _inside_edges(self.base, self.glue)
-
-
-def _inside_edges(g: Graph, s: frozenset[int]) -> list[tuple[int, int]]:
-    adj = g.adjacency
-    return [(u, v) for u in sorted(s) for v in adj[u] if u < v and v in s]
+        s, adj = self.glue, self.base.adjacency
+        return [(u, v) for u in sorted(s) for v in adj[u] if u < v and v in s]
 
 
 def union_over_set(spec: UnionSpec) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
@@ -159,19 +156,14 @@ class CongruenceReport(_Record):
 def union_congruence(g: Graph, s: frozenset[int] | set[int], k: int) -> CongruenceReport:
     """Compute the dependent-set congruence data for gluing along S."""
     _require_int(k, "palette size", 2)
-    s = frozenset(s)
-    for v in s:
-        _require_vertex(v, g.n, "glue vertex")
-    inside = _inside_edges(g, s)
+    spec = UnionSpec(g, s, 1)
+    s, inside = spec.glue, spec.inside_edges
     if not inside:
         raise ValueError(
             "glue set is independent; the congruence test only concerns "
             "dependent sets"
         )
-    glued = sorted(s)
-    q = tuple(
-        sum(1 for u in g.neighbors(v) if u in s) for v in glued
-    )
+    q = tuple(sum(1 for u in g.neighbors(v) if u in s) for v in sorted(s))
     p = len(inside)
     L = reduce(math.lcm, (k // math.gcd(qi, k) for qi in q), 1)
     M = (k * k) // math.gcd(p, k * k)

@@ -570,6 +570,10 @@ def test_union_congruence_route(c8, capsys):
         ("{c8} --set 0,1 --congruence", "union --congruence requires -k"),
         ("{c8} --set 0,1", "union requires --copies"),
         ("--cycle 8 --set 0,1", "union --cycle requires --copies"),
+        ("--cycle 8 --set 0,4 --copies 3 -k 3",
+         "union takes -k and --format json only with --congruence"),
+        ("--cycle 8 --set 0,4 --copies 3 --format json",
+         "union takes -k and --format json only with --congruence"),
     ],
 )
 def test_union_missing_input_is_usage_error(c8, capsys, argv, message):
