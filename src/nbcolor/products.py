@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from . import _EXPORTS
-from .balance import Coloring, Refusal, _balanced, _balanced_input, _balanced_output
+from .balance import Coloring, Refusal, _balanced_input, _balanced_output
 from .graph import Graph, _Record, _require_int, _require_vertex
 
 __all__ = list(_EXPORTS["products"])
@@ -253,9 +253,7 @@ def embed_in_nbkc(
     rows = [tuple([q + v for q in range(0, k * n, n) for v in gu]) for gu in g.adjacency]
     host = Graph._from_tables(k * n, tuple(rows) * k)
     candidate = Coloring(k, tuple(1 + (idx // n) for idx in range(k * n)))
-    # _balanced_output's check, over copy 1's rows: the other copies share them.
-    if not _balanced(rows, candidate.colors, k):
-        raise AssertionError("host coloring is unbalanced, contradicting its proof")
+    _balanced_output(host, candidate, "host coloring")
     return host, candidate, tuple(range(n))
 
 

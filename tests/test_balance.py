@@ -618,31 +618,3 @@ def test_unbalanced_built_colorings_raise_under_python_O():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 3 and all(line.startswith("raised") for line in lines), lines
-
-
-BROKEN_EMBED = """
-import nbcolor.products as products
-from nbcolor import cycle_graph, embed_in_nbkc
-
-assert not __debug__, "asserts must be stripped"
-products._balanced = lambda adj, assignment, k: False
-try:
-    print("returned", embed_in_nbkc(cycle_graph(5), 3))
-except AssertionError as exc:
-    print("raised", exc)
-"""
-
-
-def test_unbalanced_host_raises_under_python_O():
-    """``embed_in_nbkc`` checks its host itself, over copy 1's rows, and a
-    failed check raises ``AssertionError`` even under ``python -O``."""
-    root = Path(__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", BROKEN_EMBED], cwd=root,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == (
-        "raised host coloring is unbalanced, contradicting its proof\n"
-    ), done.stdout

@@ -292,14 +292,6 @@ def test_embed_cross_edges():
     assert host.m == 4  # 2x2 cross pairs of the single edge
 
 
-def test_embed_copies_share_copy_ones_rows():
-    """Host row p·n + u is row u's object, which is why ``embed_in_nbkc``
-    checks copy 1's rows alone."""
-    for g, k in ((complete_graph(4), 2), (cycle_graph(5), 3), (Graph(3, [(0, 1)]), 4)):
-        adj = embed_in_nbkc(g, k)[0].adjacency
-        assert all(adj[p * g.n + u] is adj[u] for p in range(k) for u in range(g.n))
-
-
 # ---------------------------------------------------------------------------
 # (2k-1)-vertex addition
 # ---------------------------------------------------------------------------
