@@ -29,8 +29,10 @@ from nbcolor import (
     cycle_graph,
     cycle_nbc,
     cycle_union_nbc,
+    direct_product,
     hamming_nbc,
     hypercube_nbc,
+    lexicographic_product,
     product_nbc,
     reduce_ess_to_nbc,
     solve,
@@ -617,6 +619,58 @@ def test_twin_free_count_tree_is_pinned():
     out = solve(g, 3, SolveConfig(mode="count"))
     assert (out.count, out.nodes_explored) == (828, 2336)
     assert list(out.pruned_by.items()) == [("symmetry", 4), ("quota", 4188), ("deficit", 23)]
+
+
+def golden_corpus():
+    """(k, graph) for the criterion-06 reduction instances, the relabelled
+    cloned-twin graphs and four family graphs rich in false twins."""
+    for size in range(1, 6):
+        for values in itertools.combinations_with_replacement(range(1, 7), size):
+            for k in (2, 3):
+                yield k, reduce_ess_to_nbc(EssInstance(values, k)).graph
+    yield from relabelled_twin_graphs()
+    c4, c8 = cycle_graph(4), cycle_graph(8)
+    yield 3, complete_multipartite_graph((3, 3, 3))
+    yield 2, complete_multipartite_graph((4, 4, 4))
+    yield 2, lexicographic_product(c8, c4)
+    yield 2, direct_product(c4, c8)
+
+
+GOLDEN_TREES = "7bd8197a08d7bc52206d57278565beeae8c1e458f73ece496f8ac7fd995b43bd"
+
+
+def test_golden_tree_digest():
+    """One digest over every solve record of the golden corpus in all three
+    modes at budgets 40 and 3,000: status, witness, count, nodes and prune
+    tallies in key order.  A change to the search's bookkeeping must leave
+    every tree, and so this digest, as it is.  The relabelled graphs matter
+    because a later twin there can have the lower label, so its place in a
+    neighbour's adjacency differs from its twin's."""
+    graphs = list(golden_corpus())
+    digest = hashlib.sha256()
+    for budget in (40, 3000):
+        for mode in MODES:
+            cfg = SolveConfig(mode=mode, node_budget=budget)
+            for k, g in graphs:
+                out = solve(g, k, cfg)
+                witness = None if out.witness is None else out.witness.colors
+                record = (out.status, witness, out.count, out.nodes_explored,
+                          list(out.pruned_by.items()))
+                digest.update(repr(record).encode())
+    assert len(graphs) == 1526
+    assert digest.hexdigest() == GOLDEN_TREES
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k", [2, 3])
+def test_empty_graph_in_every_mode(mode, k):
+    """The empty graph has one coloring, the empty one, found at the root."""
+    out = solve(Graph(0), k, SolveConfig(mode=mode))
+    assert (out.status, out.nodes_explored, out.pruned_by) == ("SAT", 0, {})
+    if mode == "count":
+        assert (out.witness, out.count) == (None, 1)
+    else:
+        assert (out.witness.colors, out.count) == ((), None)
 
 
 # ---------------------------------------------------------------------------
