@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from types import SimpleNamespace
 
 # The package registers its submodules lazily, so binding them here runs
 # none of them: a command runs only the modules its handler reads.
@@ -382,9 +383,14 @@ def _cmd_export_cnf(args: argparse.Namespace) -> int:
     # Built before the file is opened, so a refused input writes no file.
     doc = cnf.to_cnf(g, args.k)
     if args.output:
+        header = []  # caught as to_dimacs writes it, so the export plans once
         with open(args.output, "w") as f:
-            doc.to_dimacs(f)
-        print(f"wrote {args.output} ({doc.num_vars} vars, {doc.num_clauses} clauses)")
+            def write(text: str) -> None:
+                if text.startswith("p "):
+                    header.extend(text.split())
+                f.write(text)
+            doc.to_dimacs(SimpleNamespace(write=write))
+        print(f"wrote {args.output} ({header[2]} vars, {header[3]} clauses)")
     else:
         doc.to_dimacs(sys.stdout)
     return 0

@@ -6,8 +6,8 @@
     divisibility, and k² dividing |E| on every graph (any failure is
     immediate UNSAT, with no search),
 (b) per-vertex color quotas deg(v)/k enforced incrementally,
-(c) forward checking — saturating a color in some neighborhood bans it on
-    the uncolored vertices adjacent to that neighborhood's center, and a
+(c) forward checking — a neighborhood that saturates a color bans it on its
+    center's uncolored neighbours, one sweep per false-twin class, and a
     vertex left with no feasible color kills the branch; each vertex keeps
     its bans in one word, undone from a trail of the bans each assignment
     set (Schulte 1999), so for a fixed k the search state is linear in n + m,
@@ -32,7 +32,8 @@ structure rather than an arbitrary walk through it.
 
 (d) and (e) are lex-leader constraints over the search order, so the
 lexicographically smallest balanced coloring under that order satisfies both
-and the ordered search still finds it first.
+and the ordered search still finds it first.  (c) sweeps once per twin class:
+false twins have equal rooms, and a later twin's quota n > deg never runs out.
 
 (f) keeps (d) and (e) sound, whichever fixed order it breaks ties by.  False
 twins have the same open neighbourhood, so while both are uncolored they
@@ -88,9 +89,8 @@ two can legitimately cross-check each other's search.  The tests' recount
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
-from itertools import product
+from itertools import accumulate, product
 
 from . import _EXPORTS
 from .balance import Coloring, _balanced, _balanced_output, _screen
@@ -191,13 +191,14 @@ def _search(
     every candidate scan has ``maxused == below[d]`` and the top candidate
     ``min(k, maxused + 1)``.
 
-    State, O(kn + m) words plus k + 1 bucket ints of n bits: ``room[c][u]``
-    counts the neighbours of u that may still take color c; ``ban[w]`` has
-    bit c set while c is banned on w and bit 0 while w is colored, so a ban
-    sweep skips both with one test; ``trail`` holds the vertices whose ban
-    bit an assignment set, popped back to the frame's ``mark[d]`` on undo;
-    ``masks[e]`` has bit ``rank[v]`` (the position in the order) set for
-    each uncolored vertex v with e eligible colors.
+    State, O(kn + m) words plus k + 1 bucket ints of n bits: ``room[c][u]`` is
+    u's quota less its c-colored neighbours (n > deg for a later false twin:
+    its first twin's room is equal and sweeps for it, module docstring (c));
+    ``ban[w]`` has bit c set while c is banned on w and bit 0 while w is
+    colored, so a ban sweep skips both with one test; ``trail`` holds the
+    vertices whose ban bit an assignment set, popped back to the frame's
+    ``mark[d]`` on undo; ``masks[e]`` has bit ``rank[v]`` (the position in the
+    order) set for each uncolored vertex v with e eligible colors.
 
     An assignment is dead once it leaves some vertex with no eligible color.
     It then makes no further ban, since the branch is cut whatever else is
@@ -210,16 +211,21 @@ def _search(
     None when the node budget runs out, ``nodes`` then being the budget.
     """
     n = len(order)
-    budget = cfg.node_budget or math.inf
+    budget = cfg.node_budget or -1  # nodes never reaches -1
     counting = cfg.mode == "count"
     dynamic = cfg.mode != "canonical-min"
+    quota = [d // k for d in map(len, adj)]
     # twin[v]: the previous vertex in the order with the same open
     # neighbourhood, -1 if none.
     twin = [-1] * n
+    rank = [0] * n
     seen: dict[tuple[int, ...], int] = {}
-    for v in order:
+    for r, v in enumerate(order):
+        rank[v] = r
         nb = adj[v]
-        twin[v] = seen.get(nb, -1)
+        t = twin[v] = seen.get(nb, -1)
+        if t >= 0:
+            quota[v] = n
         seen[nb] = v
     if counting:
         # Count mode colors a twin class in consecutive frames: nxt[v] is
@@ -242,64 +248,55 @@ def _search(
         cap = [0] * n
         tie = [0] * n
         weight = [1] * (n + 1)
+        # Symmetry breaking makes a leaf use exactly colors 1..maxused; a
+        # leaf using 1..m stands for the k(k-1)...(k-m+1) colorings that
+        # relabel it, times its composition weight.
+        orbit = [1, *accumulate(range(k, 0, -1), int.__mul__)]
     color = [0] * n
     pruned: dict[str, int] = {}
     count = 0
-    quota = [d // k for d in map(len, adj)]
     room = [quota[:] for _ in range(k + 1)]
     ban = [0] * n
     trail: list[int] = []
     mark = [0] * n
     eligible = [k] * n
-    rank = [0] * n
-    for r, v in enumerate(order):
-        rank[v] = r
     masks = [0] * k + [(1 << n) - 1]
-    # Symmetry breaking makes a leaf use exactly colors 1..maxused; a leaf
-    # using 1..m stands for the k(k-1)...(k-m+1) colorings that relabel it,
-    # times its composition weight.
-    orbit = [1] * (k + 1)
-    for m in range(1, k + 1):
-        orbit[m] = orbit[m - 1] * (k - m + 1)
+    top = [*range(1, k + 1), k]
     vert = [0] * n
     below = [0] * n
     maxused = 0
     nodes = 0
+    if not n:  # one coloring, the empty one, at the root
+        return not counting, color, nodes, pruned, 1
     d = 0
     while True:
-        if d == n:
-            if not counting:
-                return True, color, nodes, pruned, count
-            count += orbit[maxused] * weight[n]
-            d -= 1
+        if counting and d and nxt[vert[d - 1]] >= 0:
+            v = nxt[vert[d - 1]]
+        elif dynamic:
+            for m in masks:
+                if m:
+                    break
+            v = order[(m & -m).bit_length() - 1]
         else:
-            if counting and d and nxt[vert[d - 1]] >= 0:
-                v = nxt[vert[d - 1]]
-            elif dynamic:
-                for m in masks:
-                    if m:
-                        break
-                v = order[(m & -m).bit_length() - 1]
-            else:
-                v = order[d]
-            vert[d] = v
-            below[d] = maxused
-            t = twin[v]
-            c = color[t] if t >= 0 else 1
-            # A count-mode twin starts above its run's color once the run
-            # has reached its cap (t is then vert[d - 1]).
-            if counting and t >= 0 and run[d - 1] == cap[d - 1]:
-                c += 1
-                pruned["symmetry"] = pruned.get("symmetry", 0) + 1
-            if maxused + 1 < k:
-                pruned["symmetry"] = pruned.get("symmetry", 0) + k - maxused - 1
-            if c > 1:
-                pruned["twin"] = pruned.get("twin", 0) + c - 1
-        while d >= 0:
-            v = vert[d]
-            held = color[v]
+            v = order[d]
+        vert[d] = v
+        below[d] = maxused
+        t = twin[v]
+        c = color[t] if t >= 0 else 1
+        # A count-mode twin starts above its run's color once the run
+        # has reached its cap (t is then vert[d - 1]).
+        if counting and t >= 0 and run[d - 1] == cap[d - 1]:
+            c += 1
+            pruned["symmetry"] = pruned.get("symmetry", 0) + 1
+        if maxused + 1 < k:
+            pruned["symmetry"] = pruned.get("symmetry", 0) + k - maxused - 1
+        if c > 1:
+            pruned["twin"] = pruned.get("twin", 0) + c - 1
+        held = 0
+        while True:
             if held:
                 # Undo the held color: pop the bans it set, restore its room.
+                v = vert[d]
                 flag = 1 << held
                 for w in trail[mark[d]:]:
                     ban[w] ^= flag
@@ -317,13 +314,16 @@ def _search(
                 masks[eligible[v]] ^= 1 << rank[v]
                 maxused = below[d]
                 c = held + 1
-            hi = maxused + 1 if maxused < k else k
+            hi = top[maxused]
             bv = ban[v]
             while c <= hi and bv >> c & 1:
                 pruned["quota"] = pruned.get("quota", 0) + 1
                 c += 1
             if c > hi:
                 d -= 1
+                if d < 0:
+                    return False, color, nodes, pruned, count
+                held = color[vert[d]]
                 continue
             if nodes == budget:
                 return None, color, nodes, pruned, count
@@ -360,6 +360,7 @@ def _search(
                             if e == 1:
                                 ok = False
                                 break
+            held = c
             if not ok:
                 pruned["deficit"] = pruned.get("deficit", 0) + 1
                 continue
@@ -381,10 +382,12 @@ def _search(
                     run[d], cap[d], tie[d] = r, lim, tp
                     w = weight[d] * i // r
                     weight[d + 1] = w // (tp + 1) if r == lim else w
-            d += 1
-            break
-        else:
-            return False, color, nodes, pruned, count
+            if d + 1 < n:
+                d += 1
+                break
+            if not counting:
+                return True, color, nodes, pruned, count
+            count += orbit[maxused] * weight[n]
 
 
 def _vertex_order(g: Graph) -> tuple[int, ...]:

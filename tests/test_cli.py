@@ -873,6 +873,22 @@ def test_export_cnf_stdout_matches_the_file(tmp_path, c8, capsys):
     assert capsys.readouterr().out == text
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_export_cnf_plans_once(tmp_path, c8, capsys, monkeypatch, k):
+    """The summary's counts come from the problem line the export wrote, so
+    the counters are planned once per export, also for a refused degree
+    (C8 with k=3)."""
+    plans = []
+    plan = nbcolor.cnf._plan
+    monkeypatch.setattr(nbcolor.cnf, "_plan", lambda *a: plans.append(a) or plan(*a))
+    out = tmp_path / "f.cnf"
+    assert run(["export-cnf", c8, "-k", str(k), "-o", str(out)]) == 0
+    header = next(line for line in out.read_text().splitlines() if line.startswith("p "))
+    _, _, num_vars, num_clauses = header.split()
+    assert capsys.readouterr().out == f"wrote {out} ({num_vars} vars, {num_clauses} clauses)\n"
+    assert len(plans) == 1
+
+
 def test_export_cnf_refusal_writes_no_file(tmp_path, c8, capsys):
     out = tmp_path / "f.cnf"
     assert run(["export-cnf", c8, "-k", "1", "-o", str(out)]) == 2
