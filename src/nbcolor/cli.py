@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from types import SimpleNamespace
 
 # The package registers its submodules lazily, so binding them here runs
 # none of them: a command runs only the modules its handler reads.
@@ -95,58 +94,47 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be comma-separated integers: {text!r}") from None
 
 
+def _circulant(params: list[str], k: int | None) -> tuple | Refusal:
+    """The progression theorem (k = arity) without -k, the residue theorem with it."""
+    n = _parse_int(params[0], "circulant order n")
+    spec = families.CirculantSpec(n, _parse_int_list(params[1], "connections"))
+    if k is None:
+        return families.circulant_progression_nbc(spec)
+    return families.circulant_residue_nbc(spec, k)
+
+
+# family: (parameter count, their usage, the -k it takes, builder of (params, k)).
+# The -k is "2" (absent or 2), "required" or "optional".  Each builder reads
+# ``families.<name>`` only when it runs, so importing the CLI runs no family code.
+_FAMILIES = {
+    "cycle": (1, "one parameter: the cycle length", "2",
+              lambda p, k: families.cycle_nbc(_parse_int(p[0], "cycle length"))),
+    "circulant": (2, "two parameters: n and the comma-separated connections", "optional",
+                  _circulant),
+    "hamming": (1, "one parameter: the word length d (the alphabet size is -k)", "required",
+                lambda p, k: families.hamming_nbc(_parse_int(p[0], "word length d"), k)),
+    "hypercube": (1, "one parameter: the dimension d", "2",
+                  lambda p, k: families.hypercube_nbc(_parse_int(p[0], "dimension d"))),
+    "multipartite": (1, "one parameter: comma-separated part sizes", "required",
+                     lambda p, k: families.complete_multipartite_nbc(
+                         _parse_int_list(p[0], "part sizes"), k)),
+    "complete": (1, "one parameter: the vertex count", "required",
+                 lambda p, k: families.complete_graph_nbc(_parse_int(p[0], "vertex count"), k)),
+}
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
-    family = args.family
-    params = args.params
-    k = args.k
-
-    def need(count: int, usage: str) -> None:
-        if len(params) != count:
-            raise ValueError(f"construct {family} expects {usage}")
-
-    result: tuple | Refusal
-    if family == "cycle":
-        need(1, "one parameter: the cycle length")
-        if k not in (None, 2):
-            raise ValueError("cycle colorings use k=2")
-        result = families.cycle_nbc(_parse_int(params[0], "cycle length"))
-    elif family == "circulant":
-        need(2, "two parameters: n and the comma-separated connections")
-        n = _parse_int(params[0], "circulant order n")
-        conns = _parse_int_list(params[1], "connections")
-        spec = families.CirculantSpec(n, conns)
-        if k is None:
-            result = families.circulant_progression_nbc(spec)
-        else:
-            result = families.circulant_residue_nbc(spec, k)
-    elif family == "hamming":
-        need(1, "one parameter: the word length d (the alphabet size is -k)")
-        if k is None:
-            raise ValueError("construct hamming requires -k")
-        result = families.hamming_nbc(_parse_int(params[0], "word length d"), k)
-    elif family == "hypercube":
-        need(1, "one parameter: the dimension d")
-        if k not in (None, 2):
-            raise ValueError("hypercube colorings use k=2")
-        result = families.hypercube_nbc(_parse_int(params[0], "dimension d"))
-    elif family == "multipartite":
-        need(1, "one parameter: comma-separated part sizes")
-        if k is None:
-            raise ValueError("construct multipartite requires -k")
-        result = families.complete_multipartite_nbc(
-            _parse_int_list(params[0], "part sizes"), k
-        )
-    elif family == "complete":
-        need(1, "one parameter: the vertex count")
-        if k is None:
-            raise ValueError("construct complete requires -k")
-        result = families.complete_graph_nbc(_parse_int(params[0], "vertex count"), k)
-    else:
-        raise ValueError(
-            f"unknown family {family!r}; choose from cycle, circulant, "
-            f"hamming, hypercube, multipartite, complete"
-        )
-    return _finish(args, result)
+    family, params, k = args.family, args.params, args.k
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {', '.join(_FAMILIES)}")
+    count, usage, takes_k, build = _FAMILIES[family]
+    if len(params) != count:
+        raise ValueError(f"construct {family} expects {usage}")
+    if takes_k == "2" and k not in (None, 2):
+        raise ValueError(f"{family} colorings use k=2")
+    if takes_k == "required" and k is None:
+        raise ValueError(f"construct {family} requires -k")
+    return _finish(args, build(params, k))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -319,12 +307,21 @@ def _cmd_union(args: argparse.Namespace) -> int:
     return _finish(args, unions._independent_union(spec, base))
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
+def _roles_path(roles: str | None, graph_path: str) -> str:
+    """The role sidecar: ``--roles``, else the graph's path with suffix ``.roles``."""
+    if roles:
+        return roles
     from pathlib import Path  # unlike os.path, names out.'s sidecar out..roles
+
+    return str(Path(graph_path).with_suffix(".roles"))
+
+
+def _cmd_reduce(args: argparse.Namespace) -> int:
+    from pathlib import Path
 
     values = _parse_int_list(args.ess, "--ess")
     graph_path = args.output
-    roles_path = args.roles or str(Path(graph_path).with_suffix(".roles"))
+    roles_path = _roles_path(args.roles, graph_path)
     if Path(graph_path).resolve() == Path(roles_path).resolve():
         raise ValueError(
             f"the graph and its roles would both be written to {roles_path}; "
@@ -345,12 +342,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    from pathlib import Path  # names the default sidecar as reduce does
-
     g = _read_graph(args.graph)
     c = _read_coloring(args.coloring)
-    roles_path = args.roles or str(Path(args.graph).with_suffix(".roles"))
-    roles = io.roles_from_text(_read(roles_path))
+    roles = io.roles_from_text(_read(_roles_path(args.roles, args.graph)))
     try:
         partition = reduction.decode_from_roles(g, roles, c)
     except reduction.UnbalancedColoring as exc:
@@ -383,14 +377,9 @@ def _cmd_export_cnf(args: argparse.Namespace) -> int:
     # Built before the file is opened, so a refused input writes no file.
     doc = cnf.to_cnf(g, args.k)
     if args.output:
-        header = []  # caught as to_dimacs writes it, so the export plans once
         with open(args.output, "w") as f:
-            def write(text: str) -> None:
-                if text.startswith("p "):
-                    header.extend(text.split())
-                f.write(text)
-            doc.to_dimacs(SimpleNamespace(write=write))
-        print(f"wrote {args.output} ({header[2]} vars, {header[3]} clauses)")
+            num_vars, num_clauses = doc.to_dimacs(f)
+        print(f"wrote {args.output} ({num_vars} vars, {num_clauses} clauses)")
     else:
         doc.to_dimacs(sys.stdout)
     return 0

@@ -145,21 +145,23 @@ class CnfDocument(_Record):
             out.extend(tuple(map(lookup.__getitem__, c)) for c in template.clauses)
         return tuple(out)
 
-    def to_dimacs(self, out: TextIOBase | None = None) -> str | None:
+    def to_dimacs(self, out: TextIOBase | None = None) -> str | tuple[int, int]:
         """The DIMACS text, returned when ``out`` is None.
 
         Given a text stream, writes the same text to it one constraint at a
-        time and returns None, so neither the text nor the clauses are held.
+        time, so neither the text nor the clauses are held, and returns the
+        (variables, clauses) counts its ``p cnf`` line declares.
         """
         sink = StringIO() if out is None else out
         write = sink.write
         for text in self.comments:
             write(f"c {text}\n")
         counters = self._counters
-        write("p cnf {} {}\n".format(*self._sizes(counters)))
+        sizes = self._sizes(counters)
+        write("p cnf {} {}\n".format(*sizes))
         for template, values in self._blocks(counters):
             write(template.text.format(*map(str, values)))
-        return sink.getvalue() if out is None else None
+        return sink.getvalue() if out is None else sizes
 
 
 def _exactly_one(k: int) -> _Template:

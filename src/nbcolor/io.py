@@ -1,8 +1,11 @@
 """Text formats: edge lists, colorings, role sidecars, DOT, JSON reports.
 
-All formats are line-oriented.  Blank lines are ignored; lines whose first
-field is ``c`` are comments.  Parsers raise :class:`ParseError` carrying line
-and column numbers (both 1-based) so the CLI can print usable diagnostics.
+The input formats share one line grammar.  Blank lines, and comment lines
+whose first field is ``c``, are skipped.  Every other line is a record whose
+first field, its tag, must be one the format names; a header comes once and
+before any other record, and each record has the fields its tag takes.
+Parsers raise :class:`ParseError` carrying line and column numbers (both
+1-based) so the CLI can print usable diagnostics.
 
 Formats:
 
@@ -10,7 +13,7 @@ Formats:
   endpoints;
 - coloring: header ``k <k>``, then one line ``v <vertex> <color>`` per
   vertex;
-- roles sidecar: lines ``r <vertex> <role> [element]``.
+- roles sidecar: no header; lines ``r <vertex> <role> [element]``.
 """
 
 from __future__ import annotations
@@ -34,13 +37,39 @@ class ParseError(ValueError):
         self.reason = message
 
 
-def _records(text: str) -> Iterator[tuple[int, str, list[str]]]:
-    """Yield (lineno, raw line, fields) for every non-comment, non-blank line."""
+def _scan(
+    text: str,
+    head: tuple[str, tuple[int, ...], str] | None,
+    body: tuple[str, tuple[int, ...], str],
+) -> Iterator[tuple[int, str, list[str]]]:
+    """Yield (lineno, raw line, fields) for each record the grammar admits.
+
+    ``head`` (None for a format without a header) and ``body`` each give a
+    record type: its tag, the field counts it takes, tag included, and the
+    refusal for another count, where ``{}`` stands for the fields after the
+    tag.  Refusals are placed at the record's tag.
+    """
+    (body_tag, body_sizes, body_need), seen = body, head is None
+    head_tag, head_sizes, head_need = head or ("", (), "")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
-        if not fields or fields[0] == "c":
+        if not fields:
             continue
-        yield lineno, raw, fields
+        tag = fields[0]
+        if tag == body_tag and seen and len(fields) in body_sizes:
+            yield lineno, raw, fields
+        elif tag == head_tag and not seen and len(fields) in head_sizes:
+            seen = True
+            yield lineno, raw, fields
+        elif tag != "c":
+            if tag == body_tag:
+                reason = (body_need.format(len(fields) - 1) if seen
+                          else f"'{tag}' line before the '{head_tag}' header")
+            elif tag == head_tag:
+                reason = f"duplicate '{tag}' header" if seen else head_need.format(len(fields) - 1)
+            else:
+                reason = f"unknown record type {tag!r}"
+            raise ParseError(lineno, raw.find(tag) + 1, reason)
 
 
 def _column_of(raw: str, fields: list[str], index: int) -> int:
@@ -49,11 +78,6 @@ def _column_of(raw: str, fields: list[str], index: int) -> int:
     for field in fields[:index]:
         pos = raw.find(field, pos) + len(field)
     return raw.find(fields[index], pos) + 1
-
-
-def _record_error(lineno: int, raw: str, message: str) -> ParseError:
-    """An error about the record on line ``raw`` as a whole, placed at its tag."""
-    return ParseError(lineno, _column_of(raw, raw.split(), 0), message)
 
 
 def _int_field(
@@ -73,9 +97,8 @@ def _int_field(
 
 def graph_to_text(g: Graph, comments: tuple[str, ...] = ()) -> str:
     lines = [f"c {text}" for text in comments]
-    lines.append(f"p {g.n} {g.m}")
-    for u, v in _edge_pairs(g.adjacency):
-        lines.append(f"e {u} {v}")
+    lines.append("p %d %d" % (g.n, g.m))
+    lines += ["e %d %d" % pair for pair in _edge_pairs(g.adjacency)]
     return "\n".join(lines) + "\n"
 
 
@@ -84,29 +107,10 @@ def graph_from_text(text: str) -> Graph:
     declared_m: int | None = None
     header_at = (1, 1)
     edges: list[tuple[int, int]] = []
-    for lineno, raw, fields in _records(text):
-        tag = fields[0]
-        if tag == "p":
-            if n is not None:
-                raise _record_error(lineno, raw, "duplicate 'p' header")
-            if len(fields) != 3:
-                raise _record_error(
-                    lineno, raw, f"'p' header needs 2 numbers, got {len(fields) - 1}"
-                )
-            n = _int_field(raw, fields, 1, lineno, "a vertex count")
-            declared_m = _int_field(raw, fields, 2, lineno, "an edge count")
-            header_at = (lineno, _column_of(raw, fields, 2))
-            if n < 0:
-                raise ParseError(
-                    lineno, _column_of(raw, fields, 1), "vertex count is negative"
-                )
-        elif tag == "e":
-            if n is None:
-                raise _record_error(lineno, raw, "'e' line before the 'p' header")
-            if len(fields) != 3:
-                raise _record_error(
-                    lineno, raw, f"'e' line needs 2 endpoints, got {len(fields) - 1}"
-                )
+    records = _scan(text, ("p", (3,), "'p' header needs 2 numbers, got {}"),
+                    ("e", (3,), "'e' line needs 2 endpoints, got {}"))
+    for lineno, raw, fields in records:
+        if fields[0] == "e":
             u = _int_field(raw, fields, 1, lineno, "a vertex index")
             v = _int_field(raw, fields, 2, lineno, "a vertex index")
             for idx, x in ((1, u), (2, v)):
@@ -122,7 +126,13 @@ def graph_from_text(text: str) -> Graph:
                 )
             edges.append((u, v))
         else:
-            raise _record_error(lineno, raw, f"unknown record type {tag!r}")
+            n = _int_field(raw, fields, 1, lineno, "a vertex count")
+            declared_m = _int_field(raw, fields, 2, lineno, "an edge count")
+            header_at = (lineno, _column_of(raw, fields, 2))
+            if n < 0:
+                raise ParseError(
+                    lineno, _column_of(raw, fields, 1), "vertex count is negative"
+                )
     if n is None:
         raise ParseError(1, 1, "missing 'p <n> <m>' header")
     if declared_m != len(edges):
@@ -138,32 +148,18 @@ def graph_from_text(text: str) -> Graph:
 
 
 def coloring_to_text(c: Coloring) -> str:
-    lines = [f"k {c.k}"]
-    for v, color in enumerate(c.colors):
-        lines.append(f"v {v} {color}")
+    lines = ["k %d" % c.k]
+    lines += ["v %d %d" % pair for pair in enumerate(c.colors)]
     return "\n".join(lines) + "\n"
 
 
 def coloring_from_text(text: str) -> Coloring:
     k: int | None = None
     assignment: dict[int, int] = {}
-    for lineno, raw, fields in _records(text):
-        tag = fields[0]
-        if tag == "k":
-            if k is not None:
-                raise _record_error(lineno, raw, "duplicate 'k' header")
-            if len(fields) != 2:
-                raise _record_error(lineno, raw, "'k' header needs exactly 1 number")
-            k = _int_field(raw, fields, 1, lineno, "a palette size")
-            if k < 1:
-                raise ParseError(
-                    lineno, _column_of(raw, fields, 1), f"palette size {k} < 1"
-                )
-        elif tag == "v":
-            if k is None:
-                raise _record_error(lineno, raw, "'v' line before the 'k' header")
-            if len(fields) != 3:
-                raise _record_error(lineno, raw, "'v' line needs a vertex and a color")
+    records = _scan(text, ("k", (2,), "'k' header needs exactly 1 number"),
+                    ("v", (3,), "'v' line needs a vertex and a color"))
+    for lineno, raw, fields in records:
+        if fields[0] == "v":
             vertex = _int_field(raw, fields, 1, lineno, "a vertex index")
             color = _int_field(raw, fields, 2, lineno, "a color")
             if vertex < 0:
@@ -184,7 +180,11 @@ def coloring_from_text(text: str) -> Coloring:
                 )
             assignment[vertex] = color
         else:
-            raise _record_error(lineno, raw, f"unknown record type {tag!r}")
+            k = _int_field(raw, fields, 1, lineno, "a palette size")
+            if k < 1:
+                raise ParseError(
+                    lineno, _column_of(raw, fields, 1), f"palette size {k} < 1"
+                )
     if k is None:
         raise ParseError(1, 1, "missing 'k <k>' header")
     n = len(assignment)
@@ -206,21 +206,18 @@ def roles_to_text(roles: Mapping[int, tuple[str, int | None]]) -> str:
     for vertex in sorted(roles):
         role, element = roles[vertex]
         if element is None:
-            lines.append(f"r {vertex} {role}")
+            lines.append("r %d %s" % (vertex, role))
         else:
-            lines.append(f"r {vertex} {role} {element}")
+            lines.append("r %d %s %d" % (vertex, role, element))
     return "\n".join(lines) + "\n"
 
 
 def roles_from_text(text: str) -> dict[int, tuple[str, int | None]]:
     roles: dict[int, tuple[str, int | None]] = {}
-    for lineno, raw, fields in _records(text):
-        if fields[0] != "r":
-            raise _record_error(lineno, raw, f"unknown record type {fields[0]!r}")
-        if len(fields) not in (3, 4):
-            raise _record_error(
-                lineno, raw, "'r' line needs a vertex, a role, and an optional element"
-            )
+    records = _scan(
+        text, None, ("r", (3, 4), "'r' line needs a vertex, a role, and an optional element")
+    )
+    for lineno, raw, fields in records:
         vertex = _int_field(raw, fields, 1, lineno, "a vertex index")
         role = fields[2]
         element = (

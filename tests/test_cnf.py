@@ -186,11 +186,12 @@ DOCUMENT_CASES = [
 @pytest.mark.parametrize("g,k", DOCUMENT_CASES)
 def test_clauses_agree_with_the_text(g, k):
     """``clauses``, built on first access, the returned text and the
-    streamed text are one document: same count, same literals, same order."""
+    streamed text are one document: same count, same literals, same order.
+    Streaming returns the counts of the header it wrote."""
     doc = to_cnf(g, k)
     assert len(doc.clauses) == doc.num_clauses
     sink = io.StringIO()
-    assert doc.to_dimacs(sink) is None
+    assert doc.to_dimacs(sink) == (doc.num_vars, doc.num_clauses)
     assert sink.getvalue() == doc.to_dimacs()
     lines = sink.getvalue().splitlines()[len(doc.comments) + 1:]
     assert [tuple(map(int, line.split()[:-1])) for line in lines] == list(doc.clauses)

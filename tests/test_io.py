@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import random_graph
 from nbcolor import (
     Coloring,
+    EssInstance,
     Graph,
     ParseError,
     SolveConfig,
@@ -25,6 +26,7 @@ from nbcolor import (
     graph_from_text,
     graph_to_text,
     is_nbkc,
+    reduce_ess_to_nbc,
     report_to_json,
     roles_from_text,
     roles_to_text,
@@ -323,6 +325,7 @@ def test_report_json_bytes_are_pinned(build, digest):
         (coloring_from_text, "{}v 0 1\nk 2\n", 1, "'v' line before the 'k' header"),
         (coloring_from_text, "k 2\n{}v 0\n", 2, "'v' line needs a vertex and a color"),
         (coloring_from_text, "k 2\n{}q 1\n", 2, "unknown record type 'q'"),
+        (coloring_from_text, "k 2\n{}{{}} 1\n", 2, "unknown record type '{}'"),
         (roles_from_text, "\n{}q 1\n", 2, "unknown record type 'q'"),
         (
             roles_from_text,
@@ -336,3 +339,27 @@ def test_record_errors_point_at_an_indented_tag(parse, text, line, reason, inden
     with pytest.raises(ParseError) as err:
         parse(text.format(indent))
     assert (err.value.line, err.value.column, err.value.reason) == (line, column, reason)
+
+
+def ess_roles(values):
+    return reduce_ess_to_nbc(EssInstance(values, 2)).roles()
+
+
+@pytest.mark.parametrize(
+    "emit,parse,value,plain",
+    [
+        (graph_to_text, graph_from_text, Graph(4, [(0, True), (2, 3), (0, 2), (True, 3)]),
+         Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])),
+        (graph_to_text, graph_from_text, Graph(True), Graph(1)),
+        (coloring_to_text, coloring_from_text, Coloring(2, (True, True, 2, 2)),
+         Coloring(2, (1, 1, 2, 2))),
+        (roles_to_text, roles_from_text, ess_roles((True, 1)), ess_roles((1, 1))),
+    ],
+    ids=["edge", "order", "coloring", "roles"],
+)
+def test_writers_write_numbers_the_readers_read(emit, parse, value, plain):
+    """``bool`` passes the integer checks, so a writer prints True as 1, which
+    its reader takes back."""
+    text = emit(value)
+    assert text == emit(plain)
+    assert parse(text) == value
