@@ -385,9 +385,7 @@ def divisor_recolor(c: Coloring, p: int) -> Coloring:
     Color i becomes 1 + ((i-1) mod p).  Because the k classes merge into p
     groups of k/p classes each, every balanced neighborhood stays balanced.
     """
-    _require_int(p, "target palette")
-    if p < 2:
-        raise ValueError(f"target palette must have at least 2 colors, got {p}")
+    _require_int(p, "target palette", 2)
     if c.k % p != 0:
         raise ValueError(f"{p} does not divide the palette size {c.k}")
     return Coloring(p, tuple(1 + ((col - 1) % p) for col in c.colors))

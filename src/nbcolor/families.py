@@ -39,20 +39,17 @@ class CirculantSpec(_Record):
     connections: tuple[int, ...]
 
     def __init__(self, n: int, connections: Iterable[int]) -> None:
-        _require_int(n, "circulant order")
-        if n < 3:
-            raise ValueError(f"circulant needs at least 3 vertices, got {n}")
+        _require_int(n, "circulant order", 3)
         conns = tuple(connections)
         if not conns:
             raise ValueError("at least one connection is required")
         for i, a in enumerate(conns):
-            _require_int(a, "connection")
-            if a < 1:
-                raise ValueError(f"connections must be positive, got {a}")
+            _require_int(a, "connection", 1)
             if i > 0 and conns[i - 1] >= a:
                 raise ValueError(f"connections must be strictly increasing: {conns}")
         if conns[-1] * 2 >= n:
-            raise ValueError(f"largest connection {conns[-1]} must be < n/2 = {n / 2}")
+            raise ValueError(f"largest connection {conns[-1]} must be < n/2 = "
+                             f"{n // 2}{'.5' if n % 2 else ''}")
         self._store(n, conns)
 
     @property
@@ -261,9 +258,7 @@ def complete_multipartite_nbc(
     if len(sizes) < 2:
         raise ValueError(f"need at least 2 parts, got {len(sizes)}")
     for s in sizes:
-        _require_int(s, "part size")
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"part sizes must be positive: {sizes}")
+        _require_int(s, "part size", 1)
     for i, s in enumerate(sizes):
         if s % k != 0:
             return Refusal(
@@ -285,9 +280,7 @@ def complete_graph_nbc(n: int, k: int) -> Refusal:
     has degree n-1, so balance needs k | n-1, while the color classes seen
     from any vertex force k | n as well — impossible for k >= 2.
     """
-    _require_int(n, "vertex count")
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices for a complete graph, got {n}")
+    _require_int(n, "vertex count", 2)
     _require_int(k, "palette size", 2)
     if (n - 1) % k != 0:
         return Refusal(

@@ -120,8 +120,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if not (isinstance(n, int) and n >= 0):
-            _require_int(n, "vertex count")
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+            _require_int(n, "vertex count", 0)
         # A dict dedupes in input order, and sorting input that is already in
         # order (the builders' and most files') is one linear pass.
         normalized: dict[tuple[int, int], None] = {}
@@ -242,9 +241,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 
 
 def cycle_graph(m: int) -> Graph:
-    _require_int(m, "cycle length")
-    if m < 3:
-        raise ValueError(f"a cycle needs at least 3 vertices, got {m}")
+    _require_int(m, "cycle length", 3)
     rows = [(v - 1, v + 1) for v in range(m)]
     rows[0], rows[-1] = (1, m - 1), (0, m - 2)
     return Graph._from_tables(m, tuple(rows))
@@ -260,9 +257,7 @@ def complete_multipartite_graph(part_sizes: Iterable[int]) -> Graph:
     """Complete multipartite graph; part ``i`` occupies a consecutive index block."""
     sizes = list(part_sizes)
     for s in sizes:
-        _require_int(s, "part size")
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"part sizes must be positive, got {sizes}")
+        _require_int(s, "part size", 1)
     full = tuple(range(sum(sizes)))
     rows: list[tuple[int, ...]] = []
     for s in sizes:  # every vertex of a part has the one row: all other parts

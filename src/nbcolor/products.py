@@ -35,8 +35,8 @@ class VertexPairIndex(_Record):
     h_order: int
 
     def __init__(self, g_order: int, h_order: int) -> None:
-        _require_int(g_order, "g_order")
-        _require_int(h_order, "h_order")
+        _require_int(g_order, "g_order", 0)
+        _require_int(h_order, "h_order", 0)
         self._store(g_order, h_order)
 
     def index(self, u: int, v: int) -> int:

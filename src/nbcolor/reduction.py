@@ -48,11 +48,9 @@ class EssInstance(_Record):
         values = tuple(values)
         if not values:
             raise ValueError("the multiset must be nonempty")
-        for a in values:
-            _require_int(a, "element")
         _require_int(k, "subset count", 2)
-        if any(a < 1 for a in values):
-            raise ValueError(f"all elements must be positive integers: {values}")
+        for a in values:
+            _require_int(a, "element", 1)
         self._store(values, k)
 
     @property

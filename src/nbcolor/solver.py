@@ -123,9 +123,7 @@ class SolveConfig(_Record):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         if node_budget is not None:
-            _require_int(node_budget, "node budget")
-            if node_budget <= 0:
-                raise ValueError(f"node budget must be positive, got {node_budget}")
+            _require_int(node_budget, "node budget", 1)
         self._store(mode, node_budget)
 
 

@@ -42,9 +42,7 @@ class UnionSpec(_Record):
 
     def __init__(self, base: Graph, glue: Iterable[int], copies: int) -> None:
         glue = frozenset(glue)
-        _require_int(copies, "copy count")
-        if copies < 1:
-            raise ValueError(f"need at least one copy, got {copies}")
+        _require_int(copies, "copy count", 1)
         if not glue:
             raise ValueError("glue set must be nonempty")
         for v in glue:

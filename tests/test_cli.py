@@ -117,6 +117,9 @@ def test_construct_unknown_family_is_usage_error(capsys):
         ("circulant 12 1,x", 2, "error: connections must be comma-separated integers: '1,x'"),
         ("circulant 8 1 -k 1", 2, "error: palette size must be at least 2, got 1"),
         ("circulant 8 1", 0, "p 8 8"),
+        ("circulant 4 1,2", 2, "error: largest connection 2 must be < n/2 = 2"),
+        ("circulant 9 1,5", 2, "error: largest connection 5 must be < n/2 = 4.5"),
+        ("cycle 2", 2, "error: cycle length must be at least 3, got 2"),
     ],
 )
 def test_construct_routes_keep_the_exit_code_contract(capsys, argv, code, first):
